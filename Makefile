@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: test lint lint-baseline bench bench-parallel bench-service \
 	bench-sqlengine bench-analyzer bench-obs bench-cache bench-cluster \
-	serve serve-cluster experiments
+	bench-e2e serve serve-cluster experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -55,6 +55,12 @@ bench-cache:
 # the consistent-hash router (writes BENCH_cluster.json).
 bench-cluster:
 	$(PYTHON) -m repro.experiments cluster
+
+# Claim in → verdict out through the real front doors: four workloads,
+# every job checked against bench/golden/, then a traced per-layer set
+# (bench/README.md; results under bench/out/).
+bench-e2e:
+	python3 bench/run.py
 
 # HTTP front end for the verification service (Ctrl-C drains and exits).
 serve:

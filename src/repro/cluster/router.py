@@ -73,6 +73,7 @@ from repro.obs.tracer import (
     spans_from_dicts,
 )
 from repro.service import WorkerLost, retry_after_seconds
+from repro.service.http import BodyRejected, declared_body_length
 from repro.service.queue import (
     REASON_CLIENT_LIMIT,
     REASON_DRAINING,
@@ -113,7 +114,6 @@ class ClusterConfig:
     shard_threads: int = 4           # verifier threads inside each worker
     shard_queue_depth: int = 64
     shard_max_batch: int = 8
-    shard_batch_window: float = 0.02
     shard_cache_size: int = 1024
     cache_db: str | None = None      # shared persistent L2 (optional)
     latency_scale: float = 0.0       # simulated model latency (bench)
@@ -288,7 +288,6 @@ class ClusterRouter:
             "--workers", str(config.shard_threads),
             "--queue-depth", str(config.shard_queue_depth),
             "--max-batch", str(config.shard_max_batch),
-            "--batch-window", str(config.shard_batch_window),
             "--cache-size", str(config.shard_cache_size),
         ]
         if config.cache_db:
@@ -909,7 +908,13 @@ class ClusterRouter:
                             writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                request = await _read_http_request(reader)
+                try:
+                    request = await _read_http_request(reader)
+                except BodyRejected as error:
+                    # The body stays unread: answer, then hang up.
+                    await _send_json(writer, error.status,
+                                     {"error": str(error)})
+                    return
                 if request is None:
                     return
                 method, path, query, headers, body = request
@@ -1007,7 +1012,8 @@ class ClusterRouter:
 # -- minimal asyncio HTTP/1.1 plumbing ---------------------------------------
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
-             404: "Not Found", 409: "Conflict", 429: "Too Many Requests",
+             404: "Not Found", 409: "Conflict",
+             413: "Request Entity Too Large", 429: "Too Many Requests",
              500: "Internal Server Error", 503: "Service Unavailable"}
 
 _MAX_HEADER_LINES = 100
@@ -1016,7 +1022,10 @@ _MAX_HEADER_LINES = 100
 async def _read_http_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, dict, dict, bytes] | None:
-    """Parse one request; None on EOF/garbage (connection then closes)."""
+    """Parse one request; None on EOF/garbage (connection then closes).
+
+    Raises :class:`~repro.service.http.BodyRejected` for a hostile
+    ``Content-Length``, before reading any of the body."""
     line = await reader.readline()
     if not line or b" " not in line:
         return None
@@ -1032,7 +1041,7 @@ async def _read_http_request(
         name, _, value = raw.decode("latin1").partition(":")
         headers[name.strip().lower()] = value.strip()
     body = b""
-    length = int(headers.get("content-length", "0") or 0)
+    length = declared_body_length(headers.get("content-length"))
     if length:
         body = await reader.readexactly(length)
     path, _, query_string = target.partition("?")

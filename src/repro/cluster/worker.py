@@ -309,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="verifier threads per batch")
     parser.add_argument("--queue-depth", type=int, default=64)
     parser.add_argument("--max-batch", type=int, default=8)
-    parser.add_argument("--batch-window", type=float, default=0.02)
     parser.add_argument("--cache-size", type=int, default=1024)
     parser.add_argument("--cache-db", default=None,
                         help="shared persistent L2 sqlite path (optional)")
@@ -333,7 +332,6 @@ def main(argv: list[str] | None = None) -> int:
         # few shards, so it is effectively disabled here.
         per_client_limit=1_000_000,
         max_batch_jobs=arguments.max_batch,
-        batch_window=arguments.batch_window,
         workers=arguments.workers,
         cache_size=arguments.cache_size,
         tracing=not arguments.no_tracing,

@@ -30,7 +30,7 @@ The module also hosts :func:`verify`, the package's front door.
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.llm.ledger import LedgerDelta
 from repro.obs.tracer import SpanDelta
@@ -61,25 +61,37 @@ class ParallelVerifier(MultiStageVerifier):
             super()._execute(documents, schedule, run)
             return
         workers = self.config.workers
+
+        def merge(result: tuple) -> None:
+            # Called in submission order: the ledger ends up with the
+            # same entry sequence — and the tracer with the same span
+            # forest — a sequential run would have written.
+            reports, delta, spans = result
+            run.reports.update(reports)
+            self.ledger.absorb(delta)
+            self.tracer.absorb(spans)
+
         with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="cedar-doc"
-        ) as documents_pool, ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="cedar-claim"
         ) as claims_pool:
             self._claims_pool: ThreadPoolExecutor | None = claims_pool
             try:
-                futures: list[Future] = [
-                    documents_pool.submit(self._document_task, doc, schedule)
-                    for doc in documents
-                ]
-                # Merge in submission order: the ledger ends up with the
-                # same entry sequence — and the tracer with the same span
-                # forest — a sequential run would have written.
-                for future in futures:
-                    reports, delta, spans = future.result()
-                    run.reports.update(reports)
-                    self.ledger.absorb(delta)
-                    self.tracer.absorb(spans)
+                if len(documents) == 1:
+                    # Nothing to fan out: the lone document runs here,
+                    # through the same capture/absorb as a pool task.
+                    merge(self._document_task(documents[0], schedule))
+                else:
+                    with ThreadPoolExecutor(
+                        max_workers=workers, thread_name_prefix="cedar-doc"
+                    ) as documents_pool:
+                        futures = [
+                            documents_pool.submit(
+                                self._document_task, doc, schedule
+                            )
+                            for doc in documents
+                        ]
+                        for future in futures:
+                            merge(future.result())
             finally:
                 self._claims_pool = None
 

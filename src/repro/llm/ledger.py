@@ -13,13 +13,18 @@ route a worker's entries into a private sub-ledger that is merged back in
 a deterministic order once the worker joins — so a parallel run produces
 the same entry sequence (and therefore the same totals) as a sequential
 one.
+
+The grand total and the per-``method:`` totals are folded as entries
+reach the shared list, so reading them costs the same however long the
+process has been serving; per-request tags (``doc:``, ``claim:``) are
+unique and stay scan-only.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
 
@@ -78,6 +83,11 @@ class LedgerTotals:
         return self.prompt_tokens + self.completion_tokens
 
 
+#: The one tag family with a running index: few distinct values, read
+#: after every service batch and on every ``/v1/metrics`` scrape.
+_METHOD_PREFIX = "method:"
+
+
 @dataclass
 class LedgerDelta:
     """A worker's private slice of ledger activity (see ``capture``)."""
@@ -94,6 +104,11 @@ class CostLedger:
         self.events: list[RetryEvent] = []
         self._lock = threading.Lock()
         self._local = threading.local()
+        # Running totals over ``entries``/``events``, folded in entry
+        # order under the lock (see :meth:`_append`).
+        self._totals = LedgerTotals()
+        self._method_totals: dict[str, LedgerTotals] = {}
+        self._backoff_seconds = 0.0
         # Data-side (SQL engine) latency, tracked as plain counters rather
         # than entries: it costs no tokens, and keeping it out of
         # ``entries`` leaves the capture/absorb determinism contract of
@@ -114,6 +129,28 @@ class CostLedger:
     @property
     def _sink(self) -> LedgerDelta | None:
         return getattr(self._local, "sink", None)
+
+    def _append(
+        self, entries: Sequence[LedgerEntry], events: Sequence[RetryEvent]
+    ) -> None:
+        """Extend the shared lists and fold the running totals.
+
+        Folding happens in entry order with the same ``add`` a scan
+        would apply, so every running float sum is bit-identical to
+        re-aggregating ``entries`` from the start.
+        """
+        with self._lock:
+            for entry in entries:
+                self._totals.add(entry)
+                for tag in entry.tags:
+                    if tag.startswith(_METHOD_PREFIX):
+                        self._method_totals.setdefault(
+                            tag, LedgerTotals()
+                        ).add(entry)
+            self.entries.extend(entries)
+            for event in events:
+                self._backoff_seconds += event.delay_seconds
+            self.events.extend(events)
 
     def record(
         self,
@@ -136,8 +173,7 @@ class CostLedger:
         if sink is not None:
             sink.entries.append(entry)
         else:
-            with self._lock:
-                self.entries.append(entry)
+            self._append((entry,), ())
 
     def record_retry(
         self,
@@ -160,8 +196,7 @@ class CostLedger:
         if sink is not None:
             sink.events.append(event)
         else:
-            with self._lock:
-                self.events.append(event)
+            self._append((), (event,))
 
     def record_sql(self, seconds: float, executions: int = 1) -> None:
         """Record time spent executing SQL for the verification data side.
@@ -237,17 +272,18 @@ class CostLedger:
             sink.entries.extend(delta.entries)
             sink.events.extend(delta.events)
         else:
-            with self._lock:
-                self.entries.extend(delta.entries)
-                self.events.extend(delta.events)
+            self._append(delta.entries, delta.events)
 
     # -- aggregation ---------------------------------------------------------
 
     def totals(self, tag: str | None = None) -> LedgerTotals:
         """Aggregate all entries, optionally restricted to one tag."""
+        if tag is None:
+            with self._lock:
+                return replace(self._totals)
         totals = LedgerTotals()
         for entry in self.entries:
-            if tag is None or tag in entry.tags:
+            if tag in entry.tags:
                 totals.add(entry)
         return totals
 
@@ -271,8 +307,13 @@ class CostLedger:
     def totals_by_tag_prefix(self, prefix: str) -> dict[str, LedgerTotals]:
         """Aggregate entries per tag, over tags starting with ``prefix``.
 
-        E.g. ``totals_by_tag_prefix("method:")`` returns per-method totals.
+        E.g. ``totals_by_tag_prefix("method:")`` returns per-method totals
+        — that prefix from the running index, any other by a scan.
         """
+        if prefix == _METHOD_PREFIX:
+            with self._lock:
+                return {tag: replace(totals)
+                        for tag, totals in self._method_totals.items()}
         grouped: dict[str, LedgerTotals] = {}
         for entry in self.entries:
             for tag in entry.tags:
@@ -293,11 +334,13 @@ class CostLedger:
 
     @property
     def total_cost(self) -> float:
-        return sum(e.cost for e in self.entries)
+        with self._lock:
+            return self._totals.cost
 
     @property
     def total_latency_seconds(self) -> float:
-        return sum(e.latency_seconds for e in self.entries)
+        with self._lock:
+            return self._totals.latency_seconds
 
     @property
     def retry_count(self) -> int:
@@ -311,7 +354,8 @@ class CostLedger:
         next attempt; this sums them so ``/stats`` and reports can show
         how much of a run's wall-clock went to waiting out failures.
         """
-        return sum(event.delay_seconds for event in self.events)
+        with self._lock:
+            return self._backoff_seconds
 
     def __len__(self) -> int:
         return len(self.entries)

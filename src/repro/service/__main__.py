@@ -35,8 +35,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bounded queue depth (admission limit)")
     parser.add_argument("--per-client", type=int, default=8,
                         help="in-flight job cap per client_id")
-    parser.add_argument("--batch-window", type=float, default=0.05,
-                        help="seconds to linger coalescing jobs")
+    parser.add_argument("--batch-window", type=float,
+                        default=ServiceConfig.batch_window,
+                        help="seconds to linger before coalescing queued "
+                             "jobs (0: run at once, batch what is waiting)")
     parser.add_argument("--max-batch", type=int, default=8,
                         help="jobs coalesced into one batch")
     parser.add_argument("--cache-size", type=int, default=1024,

@@ -7,7 +7,10 @@ versioned ``/v1/`` prefix:
   (optional ``"client_id"``, ``"priority"``). Clones the dataset
   document under a request-unique tag and submits it; replies ``202``
   with the job id, or a structured rejection: ``429`` (queue full /
-  client limit), ``503`` (draining), ``409`` (claim-id conflict).
+  client limit), ``503`` (draining), ``409`` (claim-id conflict). A
+  ``Content-Length`` that is not a non-negative integer gets ``400``,
+  one above 1 MiB ``413``; either way the body is never read and the
+  connection closes.
 * ``GET /v1/jobs/<id>`` — job state summary.
 * ``GET /v1/jobs/<id>/events`` — the job's event stream as ndjson.
   ``?wait=1`` streams until the terminal event (bounded by
@@ -105,6 +108,42 @@ _REJECTION_STATUS = {
     REASON_DRAINING: 503,
     REASON_CONFLICT: 409,
 }
+
+#: The largest request body either front door will read; a
+#: ``/v1/verify`` body is a few dozen bytes.
+MAX_BODY_BYTES = 1 << 20
+
+
+class BodyRejected(ValueError):
+    """A request whose declared body the server refuses to read."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def declared_body_length(raw: str | None) -> int:
+    """A ``Content-Length`` header value as the byte count to read.
+
+    Raises :class:`BodyRejected` — 400 unless the value is a plain
+    non-negative decimal, 413 above :data:`MAX_BODY_BYTES` — so a
+    hostile header is answered before any of the body is read.
+    """
+    if not raw:
+        return 0
+    if not (raw.isascii() and raw.isdigit()):
+        raise BodyRejected(
+            400, "Content-Length must be a non-negative integer"
+        )
+    digits = raw.lstrip("0") or "0"
+    # Judged by width first: int() itself refuses absurdly long input.
+    too_wide = len(digits) > len(str(MAX_BODY_BYTES))
+    length = MAX_BODY_BYTES + 1 if too_wide else int(digits)
+    if length > MAX_BODY_BYTES:
+        raise BodyRejected(
+            413, f"request body over the {MAX_BODY_BYTES}-byte limit"
+        )
+    return length
 
 
 class ServiceApp:
@@ -299,6 +338,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     app: ServiceApp  # injected by make_server
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted socket: replies and ndjson events
+    #: are small and complete, so there is nothing for Nagle to gather.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
 
@@ -334,6 +376,19 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             return None
         return parts[1:]
 
+    def _write(self, data: bytes) -> None:
+        self.wfile.write(data)
+        self.wfile.flush()
+
+    def _end_headers_with(self, payload: bytes) -> None:
+        """``end_headers()``, but the head leaves with ``payload`` as one
+        write: sent apart, the second small segment sits behind the
+        client's delayed ACK (~40 ms on Linux loopback)."""
+        self._headers_buffer.append(b"\r\n")
+        head = b"".join(self._headers_buffer)
+        self._headers_buffer = []
+        self._write(head + payload)
+
     def _send_json(self, status: int, body: dict,
                    headers: dict[str, str] | None = None) -> None:
         payload = json.dumps(body, sort_keys=True).encode()
@@ -348,8 +403,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self._extra_headers()
-        self.end_headers()
-        self.wfile.write(payload)
+        self._end_headers_with(payload)
 
     def _send_text(self, status: int, body: str,
                    content_type: str) -> None:
@@ -358,26 +412,23 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
         self._extra_headers()
-        self.end_headers()
-        self.wfile.write(payload)
+        self._end_headers_with(payload)
 
     def _send_ndjson(self, events: Iterator[JobEvent]) -> None:
         # Length unknown up front (events may still be landing), so the
-        # stream is chunked and flushed per event.
+        # stream is chunked: one chunk, one write, one flush per event.
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
         self._extra_headers()
-        self.end_headers()
+        self._end_headers_with(b"")
         try:
             for event in events:
                 line = (event.to_json() + "\n").encode()
-                self.wfile.write(f"{len(line):x}\r\n".encode())
-                self.wfile.write(line + b"\r\n")
-                self.wfile.flush()
+                self._write(f"{len(line):x}\r\n".encode() + line + b"\r\n")
         except TimeoutError:
             pass  # ?wait deadline hit: end the stream where it stands
-        self.wfile.write(b"0\r\n\r\n")
+        self._write(b"0\r\n\r\n")
 
     # -- verbs ---------------------------------------------------------------
 
@@ -450,7 +501,14 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         if parts != ["verify"]:
             self._send_json(404, {"error": f"no route for {url.path}"})
             return
-        length = int(self.headers.get("Content-Length", 0))
+        try:
+            length = declared_body_length(self.headers.get("Content-Length"))
+        except BodyRejected as error:
+            # The body stays unread, so the connection cannot carry
+            # another request: say so and close it.
+            self._send_json(error.status, {"error": str(error)},
+                            headers={"Connection": "close"})
+            return
         raw = self.rfile.read(length) if length else b"{}"
         try:
             payload = json.loads(raw or b"{}")

@@ -82,6 +82,7 @@ class BoundedJobQueue:
         self._heap: list[tuple[int, int, object]] = []
         self._seq = itertools.count()
         self._cond = threading.Condition()
+        self._closed = False
 
     def offer(self, item: object, priority: int = 0) -> None:
         """Enqueue ``item`` or raise :class:`AdmissionError` when full."""
@@ -99,11 +100,14 @@ class BoundedJobQueue:
         """Dequeue the best item, waiting up to ``timeout`` seconds.
 
         Returns None on timeout (``timeout=0`` polls without waiting;
-        ``timeout=None`` waits indefinitely).
+        ``timeout=None`` waits indefinitely) and once the queue is
+        closed and empty.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while not self._heap:
+                if self._closed:
+                    return None
                 if deadline is None:
                     self._cond.wait()
                 else:
@@ -112,6 +116,13 @@ class BoundedJobQueue:
                         if not self._heap:
                             return None
             return heapq.heappop(self._heap)[2]
+
+    def close(self) -> None:
+        """Wake every blocked :meth:`pop`; an empty closed queue returns
+        None from ``pop`` at once. Items still queued stay poppable."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
 
     def pop_matching(
         self, predicate: Callable[[object], bool], limit: int

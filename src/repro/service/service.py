@@ -8,11 +8,12 @@ into something that can sit under concurrent traffic:
   when full, per-client in-flight caps stop one caller from starving the
   rest, and claim-id conflicts with in-flight jobs are refused rather
   than silently corrupting shared state.
-* **Micro-batching** — a dispatcher coalesces queued jobs whose batch
-  key (database identity, schedule stages) matches into one
+* **Micro-batching** — a dispatcher coalesces the jobs already queued
+  whose batch key (database identity, schedule stages) matches into one
   ``verify_documents`` call on a shared verifier, so the response cache,
   worker pools, and ledger are amortised across requests instead of
-  re-paid per call.
+  re-paid per call. It never waits for company: batches grow while a
+  batch is running, and an idle service answers immediately.
 * **Streaming** — every job exposes an event iterator (accepted → stage
   started → verdict → done) fed by the executor's
   :class:`~repro.core.pipeline.VerificationObserver` hooks, so callers
@@ -117,7 +118,6 @@ class ServiceConfig:
     use_samples: bool = True
     retry: RetryPolicy | None = None
     ledger: CostLedger | None = None
-    poll_interval: float = 0.02     # dispatcher shutdown-poll cadence
     #: Per-job span trees (queue wait + the document waterfall), served
     #: by ``GET /jobs/<id>/trace``. Tracing never changes verdicts or
     #: spend; disable it to shave the last few percent off hot batches.
@@ -610,6 +610,9 @@ class VerificationService:
         if not started and drain:
             self._drain_inline()
         self._stop.set()
+        # No offer can follow the draining flag, so closing now lets the
+        # dispatchers flush what is queued and then return from pop().
+        self._queue.close()
         for thread in self._threads:
             thread.join(timeout)
         self._log.info("service_stopped", drained=drain)
@@ -768,15 +771,20 @@ class VerificationService:
 
     def _dispatch_loop(self) -> None:
         while True:
-            job = self._queue.pop(timeout=self.config.poll_interval)
-            if job is None:
-                if self._stop.is_set() and len(self._queue) == 0:
-                    return
-                continue
+            job = self._queue.pop()
+            if job is None:  # closed and empty: shutdown() is joining us
+                return
             self._run_batch(self._coalesce(job))
 
     def _coalesce(self, first: Job) -> list[Job]:
-        """The micro-batcher: gather queued jobs sharing a batch key."""
+        """The micro-batcher: gather queued jobs sharing a batch key.
+
+        Batches form by themselves: whatever same-key jobs queued up
+        while the previous batch ran are swept into this one, and an
+        idle service runs a lone job at once. ``batch_window`` > 0 adds
+        a timed linger before the sweep (an embedder's opt-in trade of
+        latency for batch size).
+        """
         if self.config.batch_window > 0 and not self._stop.is_set():
             time.sleep(self.config.batch_window)
         key = self._batch_key(first)

@@ -9,6 +9,7 @@ surfaces — ``submit``, the HTTP front end, kill -9, drain.
 import asyncio
 import json
 import re
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -16,6 +17,8 @@ import urllib.request
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterRouter
+from repro.cluster.worker import build_parser as build_worker_parser
+from repro.service.http import MAX_BODY_BYTES
 
 _TAG = re.compile(r"^r\d+/")
 
@@ -147,6 +150,39 @@ def test_unknown_dataset_and_bad_index_rejected(cluster):
     assert status == 400 and "unknown dataset" in body["error"]
     status, body = cluster.submit(dataset="aggchecker", document=99)
     assert status == 400 and "out of range" in body["error"]
+
+
+@pytest.mark.parametrize("declared, status", [
+    ("abc", 400),
+    ("-1", 400),
+    (str(MAX_BODY_BYTES + 1), 413),
+    ("99999999999", 413),
+])
+def test_hostile_content_length_rejected_before_the_body(cluster, declared,
+                                                         status):
+    with socket.create_connection((cluster.host, cluster.port),
+                                  timeout=10) as sock:
+        sock.sendall((
+            "POST /v1/verify HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {declared}\r\n\r\n"
+        ).encode())
+        chunks = []
+        while chunk := sock.recv(65536):  # the router hangs up after
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    assert head.startswith(f"HTTP/1.1 {status} ".encode())
+    assert "error" in json.loads(body)
+    # The front door is unharmed.
+    assert cluster.http("/v1/healthz")[0] == 200
+
+
+def test_shards_are_spawned_without_a_batch_window(cluster):
+    argv = cluster.router._worker_argv(0, "/tmp/unused.sock")
+    assert "--batch-window" not in argv
+    build_worker_parser().parse_args(argv[3:])  # every flag still known
+    assert not hasattr(cluster.config, "shard_batch_window")
+    with pytest.raises(SystemExit):
+        build_worker_parser().parse_args(argv[3:] + ["--batch-window", "0"])
 
 
 # -- admission control -------------------------------------------------------

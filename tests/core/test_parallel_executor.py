@@ -28,6 +28,7 @@ from repro.llm import (
     SimulatedLLM,
     TransportError,
 )
+from repro.obs.tracer import Tracer
 from repro.sqlengine import Database, Table
 
 
@@ -89,6 +90,42 @@ class TestSequentialParallelEquivalence:
         # Not just equal totals: the merge-on-join protocol reproduces the
         # sequential entry sequence byte for byte.
         assert ledger_par.entries == ledger_seq.entries
+
+    def test_lone_document_runs_on_the_calling_thread(self):
+        """One document has nothing to fan out: no document pool is
+        built for it, and ledger and span order match a sequential run."""
+        bundle = build_aggchecker(document_count=1, total_claims=6)
+
+        ledger_seq, schedule = build_system(bundle)
+        tracer_seq = Tracer(trace_id="t")
+        reset_claims(bundle.documents)
+        run_seq = MultiStageVerifier(
+            config=VerifierConfig(ledger=ledger_seq)
+        ).verify_documents(bundle.documents, schedule, tracer=tracer_seq)
+        seq_state = snapshot(bundle, run_seq)
+
+        ledger_par, schedule = build_system(bundle)
+        parallel = ParallelVerifier(
+            config=VerifierConfig(workers=4, ledger=ledger_par)
+        )
+        ran_on = []
+        document_task = parallel._document_task
+
+        def recording_task(document, schedule):
+            ran_on.append(threading.current_thread())
+            return document_task(document, schedule)
+
+        parallel._document_task = recording_task
+        tracer_par = Tracer(trace_id="t")
+        reset_claims(bundle.documents)
+        run_par = parallel.verify_documents(bundle.documents, schedule,
+                                            tracer=tracer_par)
+
+        assert ran_on == [threading.current_thread()]
+        assert snapshot(bundle, run_par) == seq_state
+        assert ledger_par.entries == ledger_seq.entries
+        assert tracer_par.tree(include_times=False) \
+            == tracer_seq.tree(include_times=False)
 
     def test_single_worker_parallel_is_sequential(self):
         bundle = build_aggchecker(document_count=3, total_claims=12)

@@ -8,6 +8,7 @@ can run in tier-1; load behaviour is covered by the service tests and
 """
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -15,8 +16,18 @@ import urllib.request
 import pytest
 
 from repro.datasets import build_aggchecker
-from repro.service import ServiceConfig, VerificationService
-from repro.service.http import ServiceApp, make_server
+from repro.service import (
+    JobDone,
+    JobQueued,
+    ServiceConfig,
+    VerificationService,
+)
+from repro.service.http import (
+    MAX_BODY_BYTES,
+    ServiceApp,
+    ServiceRequestHandler,
+    make_server,
+)
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +187,130 @@ class TestHttpSmoke:
                 get_json(f"{server}{body['events_url']}?wait=1&timeout={bad}")
             assert excinfo.value.code == 400
             assert "timeout" in json.loads(excinfo.value.read())["error"]
+
+
+def raw_exchange(base_url, request: bytes) -> bytes:
+    """Send ``request`` verbatim and read until the server hangs up."""
+    host, port = base_url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestHostileContentLength:
+    """The declared length is judged before a byte of body is read, and
+    the connection closes (an unread body cannot be skipped)."""
+
+    @pytest.mark.parametrize("declared, status", [
+        ("abc", 400),
+        ("-1", 400),
+        ("1e3", 400),
+        ("+5", 400),
+        (str(MAX_BODY_BYTES + 1), 413),
+        ("99999999999", 413),
+        pytest.param("9" * 5000, 413, id="5000-digits"),
+    ])
+    def test_rejected_before_the_body_is_read(self, server, declared,
+                                              status):
+        reply = raw_exchange(server, (
+            "POST /v1/verify HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {declared}\r\n\r\n"
+        ).encode())
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"connection: close" in head.lower()
+        assert "error" in json.loads(body)
+
+    def test_the_limit_itself_is_not_hostile(self, server):
+        # Declared at the cap and then sent in full: read, parsed,
+        # and refused only for what it says.
+        body = b'{"dataset": "missing", "pad": "' \
+            + b"x" * (MAX_BODY_BYTES - 33) + b'"}'
+        assert len(body) == MAX_BODY_BYTES
+        reply = raw_exchange(server, (
+            "POST /v1/verify HTTP/1.1\r\nHost: test\r\n"
+            "Connection: close\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode() + body)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"unknown dataset" in reply
+
+
+class RecordingFile:
+    """Stands in for ``wfile``: remembers each write and each flush."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, data):
+        self.calls.append(bytes(data))
+
+    def flush(self):
+        self.calls.append("flush")
+
+
+class TestOneSegmentReplies:
+    """Head and body — and each ndjson event — leave as one write and
+    one flush, on a socket with Nagle off: a reply split in two small
+    writes waits out the client's delayed ACK."""
+
+    @staticmethod
+    def _handler():
+        handler = ServiceRequestHandler.__new__(ServiceRequestHandler)
+        handler.request_version = "HTTP/1.1"
+        handler.requestline = "GET /v1/healthz HTTP/1.1"
+        handler.client_address = ("127.0.0.1", 0)
+        handler.server = type("Quiet", (), {"verbose": False})()
+        handler.wfile = RecordingFile()
+        return handler
+
+    def test_send_json_is_one_write_and_one_flush(self):
+        handler = self._handler()
+        handler._send_json(200, {"status": "ok"})
+        (data, flush) = handler.wfile.calls
+        assert flush == "flush"
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert f"Content-Length: {len(body)}".encode() in head
+        assert json.loads(body) == {"status": "ok"}
+
+    def test_send_text_is_one_write_and_one_flush(self):
+        handler = self._handler()
+        handler._send_text(200, "cedar_up 1\n", "text/plain")
+        (data, flush) = handler.wfile.calls
+        assert flush == "flush"
+        assert data.endswith(b"\r\n\r\ncedar_up 1\n")
+
+    def test_each_ndjson_event_is_one_write_and_one_flush(self):
+        handler = self._handler()
+        events = [JobQueued(job_id="job-000001"),
+                  JobDone(job_id="job-000001", claims=1, flagged=0)]
+        handler._send_ndjson(iter(events))
+        calls = handler.wfile.calls
+        assert calls[1::2] == ["flush"] * 4  # head, 2 events, terminator
+        head, first, second, end = calls[0::2]
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert head.endswith(b"\r\n\r\n")
+        for chunk, event in zip((first, second), events):
+            line = (event.to_json() + "\n").encode()
+            assert chunk == f"{len(line):x}\r\n".encode() + line + b"\r\n"
+        assert end == b"0\r\n\r\n"
+
+    def test_accepted_sockets_have_nagle_off(self, server, monkeypatch):
+        seen = []
+        original = ServiceRequestHandler.setup
+
+        def setup(handler):
+            original(handler)
+            seen.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(ServiceRequestHandler, "setup", setup)
+        assert get_json(f"{server}/v1/healthz")[0] == 200
+        assert seen and all(seen)
 
 
 class TestAdmissionRejections:

@@ -57,6 +57,25 @@ class TestBoundedJobQueue:
         thread.join(timeout=5.0)
         assert result == ["x"]
 
+    def test_close_wakes_a_blocked_pop(self):
+        queue = BoundedJobQueue(2)
+        result = []
+        thread = threading.Thread(
+            target=lambda: result.append(queue.pop())  # no timeout
+        )
+        thread.start()
+        queue.close()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert result == [None]
+
+    def test_closed_queue_still_hands_out_what_it_holds(self):
+        queue = BoundedJobQueue(2)
+        queue.offer("a")
+        queue.close()
+        assert queue.pop() == "a"
+        assert queue.pop() is None
+
     def test_pop_matching_takes_only_matches_in_priority_order(self):
         queue = BoundedJobQueue(8)
         queue.offer("a1")
