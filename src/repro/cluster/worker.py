@@ -54,6 +54,7 @@ from typing import Callable
 
 from repro.cache import CacheConfig
 from repro.datasets import DatasetBundle, build_aggchecker, build_tabfact
+from repro.llm import LatencySimulatingClient
 from repro.obs.logging import FileSink, add_sink
 from repro.service import ServiceConfig, VerificationService
 from repro.service.http import DEFAULT_DATASETS, ServiceApp
@@ -94,8 +95,6 @@ def latency_wrapper(scale: float) -> Callable | None:
     """A client wrapper simulating per-token model latency (0 = none)."""
     if scale <= 0:
         return None
-    from repro.experiments.parallel_bench import LatencySimulatingClient
-
     return lambda client: LatencySimulatingClient(client, scale)
 
 
@@ -306,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--profile", default="default",
                         choices=sorted(DATASET_PROFILES))
     parser.add_argument("--workers", type=int, default=4,
-                        help="verifier threads per batch")
+                        help="claim threads per dispatcher")
     parser.add_argument("--queue-depth", type=int, default=64)
     parser.add_argument("--max-batch", type=int, default=8)
     parser.add_argument("--cache-size", type=int, default=1024)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.sqlengine import Database, SqlValue
 
@@ -29,6 +30,9 @@ _NUMBER_WORDS = {
 }
 
 _NUMERIC_TOKEN = re.compile(r"^[-+]?\$?[\d,]*\.?\d+%?$")
+
+#: Distinct value texts whose parse is remembered.
+PARSE_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -115,12 +119,16 @@ class Document:
                 claim.claim_id = f"{self.doc_id}/c{index}"
 
 
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_claim_value(text: str) -> SqlValue:
     """Parse the value written in a claim into a number or a string.
 
     Handles digits with thousands separators ("1,234"), decimals, leading
     currency/percent decoration ("$5", "12%"), and small number words
     ("two", "twenty five"). Anything else stays a string (textual claim).
+    Pure, and read several times per attempt through ``Claim.value`` and
+    ``is_numeric``, so memoized (LRU, thread-safe; the parser itself is
+    ``parse_claim_value.__wrapped__``).
     """
     stripped = text.strip().strip(".,;:!?()")
     if not stripped:

@@ -11,7 +11,8 @@ exploits exactly those two axes:
 * **documents** fan out over a worker pool;
 * **post-harvest claims** of each document fan out over a second pool
   (two pools so a document task waiting on its claim tasks can never
-  deadlock the workers the claim tasks need).
+  deadlock the workers the claim tasks need), which the verifier keeps
+  from its first parallel run until :meth:`ParallelVerifier.close`.
 
 Correctness contract: with a fixed seed and caching disabled, a parallel
 run produces the *identical* per-claim verdicts and the identical ledger
@@ -30,7 +31,7 @@ The module also hosts :func:`verify`, the package's front door.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 from repro.llm.ledger import LedgerDelta
 from repro.obs.tracer import SpanDelta
@@ -49,7 +50,24 @@ from .pipeline import (
 
 
 class ParallelVerifier(MultiStageVerifier):
-    """Algorithm 1 over a thread pool; sequential when ``workers == 1``."""
+    """Algorithm 1 over a thread pool; sequential when ``workers == 1``.
+
+    The claims pool is created on the first run that needs it and lives
+    until :meth:`close`, so a long-lived verifier (one per service
+    dispatcher) pays for its ``workers`` threads once, not per batch.
+    Pool threads keep no state between tasks: every task enters and
+    leaves its own ledger/tracer capture. One thread at a time may call
+    :meth:`verify_documents` on a verifier.
+    """
+
+    _claims_pool: ThreadPoolExecutor | None = None
+
+    def close(self) -> None:
+        """Join the claims pool's threads. Idempotent; a later run
+        simply starts a new pool."""
+        pool, self._claims_pool = self._claims_pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def _execute(
         self,
@@ -61,6 +79,12 @@ class ParallelVerifier(MultiStageVerifier):
             super()._execute(documents, schedule, run)
             return
         workers = self.config.workers
+        # Created here, on the one thread that owns this verifier, so
+        # document tasks never race to build it.
+        if self._claims_pool is None:
+            self._claims_pool = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="cedar-claim"
+            )
 
         def merge(result: tuple) -> None:
             # Called in submission order: the ledger ends up with the
@@ -71,29 +95,20 @@ class ParallelVerifier(MultiStageVerifier):
             self.ledger.absorb(delta)
             self.tracer.absorb(spans)
 
+        if len(documents) == 1:
+            # Nothing to fan out: the lone document runs here,
+            # through the same capture/absorb as a pool task.
+            merge(self._document_task(documents[0], schedule))
+            return
         with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="cedar-claim"
-        ) as claims_pool:
-            self._claims_pool: ThreadPoolExecutor | None = claims_pool
-            try:
-                if len(documents) == 1:
-                    # Nothing to fan out: the lone document runs here,
-                    # through the same capture/absorb as a pool task.
-                    merge(self._document_task(documents[0], schedule))
-                else:
-                    with ThreadPoolExecutor(
-                        max_workers=workers, thread_name_prefix="cedar-doc"
-                    ) as documents_pool:
-                        futures = [
-                            documents_pool.submit(
-                                self._document_task, doc, schedule
-                            )
-                            for doc in documents
-                        ]
-                        for future in futures:
-                            merge(future.result())
-            finally:
-                self._claims_pool = None
+            max_workers=workers, thread_name_prefix="cedar-doc"
+        ) as documents_pool:
+            futures = [
+                documents_pool.submit(self._document_task, doc, schedule)
+                for doc in documents
+            ]
+            for future in futures:
+                merge(future.result())
 
     def _document_task(
         self, document: Document, schedule: list[ScheduleEntry]
@@ -119,7 +134,7 @@ class ParallelVerifier(MultiStageVerifier):
         database: Database,
         run: VerificationRun,
     ) -> list[Claim]:
-        pool = getattr(self, "_claims_pool", None)
+        pool = self._claims_pool
         if pool is None or len(claims) <= 1:
             return super()._run_batch_independent(
                 method, claims, sample, database, run
@@ -138,9 +153,13 @@ class ParallelVerifier(MultiStageVerifier):
                 )
             return verified, delta, spans
 
-        results = list(pool.map(attempt, claims))
+        futures = [pool.submit(attempt, claim) for claim in claims]
+        # The pool outlives this batch: a failed attempt must not leave
+        # its siblings running into the next one.
+        wait(futures)
         verified_claims: list[Claim] = []
-        for claim, (verified, delta, spans) in zip(claims, results):
+        for claim, future in zip(claims, futures):
+            verified, delta, spans = future.result()
             # Absorbed on the document thread in claim order, into the
             # document's own capture buffer (spans graft under the open
             # stage span, exactly where a sequential run put them).
@@ -188,6 +207,9 @@ def verify(
             document.data = database
     config = config if config is not None else VerifierConfig()
     verifier = ParallelVerifier(config)
-    run = verifier.verify_documents(documents, schedule, observer=observer)
+    try:
+        run = verifier.verify_documents(documents, schedule, observer=observer)
+    finally:
+        verifier.close()
     run.verifier = verifier
     return run

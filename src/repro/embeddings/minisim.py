@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from functools import lru_cache
 
 #: Dimensionality of the hashed embedding space. Large enough that hash
 #: collisions are negligible for short strings.
@@ -23,6 +24,9 @@ EMBEDDING_DIM = 512
 
 _NGRAM_SIZE = 3
 _WORD_WEIGHT = 2.0
+
+#: Distinct (left, right) string pairs whose score is remembered.
+SIMILARITY_MEMO_SIZE = 4096
 
 
 class MiniSimLM:
@@ -110,6 +114,12 @@ def default_model() -> MiniSimLM:
     return _DEFAULT_MODEL
 
 
+@lru_cache(maxsize=SIMILARITY_MEMO_SIZE)
 def text_similarity(left: str, right: str) -> float:
-    """Similarity of two strings using the shared default encoder."""
+    """Similarity of two strings using the shared default encoder.
+
+    Memoized per pair (LRU, thread-safe): retries and later stages score
+    the same result against the same claim value, and a remembered float
+    is the computed float, so no threshold comparison can change.
+    """
     return default_model().similarity(left, right)

@@ -12,9 +12,10 @@ workload and the same sqlite file:
   worker coming back up. Temperature-0 calls are answered from L2 and
   skip the simulated network entirely.
 
-Model latency is made real by :class:`LatencySimulatingClient` (the
-``parallel`` bench's wrapper), stacked *under* the response cache so
-cache hits skip the sleep exactly as they skip the network. The
+Model latency is made real by
+:class:`~repro.llm.LatencySimulatingClient`, stacked *under* the
+response cache so cache hits skip the sleep exactly as they skip the
+network. The
 acceptance bar is warm ≥ 3× faster than cold — and, because the cache
 contract is byte-identical replay, both arms must produce identical
 verdicts. Run with::
@@ -34,10 +35,10 @@ from dataclasses import dataclass
 
 from repro.cache import CacheConfig, CacheStats
 from repro.core import ScheduleEntry, VerifierConfig
-from repro.llm import CostLedger
+from repro.llm import CostLedger, LatencySimulatingClient
 
 from .common import build_cedar
-from .parallel_bench import LATENCY_SCALE, LatencySimulatingClient
+from .parallel_bench import LATENCY_SCALE
 
 #: Acceptance bar: warm-L2 wall-clock at least this much faster.
 MIN_SPEEDUP = 3.0

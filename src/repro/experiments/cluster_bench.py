@@ -222,10 +222,9 @@ def _measure(base_url: str, label: str, workers: int, clients: int,
 
 def _run_single_arm(clients: int, jobs: int, documents: int) -> ArmResult:
     """Today's one-process deployment, warmed up like the workers are."""
+    from repro.llm import LatencySimulatingClient
     from repro.service import ServiceConfig, VerificationService
     from repro.service.http import ServiceApp, make_server
-
-    from .parallel_bench import LatencySimulatingClient
 
     from repro.cluster.worker import dataset_builders
 

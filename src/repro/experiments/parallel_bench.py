@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.core import ScheduleEntry, VerifierConfig
 from repro.datasets import DatasetBundle, build_aggchecker
-from repro.llm.base import ChatResponse, DelegatingLLMClient, LLMClient
+from repro.llm import LatencySimulatingClient
 
 from .common import CedarSystem, build_cedar, format_table, reset_claims
 
@@ -36,26 +36,6 @@ LATENCY_SCALE = 0.01
 
 #: Worker count of the parallel configurations.
 DEFAULT_WORKERS = 4
-
-
-class LatencySimulatingClient(DelegatingLLMClient):
-    """Sleeps a scaled fraction of each response's simulated latency.
-
-    The inner client computes realistic per-call latency from its model's
-    token throughput (:meth:`~repro.llm.pricing.ModelSpec.latency`); this
-    wrapper turns that bookkeeping into actual elapsed time. Stacked
-    *under* the response cache, so cache hits skip the sleep exactly as
-    they skip the network.
-    """
-
-    def __init__(self, inner: LLMClient, scale: float = LATENCY_SCALE) -> None:
-        super().__init__(inner)
-        self.scale = scale
-
-    def complete(self, prompt: str, temperature: float = 0.0) -> ChatResponse:
-        response = self.inner.complete(prompt, temperature)
-        time.sleep(response.latency_seconds * self.scale)
-        return response
 
 
 @dataclass

@@ -28,12 +28,12 @@ from dataclasses import dataclass
 
 from repro.core import ScheduleEntry, VerifierConfig
 from repro.datasets import DatasetBundle, build_aggchecker
-from repro.llm import CostLedger
+from repro.llm import CostLedger, LatencySimulatingClient
 from repro.service import JobDone, JobHandle, ServiceConfig, VerificationService
 from repro.service import clone_document
 
 from .common import build_cedar, format_table
-from .parallel_bench import LATENCY_SCALE, LatencySimulatingClient
+from .parallel_bench import LATENCY_SCALE
 
 #: Jobs per round and verifier threads per batch.
 DEFAULT_JOBS = 16

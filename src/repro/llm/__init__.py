@@ -4,6 +4,7 @@ from .base import (
     ChatResponse,
     ChatUsage,
     DelegatingLLMClient,
+    LatencySimulatingClient,
     LLMClient,
     ScriptedLLM,
     extract_sql_block,
@@ -63,6 +64,7 @@ __all__ = [
     "GPT_4_TURBO",
     "LLMCache",
     "LLMClient",
+    "LatencySimulatingClient",
     "LedgerDelta",
     "LedgerEntry",
     "LedgerTotals",

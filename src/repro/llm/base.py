@@ -8,6 +8,7 @@ cost, and simulated latency so callers can account costs per claim.
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -142,6 +143,26 @@ class DelegatingLLMClient(LLMClient):
         if name == "inner":  # guard against recursion before __init__ ran
             raise AttributeError(name)
         return getattr(self.inner, name)
+
+
+class LatencySimulatingClient(DelegatingLLMClient):
+    """Sleeps a scaled fraction of each response's simulated latency.
+
+    The inner client computes realistic per-call latency from its model's
+    token throughput (:meth:`~repro.llm.pricing.ModelSpec.latency`); this
+    wrapper turns that bookkeeping into actual elapsed time. Stacked
+    *under* the response cache, so cache hits skip the sleep exactly as
+    they skip the network.
+    """
+
+    def __init__(self, inner: LLMClient, scale: float) -> None:
+        super().__init__(inner)
+        self.scale = scale
+
+    def complete(self, prompt: str, temperature: float = 0.0) -> ChatResponse:
+        response = self.inner.complete(prompt, temperature)
+        time.sleep(response.latency_seconds * self.scale)
+        return response
 
 
 class ScriptedLLM(LLMClient):

@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=8000,
                         help="0 picks a free port")
     parser.add_argument("--workers", type=int, default=4,
-                        help="verifier threads per batch")
+                        help="claim threads per dispatcher")
     parser.add_argument("--queue-depth", type=int, default=64,
                         help="bounded queue depth (admission limit)")
     parser.add_argument("--per-client", type=int, default=8,

@@ -10,9 +10,9 @@ into something that can sit under concurrent traffic:
   than silently corrupting shared state.
 * **Micro-batching** — a dispatcher coalesces the jobs already queued
   whose batch key (database identity, schedule stages) matches into one
-  ``verify_documents`` call on a shared verifier, so the response cache,
-  worker pools, and ledger are amortised across requests instead of
-  re-paid per call. It never waits for company: batches grow while a
+  ``verify_documents`` call on the dispatcher's long-lived verifier, so
+  the response cache, claims pool, and ledger are amortised across
+  requests instead of re-paid per call. It never waits for company: batches grow while a
   batch is running, and an idle service answers immediately.
 * **Streaming** — every job exposes an event iterator (accepted → stage
   started → verdict → done) fed by the executor's
@@ -108,7 +108,7 @@ class ServiceConfig:
     max_batch_jobs: int = 8         # jobs coalesced into one batch
     batch_window: float = 0.0       # seconds to linger for coalescible jobs
     dispatchers: int = 1            # batch-runner threads
-    workers: int = 4                # ParallelVerifier pool width per batch
+    workers: int = 4                # claim-pool width per dispatcher
     cache_size: int = 1024          # shared response cache; 0 disables
     sql_cache_size: int = 2048      # shared query-result cache; 0 disables
     #: Algorithm 1's few-shot sample harvesting. Note the re-pass it
@@ -420,9 +420,6 @@ class VerificationService:
         )
         self._queue = BoundedJobQueue(self.config.max_queue_depth)
         self._jobs: dict[str, Job] = {}
-        self._verifiers: dict[
-            tuple, tuple[ParallelVerifier, threading.Lock]
-        ] = {}
         self._lock = threading.RLock()
         self._inflight: dict[str, int] = {}
         self._active_claim_ids: set[str] = set()
@@ -608,7 +605,9 @@ class VerificationService:
                 job.request_cancel()
                 self._finalize(job, CANCELLED)
         if not started and drain:
-            self._drain_inline()
+            # Never started (one-shot embedding, deterministic tests):
+            # run what is queued on the calling thread.
+            self._dispatch_loop(timeout=0)
         self._stop.set()
         # No offer can follow the draining flag, so closing now lets the
         # dispatchers flush what is queued and then return from pop().
@@ -769,12 +768,33 @@ class VerificationService:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            job = self._queue.pop()
-            if job is None:  # closed and empty: shutdown() is joining us
-                return
-            self._run_batch(self._coalesce(job))
+    def _dispatch_loop(self, timeout: float | None = None) -> None:
+        """Run batches on one verifier until the queue has nothing more.
+
+        The verifier, and with it the ``workers`` claim threads of its
+        pool, belongs to the calling thread for as long as it
+        dispatches. Verifiers hold no per-database state, so batches
+        share nothing mutable but the thread-safe ledger and caches, and
+        the service runs at most ``dispatchers × workers`` claim threads
+        however many databases it serves.
+        """
+        verifier = ParallelVerifier(config=VerifierConfig(
+            workers=self.config.workers,
+            use_samples=self.config.use_samples,
+            cache=self.cache,
+            retry=self.config.retry,
+            ledger=self.ledger,
+            sql_cache=self.sql_cache,
+            sql_cache_size=self.config.sql_cache_size,
+        ))
+        try:
+            while True:
+                job = self._queue.pop(timeout)
+                if job is None:  # timed out, or closed and empty
+                    return
+                self._run_batch(self._coalesce(job), verifier)
+        finally:
+            verifier.close()
 
     def _coalesce(self, first: Job) -> list[Job]:
         """The micro-batcher: gather queued jobs sharing a batch key.
@@ -803,37 +823,9 @@ class VerificationService:
                        for entry in job.schedule)
         return (databases, stages)
 
-    def _verifier_for(
-        self, key: tuple
-    ) -> tuple[ParallelVerifier, threading.Lock]:
-        """One persistent verifier per batch key, all sharing the service
-        ledger and response cache, each guarded by its own mutex.
-
-        ``ParallelVerifier`` keeps per-run state on the instance (the
-        streaming observer and the claims pool), so two dispatchers must
-        never run ``verify_documents`` on the same verifier at once —
-        batch A's observer would be stomped by batch B's and A's
-        documents silently skipped. The mutex serialises same-key
-        batches; different keys get different verifiers and still run
-        concurrently.
-        """
-        with self._lock:
-            entry = self._verifiers.get(key)
-            if entry is None:
-                verifier = ParallelVerifier(config=VerifierConfig(
-                    workers=self.config.workers,
-                    use_samples=self.config.use_samples,
-                    cache=self.cache,
-                    retry=self.config.retry,
-                    ledger=self.ledger,
-                    sql_cache=self.sql_cache,
-                    sql_cache_size=self.config.sql_cache_size,
-                ))
-                entry = (verifier, threading.Lock())
-                self._verifiers[key] = entry
-            return entry
-
-    def _run_batch(self, batch: list[Job]) -> None:
+    def _run_batch(
+        self, batch: list[Job], verifier: ParallelVerifier
+    ) -> None:
         batch_id = next(self._batch_seq)
         runnable: list[Job] = []
         for job in batch:
@@ -861,9 +853,6 @@ class VerificationService:
                 doc_jobs[document.doc_id] = job
                 for claim in document.claims:
                     claim_jobs[claim.claim_id] = job
-        verifier, verifier_lock = self._verifier_for(
-            self._batch_key(runnable[0])
-        )
         self._log.debug(
             "batch_dispatched", batch_id=batch_id, jobs=len(runnable),
             documents=len(documents),
@@ -884,14 +873,13 @@ class VerificationService:
                     job_id=job.job_id, priority=job.priority,
                 )
         try:
-            with verifier_lock:
-                checkpoint = verifier.ledger.checkpoint()
-                run = verifier.verify_documents(
-                    documents,
-                    runnable[0].schedule,
-                    observer=_StreamingObserver(doc_jobs, claim_jobs),
-                    tracer=tracer,
-                )
+            checkpoint = verifier.ledger.checkpoint()
+            run = verifier.verify_documents(
+                documents,
+                runnable[0].schedule,
+                observer=_StreamingObserver(doc_jobs, claim_jobs),
+                tracer=tracer,
+            )
         except Exception as error:  # the whole batch is poisoned
             message = f"{type(error).__name__}: {error}"
             self._log.error("batch_failed", batch_id=batch_id,
@@ -948,15 +936,6 @@ class VerificationService:
                 annotate_critical_path(span)
             if job is not None:
                 job.spans.append(span)
-
-    def _drain_inline(self) -> None:
-        """Run remaining queued jobs on the calling thread (never-started
-        services only: one-shot embedding and deterministic tests)."""
-        while True:
-            job = self._queue.pop(timeout=0)
-            if job is None:
-                return
-            self._run_batch(self._coalesce(job))
 
     # -- completion ----------------------------------------------------------
 

@@ -8,9 +8,17 @@ renderings from :class:`~repro.sqlengine.table.Database` objects.
 
 from __future__ import annotations
 
+from repro.cache import TieredCache
+
 from .ast_nodes import quote_identifier, quote_string
 from .table import Database, Table
 from .values import to_text
+
+#: Rendered prompt schemas kept, one per (database state, preview
+#: length). Every attempt on a document embeds the same few KB of text.
+SCHEMA_MEMO_SIZE = 128
+
+_SCHEMA_MEMO = TieredCache("prompt_schema", SCHEMA_MEMO_SIZE)
 
 
 def create_table_text(table: Table) -> str:
@@ -52,8 +60,18 @@ def prompt_schema_text(database: Database, sample_rows: int = 3) -> str:
 
     The sample prompt in the paper shows the schema *with* example rows,
     which is what lets the model infer value formats. Renders every table
-    as CREATE TABLE plus a short row preview.
+    as CREATE TABLE plus a short row preview. Memoized on
+    :meth:`Database.fingerprint`, so ``add`` invalidates the rendering.
     """
+    key = (database.fingerprint(), sample_rows)
+    text = _SCHEMA_MEMO.get(key)
+    if text is None:
+        text = _render_prompt_schema(database, sample_rows)
+        _SCHEMA_MEMO.put(key, text)
+    return text
+
+
+def _render_prompt_schema(database: Database, sample_rows: int) -> str:
     blocks = []
     for table in database.tables():
         blocks.append(create_table_text(table))

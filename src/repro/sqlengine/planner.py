@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import threading
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from repro.cache import CacheStore, TieredCache, stable_key
@@ -48,9 +49,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (executor imports us)
 DEFAULT_PLAN_CACHE_SIZE = 512
 DEFAULT_RESULT_CACHE_SIZE = 1024
 
+#: Distinct SQL texts whose normal form is remembered: twice the result
+#: cache, since the analyzer memo, the plan cache and the result cache
+#: each normalize the same candidate once per attempt.
+NORMALIZE_MEMO_SIZE = 2048
+
 _QUOTES = ("'", '"')
 
 
+@lru_cache(maxsize=NORMALIZE_MEMO_SIZE)
 def normalize_sql(sql: str) -> str:
     """Collapse runs of whitespace to single spaces, outside quotes only.
 
@@ -61,6 +68,8 @@ def normalize_sql(sql: str) -> str:
     close/reopen pair leaves the intervening text correctly "inside".
     Keyword case is deliberately left alone (folding would also fold
     quoted-free identifiers, and a case miss only costs a re-parse).
+    Pure in its text, so memoized (LRU, thread-safe); the character loop
+    is reachable as ``normalize_sql.__wrapped__``.
     """
     parts: list[str] = []
     quote: str | None = None

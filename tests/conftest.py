@@ -8,6 +8,8 @@ previously-run test left behind, making outcomes depend on collection
 order. The autouse fixture below zeroes all of it around every test.
 """
 
+import threading
+
 import pytest
 
 from repro.obs.logging import reset_logging
@@ -26,3 +28,11 @@ def _fresh_process_counters():
     set_default_tracer(previous)
     reset_logging()
     reset_engine_stats()
+
+
+@pytest.fixture
+def claim_threads():
+    """A callable returning the live ``cedar-claim*`` pool threads, for
+    tests that pin the claims pool's lifetime."""
+    return lambda: {thread for thread in threading.enumerate()
+                    if thread.name.startswith("cedar-claim")}

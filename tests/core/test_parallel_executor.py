@@ -127,6 +127,57 @@ class TestSequentialParallelEquivalence:
         assert tracer_par.tree(include_times=False) \
             == tracer_seq.tree(include_times=False)
 
+    def test_reused_pool_reproduces_fresh_sequential_runs(self, claim_threads):
+        """One verifier, one claims pool, three different document sets:
+        each run equals a fresh sequential verifier's. A pool thread that
+        kept a ledger sink, a tag stack or an active tracer from an
+        earlier task would swallow, mis-tag or misplace a later one's
+        entries and spans."""
+        before = claim_threads()
+        ledger_par = CostLedger()
+        parallel = ParallelVerifier(
+            config=VerifierConfig(workers=4, ledger=ledger_par)
+        )
+        pools = set()
+        try:
+            # One document (runs on the calling thread), then two sets
+            # that also fan documents out.
+            for seed, documents in ((1, 1), (2, 4), (3, 2)):
+                bundle = build_aggchecker(seed=seed, document_count=documents,
+                                          total_claims=6 * documents)
+
+                ledger_seq, schedule = build_system(bundle)
+                tracer_seq = Tracer(trace_id="t")
+                reset_claims(bundle.documents)
+                run_seq = MultiStageVerifier(
+                    config=VerifierConfig(ledger=ledger_seq)
+                ).verify_documents(bundle.documents, schedule,
+                                   tracer=tracer_seq)
+                seq_state = snapshot(bundle, run_seq)
+
+                _, schedule = build_system(
+                    bundle, config=VerifierConfig(ledger=ledger_par)
+                )
+                tracer_par = Tracer(trace_id="t")
+                checkpoint = len(ledger_par.entries)
+                reset_claims(bundle.documents)
+                run_par = parallel.verify_documents(
+                    bundle.documents, schedule, tracer=tracer_par
+                )
+                pools.add(parallel._claims_pool)
+
+                assert snapshot(bundle, run_par) == seq_state
+                assert run_par.reports == run_seq.reports
+                assert ledger_par.entries[checkpoint:] == ledger_seq.entries
+                assert tracer_par.tree(include_times=False) \
+                    == tracer_seq.tree(include_times=False)
+            assert len(pools) == 1 and None not in pools
+            assert 0 < len(claim_threads() - before) <= 4
+        finally:
+            parallel.close()
+        assert claim_threads() <= before
+        parallel.close()  # idempotent
+
     def test_single_worker_parallel_is_sequential(self):
         bundle = build_aggchecker(document_count=3, total_claims=12)
         ledger, schedule = build_system(bundle)
@@ -435,6 +486,29 @@ class TestVerifyFacade:
         # Against the override the claim's 3 is contradicted by 4.
         assert document.claims[0].correct is False
         assert run.reports[document.claims[0].claim_id].plausible
+
+    def test_facade_joins_its_claims_pool(self, claim_threads):
+        before = claim_threads()
+        bundle = build_aggchecker(document_count=1, total_claims=6)
+        spawned = []
+
+        class Recording(OneShotMethod):
+            def translate(self, *args, **kwargs):
+                spawned.append(threading.current_thread())
+                return super().translate(*args, **kwargs)
+
+        config = VerifierConfig(workers=4)
+        method = Recording(SimulatedLLM("gpt-4o", bundle.world,
+                                        config.make_ledger()))
+        reset_claims(bundle.documents)
+        run = verify(bundle.documents, schedule=[ScheduleEntry(method, 2)],
+                     config=config)
+        assert all(c.correct is not None for c in bundle.claims)
+        # The pool did run attempts, and none of its threads outlived
+        # the call.
+        assert any(t.name.startswith("cedar-claim") for t in spawned)
+        assert claim_threads() <= before
+        assert run.verifier._claims_pool is None
 
     def test_config_controls_ledger(self):
         document, _ = self.make_document()

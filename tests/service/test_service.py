@@ -16,12 +16,13 @@ Deterministic tests use a *never-started* service: submissions queue up,
 and ``shutdown(drain=True)`` runs them inline on the calling thread.
 """
 
+import copy
 import threading
 import time
 
 import pytest
 
-from repro.core import ScheduleEntry, VerifierConfig, verify
+from repro.core import ParallelVerifier, ScheduleEntry, VerifierConfig, verify
 from repro.datasets import build_aggchecker
 from repro.experiments import build_cedar
 from repro.llm import CostLedger
@@ -41,6 +42,7 @@ from repro.service import (
     VerificationService,
     clone_document,
 )
+from repro.service import service as service_module
 
 
 def make_bundle():
@@ -415,6 +417,65 @@ class TestBatching:
             for handle in (low, high)
         }
         assert batch_of[high.job_id] < batch_of[low.job_id]
+
+
+class TestVerifierLifetime:
+    def test_one_verifier_and_claims_pool_per_dispatcher(
+        self, monkeypatch, claim_threads
+    ):
+        """Fifty documents over fifty distinct databases: the service
+        builds one verifier per dispatcher (not one per database), runs
+        every attempt on at most dispatchers x workers claim threads,
+        and joins them all on shutdown."""
+        verifiers = []
+        attempt_threads = set()
+
+        class Recording(ParallelVerifier):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                verifiers.append(self)
+
+            def _attempt_claim(self, *args, **kwargs):
+                # Thread objects, not idents: idents are recycled.
+                attempt_threads.add(threading.current_thread())
+                return super()._attempt_claim(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "ParallelVerifier", Recording)
+        before = claim_threads()
+        bundle = make_bundle()
+        service, schedule = make_service(
+            bundle, dispatchers=2, workers=2, max_queue_depth=64,
+            per_client_limit=64,
+        )
+        service.start()
+        handles = []
+        for index in range(50):
+            document = clone_document(bundle.documents[index % 3],
+                                      f"d{index:02d}")
+            document.data = copy.deepcopy(document.data)
+            handles.append(service.submit(document, schedule))
+        try:
+            for handle in handles:
+                assert handle.wait(timeout=60)
+                assert handle.state == "completed", handle.error
+            assert len(verifiers) == 2
+            pool_threads = {t for t in attempt_threads
+                            if t.name.startswith("cedar-claim")}
+            assert 0 < len(pool_threads) <= 2 * 2
+            assert len(claim_threads() - before) <= 2 * 2
+        finally:
+            service.shutdown(drain=True)
+        assert claim_threads() <= before
+
+    def test_inline_drain_joins_its_claims_pool(self, claim_threads):
+        before = claim_threads()
+        bundle = make_bundle()
+        service, schedule = make_service(bundle, workers=2)
+        handle = service.submit(clone_document(bundle.documents[0], "i"),
+                                schedule)
+        service.shutdown(drain=True)
+        assert handle.state == "completed", handle.error
+        assert claim_threads() <= before
 
 
 class TestStats:
