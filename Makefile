@@ -31,8 +31,8 @@ bench-parallel:
 bench-service:
 	$(PYTHON) -m repro.experiments service
 
-# Compile-and-cache SQL engine vs the naive interpreter
-# (writes BENCH_sqlengine.json).
+# The optimized SQL row path vs the naive oracle, three workloads,
+# byte-identity checked (writes BENCH_sqlengine.json).
 bench-sqlengine:
 	$(PYTHON) -m repro.experiments sqlengine
 

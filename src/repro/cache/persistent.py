@@ -20,7 +20,7 @@ expires entries lazily on read; expirations are counted separately from
 evictions so the stats distinguish "aged out" from "squeezed out".
 
 This module is the one place in the repo allowed to import ``sqlite3``
-(enforced by ``tools/check_invariants.py``).
+(enforced by cedarlint rule CDL031).
 """
 
 from __future__ import annotations

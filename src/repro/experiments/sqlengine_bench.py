@@ -20,15 +20,6 @@ interpreter), asserting byte-identical results:
 * **agent-trace-replay** — simulated agent tool traces (a few
   exploratory probes per claim, heavy overlap across claims) replayed
   through the per-database shared engine, the service's regime.
-* **columnar-scan** — analytic scans, grouped aggregations, and a
-  fact/dimension hash join over a million-row fact table (10⁵ in
-  ``--fast`` mode). Here the *baseline* is the compiled row engine
-  itself (``Engine(vectorized=False)`` — the naive interpreter would
-  take minutes), so the measured win is the columnar/vectorized path
-  plus the statistics-driven optimizer in isolation. Result caches are
-  off in both arms and both tables are built with
-  :meth:`Table.from_columns`, so no row tuples exist until an arm
-  materializes output.
 
 Run with::
 
@@ -66,10 +57,6 @@ FAST_REPEAT_ROUNDS = 12
 FACT_ROWS = 400
 FAST_FACT_ROWS = 160
 
-#: Columnar-workload fact-table size; every query is linear in this.
-COLUMNAR_ROWS = 1_000_000
-FAST_COLUMNAR_ROWS = 100_000
-
 REGIONS = ("North", "South", "East", "West")
 CATEGORIES = ("storage", "compute", "network", "analytics")
 
@@ -82,11 +69,10 @@ class WorkloadResult:
 
     workload: str
     queries: int                 # executions per arm
-    naive_seconds: float         # baseline arm (see ``baseline``)
+    naive_seconds: float
     optimized_seconds: float
     speedup: float
     identical: bool              # byte-identical results across arms
-    baseline: str = "naive"      # "naive" | "row" (compiled, unvectorized)
 
 
 @dataclass
@@ -176,51 +162,6 @@ def _equi_join_queries() -> list[str]:
     return queries
 
 
-def _build_columnar_database(rows: int, seed: int) -> Database:
-    """A wide fact table built column-wise (no row tuples up front)."""
-    rng = random.Random(seed)
-    products = [f"product-{index:02d}" for index in range(24)]
-    database = Database("sqlbench-columnar")
-    database.add(Table.from_columns(
-        "products",
-        ["product", "category", "launch_year"],
-        [
-            products,
-            [CATEGORIES[index % len(CATEGORIES)]
-             for index in range(len(products))],
-            [2000 + rng.randrange(0, 20) for _ in products],
-        ],
-    ))
-    database.add(Table.from_columns(
-        "big_sales",
-        ["region", "product", "units", "price", "year"],
-        [
-            [REGIONS[rng.randrange(len(REGIONS))] for _ in range(rows)],
-            [products[rng.randrange(len(products))] for _ in range(rows)],
-            [rng.randrange(1, 500) for _ in range(rows)],
-            [round(rng.uniform(5.0, 400.0), 2) for _ in range(rows)],
-            [2015 + rng.randrange(0, 10) for _ in range(rows)],
-        ],
-    ))
-    return database
-
-
-def _columnar_queries() -> list[str]:
-    return [
-        "SELECT COUNT(*) FROM big_sales WHERE units > 250 AND price < 90.0",
-        "SELECT region, COUNT(*), SUM(units) FROM big_sales "
-        "GROUP BY region ORDER BY region",
-        "SELECT SUM(price) FROM big_sales WHERE region = 'North'",
-        "SELECT year, AVG(price) FROM big_sales WHERE units > 100 "
-        "GROUP BY year ORDER BY year",
-        "SELECT MIN(price), MAX(price) FROM big_sales "
-        "WHERE year BETWEEN 2017 AND 2019",
-        "SELECT p.category, SUM(s.units) FROM big_sales s "
-        "JOIN products p ON s.product = p.product "
-        "GROUP BY p.category ORDER BY p.category",
-    ]
-
-
 def _agent_trace_queries(rng: random.Random, claims: int) -> list[str]:
     """Per claim: a couple of exploratory probes, then the final query.
 
@@ -259,19 +200,9 @@ def _workload(
     database: Database,
     queries: list[str],
     optimized: Engine,
-    baseline_engine: "Engine | None" = None,
-    baseline: str = "naive",
-    warmup: bool = False,
 ) -> WorkloadResult:
-    if baseline_engine is None:
-        baseline_engine = Engine(database, naive=True)  # lint: allow-engine
-    if warmup:
-        # One untimed pass per arm: plan caches, column pivots, and
-        # statistics builds are one-time costs; the timed runs measure
-        # steady-state execution.
-        _run_arm(baseline_engine, queries)
-        _run_arm(optimized, queries)
-    naive_seconds, naive_results = _run_arm(baseline_engine, queries)
+    naive = Engine(database, naive=True)  # lint: allow-engine
+    naive_seconds, naive_results = _run_arm(naive, queries)
     optimized_seconds, optimized_results = _run_arm(optimized, queries)
     return WorkloadResult(
         workload=name,
@@ -281,7 +212,6 @@ def _workload(
         speedup=(naive_seconds / optimized_seconds
                  if optimized_seconds else float("inf")),
         identical=naive_results == optimized_results,
-        baseline=baseline,
     )
 
 
@@ -291,9 +221,7 @@ def run_sqlengine_bench(
     """Run all three workloads and snapshot the engine counters."""
     rows = FAST_FACT_ROWS if fast else FACT_ROWS
     rounds = FAST_REPEAT_ROUNDS if fast else REPEAT_ROUNDS
-    columnar_rows = FAST_COLUMNAR_ROWS if fast else COLUMNAR_ROWS
     database = _build_database(rows, seed)
-    columnar_database = _build_columnar_database(columnar_rows, seed + 2)
     reset_engine_stats()
 
     workloads = [
@@ -316,19 +244,6 @@ def run_sqlengine_bench(
             _agent_trace_queries(random.Random(seed + 1), claims=rounds),
             engine_for(database),
         ),
-        _workload(
-            "columnar-scan",
-            columnar_database,
-            _columnar_queries(),
-            Engine(  # lint: allow-engine
-                columnar_database, vectorized=True, result_cache=None,
-            ),
-            baseline_engine=Engine(  # lint: allow-engine
-                columnar_database, vectorized=False, result_cache=None,
-            ),
-            baseline="row",
-            warmup=True,
-        ),
     ]
     return SqlEngineBenchResult(workloads=workloads, engine=engine_stats())
 
@@ -338,13 +253,12 @@ def format_sqlengine_bench(result: SqlEngineBenchResult) -> str:
         "SQL engine benchmark (optimized engine vs naive interpreter)",
         "",
         format_table(
-            ["workload", "queries", "baseline", "base-time", "optimized",
-             "speedup", "identical"],
+            ["workload", "queries", "naive", "optimized", "speedup",
+             "identical"],
             [
                 [
                     entry.workload,
                     str(entry.queries),
-                    entry.baseline,
                     f"{entry.naive_seconds:.3f}s",
                     f"{entry.optimized_seconds:.3f}s",
                     f"{entry.speedup:.1f}x",
@@ -357,21 +271,12 @@ def format_sqlengine_bench(result: SqlEngineBenchResult) -> str:
     ]
     strategies = result.engine.get("strategies", {})
     plan = result.engine.get("plan_cache", {})
-    optimizer = result.engine.get("optimizer", {})
     plan_lookups = plan.get("hits", 0) + plan.get("misses", 0)
     lines.append(
         f"plan cache: {plan.get('hits', 0)}/{plan_lookups} hits; "
         f"hash joins: {strategies.get('hash_joins', 0)}; "
         f"pushed predicates: {strategies.get('pushed_predicates', 0)}; "
         f"result cache hits: {strategies.get('result_cache_hits', 0)}"
-    )
-    lines.append(
-        f"vectorized: {strategies.get('vectorized_executions', 0)} "
-        f"executions ({optimizer.get('plans_vectorized', 0)} plans, "
-        f"{strategies.get('vectorized_ineligible', 0)} ineligible, "
-        f"{strategies.get('vectorized_runtime_fallbacks', 0)} runtime "
-        "fallbacks); "
-        f"index probes chosen: {optimizer.get('index_probes_chosen', 0)}"
     )
     lines.append(
         "results: "

@@ -363,28 +363,6 @@ def engine_metrics(stats: dict | None = None) -> list[Metric]:
             "cedar_sql_analyzer_total", count,
             "Static analyzer activity", {"counter": counter},
         ))
-    for decision, count in sorted(stats.get("optimizer", {}).items()):
-        metrics.append(Metric.counter(
-            "cedar_sql_optimizer_total", count,
-            "Cost-based optimizer decisions", {"decision": decision},
-        ))
-    table_stats = stats.get("stats", {})
-    if table_stats:
-        metrics.append(Metric.counter(
-            "cedar_sql_stats_tables_profiled_total",
-            table_stats.get("tables_profiled", 0),
-            "Tables profiled by the statistics layer",
-        ))
-        metrics.append(Metric.counter(
-            "cedar_sql_stats_columns_profiled_total",
-            table_stats.get("columns_profiled", 0),
-            "Columns profiled by the statistics layer",
-        ))
-        metrics.append(Metric.counter(
-            "cedar_sql_stats_build_seconds_total",
-            table_stats.get("build_seconds", 0.0),
-            "Wall-clock spent building column statistics",
-        ))
     analyzer_memo = stats.get("analyzer_memo")
     if analyzer_memo:
         metrics.extend(cache_metrics("sql_analysis", analyzer_memo))

@@ -20,8 +20,8 @@ order of work, not scheduling luck.
 
 Wall times come exclusively from the tracer's injected ``clock``
 (default :func:`time.perf_counter`, passed by reference and never
-called at import time). ``tools/check_invariants.py`` enforces that no
-code in this package calls ``time.*`` or ``random`` directly.
+called at import time). cedarlint rule CDL015 enforces that no code in
+this package calls ``time.*`` or ``random`` directly.
 
 The hot-path API is deliberately tiny:
 

@@ -32,7 +32,7 @@ from .errors import (
     SqlError,
     TokenizeError,
 )
-from .executor import Engine, QueryResult, engine_for, set_vectorized_default
+from .executor import Engine, QueryResult, engine_for
 from .formatting import (
     create_table_select_3_text,
     create_table_text,
@@ -50,14 +50,12 @@ from .planner import (
     reset_engine_stats,
     shared_plan_cache,
 )
-from .stats import ColumnStats, TableStats, table_stats
 from .table import Column, Database, Table
 from .values import SqlValue, coerce_numeric, is_numeric, to_text
 
 __all__ = [
     "ANALYZER_COUNTERS",
     "Column",
-    "ColumnStats",
     "DIAGNOSTIC_CODES",
     "Database",
     "Diagnostic",
@@ -74,7 +72,6 @@ __all__ = [
     "SqlError",
     "SqlValue",
     "Table",
-    "TableStats",
     "TokenizeError",
     "analyze_sql",
     "coerce_numeric",
@@ -95,10 +92,8 @@ __all__ = [
     "reset_analyzer",
     "reset_engine_stats",
     "schema_text",
-    "set_vectorized_default",
     "shape_diagnostics",
     "shared_plan_cache",
-    "table_stats",
     "to_text",
     "walk_expressions",
     "walk_subqueries",

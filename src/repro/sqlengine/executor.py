@@ -114,27 +114,6 @@ class _Relation:
 
 _UNSET = object()
 
-#: Process-wide default for engines constructed with ``vectorized=None``.
-#: Live (engines consult it per call through the ``vectorized`` property),
-#: so toggling it also affects engines already cached via ``engine_for``.
-VECTORIZED_DEFAULT = True
-
-
-#: Bumped on every :func:`set_vectorized_default` toggle. Engines tag
-#: their plan-label memo with the epoch they filled it under, turning
-#: "is my memo still valid?" into one int compare on the traced hot
-#: path instead of re-deriving the live mode per call.
-_VECTOR_EPOCH = 0
-
-
-def set_vectorized_default(enabled: bool) -> bool:
-    """Set the process-wide vectorized default; returns the old value."""
-    global VECTORIZED_DEFAULT, _VECTOR_EPOCH
-    previous = VECTORIZED_DEFAULT
-    VECTORIZED_DEFAULT = bool(enabled)
-    _VECTOR_EPOCH += 1
-    return previous
-
 
 def _clip_sql(sql: str) -> str:
     """Clip SQL text to the tracer's attribute bound (``Tracer.leaf``
@@ -153,14 +132,12 @@ class Engine:
         database: Database,
         *,
         naive: bool = False,
-        vectorized: "bool | None" = None,
         plan_cache: "PlanCache | None | object" = _UNSET,
         result_cache: QueryResultCache | None = None,
     ) -> None:
         self.database = database
         self._evaluator = Evaluator(self)
         self.naive = naive
-        self._vectorized_opt = vectorized
         if naive:
             self.plan_cache: PlanCache | None = None
             self.result_cache: QueryResultCache | None = None
@@ -173,26 +150,6 @@ class Engine:
         # the statement reference both guards against id() reuse and keeps
         # the plan-cache entry alive so the memo stays valid.
         self._subquery_meta: dict[int, tuple] = {}
-        # id(statement) -> (statement, fingerprint, CompiledSelect | None);
-        # None records "not vectorizable" so rejection is also memoized.
-        self._vector_plans: dict[int, tuple] = {}
-        # sql -> plan label, valid for the epoch it was filled under
-        # (``naive``/``vectorized=`` are per-engine constants; only the
-        # process-wide vectorized default can shift underneath us). The
-        # traced hot path asks on every execution — uncached it costs
-        # more than recording the span itself (normalize + plan-cache
-        # lock + summary).
-        self._plan_labels: dict[str, str] = {}
-        self._plan_label_epoch = _VECTOR_EPOCH
-
-    @property
-    def vectorized(self) -> bool:
-        """Whether this engine attempts the vectorized path (live value)."""
-        if self.naive:
-            return False
-        if self._vectorized_opt is None:
-            return VECTORIZED_DEFAULT
-        return self._vectorized_opt
 
     def execute(self, sql: str) -> QueryResult:
         """Parse and execute SQL text (consulting the caches, if any).
@@ -220,55 +177,9 @@ class Engine:
             "sql", "sql_execute", start, tracer.clock(),
             {"sql": sql if len(sql) <= MAX_ATTRIBUTE_LENGTH
              else _clip_sql(sql),
-             "rows": len(result.rows), "plan": self.plan_label(sql)},
+             "rows": len(result.rows)},
         )
         return result
-
-    def plan_label(self, sql: str) -> str:
-        """A deterministic description of this engine's plan for ``sql``.
-
-        ``"naive"`` for oracle engines, the vectorized plan's summary
-        string when one compiles, else ``"row"``. The label describes the
-        *chosen* plan, not any particular execution: it is identical on
-        cold runs, result-cache hits, and after a runtime fallback, so
-        span trees stay deterministic. Never raises (any failure while
-        planning here simply reports ``"row"`` — the actual execution
-        surfaces the real error). Memoized per sql text: the tracer
-        asks on every execution, and the label cannot change while the
-        mode stays fixed — a mode toggle bumps ``_VECTOR_EPOCH``, which
-        invalidates the whole memo.
-        """
-        labels = self._plan_labels
-        if self._plan_label_epoch != _VECTOR_EPOCH:
-            labels.clear()
-            self._plan_label_epoch = _VECTOR_EPOCH
-        label = labels.get(sql)
-        if label is None:
-            label = self._plan_label_uncached(sql)
-            if len(labels) >= 4096:   # unbounded query texts
-                labels.clear()
-            labels[sql] = label
-        return label
-
-    def _plan_label_uncached(self, sql: str) -> str:
-        try:
-            if self.naive:
-                return "naive"
-            if not self.vectorized:
-                return "row"
-            key = normalize_sql(sql)
-            statement = (
-                self.plan_cache.get(key)
-                if self.plan_cache is not None else None
-            )
-            if statement is None:
-                statement = parse_select(sql)
-                if self.plan_cache is not None:
-                    self.plan_cache.put(key, statement)
-            plan = self._vector_plan(statement)
-        except Exception:
-            return "row"
-        return plan.summary if plan is not None else "row"
 
     def _execute_text(self, sql: str) -> QueryResult:
         if self.naive:
@@ -353,17 +264,8 @@ class Engine:
                 relation = self._filter(relation, statement.where, outer_scopes)
             names, tagged = self._project(statement, relation, outer_scopes)
         else:
-            attempt = (
-                self._vectorized_attempt(statement)
-                if self.vectorized else None
-            )
-            if attempt is not None:
-                names, tagged = attempt
-            else:
-                relation = self._build_filtered(statement, outer_scopes)
-                names, tagged = self._project(
-                    statement, relation, outer_scopes
-                )
+            relation = self._build_filtered(statement, outer_scopes)
+            names, tagged = self._project(statement, relation, outer_scopes)
         if statement.distinct:
             tagged = _dedupe_tagged(tagged)
         if statement.order_by:
@@ -384,62 +286,6 @@ class Engine:
         if self._is_aggregate_query(statement):
             return self._execute_grouped(statement, relation, outer_scopes)
         return self._execute_plain(statement, relation, outer_scopes)
-
-    # -- vectorized path -----------------------------------------------------
-
-    def _vector_plan(self, statement: ast.SelectStatement):
-        """The memoized vectorized plan for a statement (None = row path).
-
-        Keyed by statement identity — statements come from the shared plan
-        cache, so one parse yields one plan build — and guarded by the
-        database fingerprint so mutation invalidates every plan (the
-        soundness facts come from per-table statistics).
-        """
-        fingerprint = self.database.fingerprint()
-        entry = self._vector_plans.get(id(statement))  # lint: allow-id-key
-        if (
-            entry is not None
-            and entry[0] is statement
-            and entry[1] == fingerprint
-        ):
-            return entry[2]
-        # Imported lazily: vectorized.py reuses this module's planning
-        # helpers, so a top-level import would be circular.
-        from . import vectorized as vec
-
-        try:
-            plan = vec.build_plan(statement, self.database)
-        except vec.VectorizeError:
-            plan = None
-        if len(self._vector_plans) > 256:
-            self._vector_plans.clear()
-        self._vector_plans[id(statement)] = (statement, fingerprint, plan)  # lint: allow-id-key
-        return plan
-
-    def _vectorized_attempt(self, statement: ast.SelectStatement):
-        """Run the vectorized plan if one exists; None means "use rows".
-
-        A :class:`~repro.sqlengine.vectorized.FallbackNeeded` escape
-        disables the plan permanently (its triggers depend only on the
-        immutable table contents, so retrying can never succeed).
-        """
-        plan = self._vector_plan(statement)
-        if plan is None:
-            STRATEGY_COUNTERS.bump("vectorized_ineligible")
-            return None
-        if plan.disabled:
-            STRATEGY_COUNTERS.bump("vectorized_runtime_fallbacks")
-            return None
-        from .vectorized import FallbackNeeded
-
-        try:
-            names, tagged = plan.run()
-        except FallbackNeeded:
-            plan.disabled = True
-            STRATEGY_COUNTERS.bump("vectorized_runtime_fallbacks")
-            return None
-        STRATEGY_COUNTERS.bump("vectorized_executions")
-        return names, tagged
 
     # -- FROM clause (naive) -----------------------------------------------
 
@@ -1063,12 +909,7 @@ def engine_for(
 def _expand_select_items(
     statement: ast.SelectStatement, columns: list[ColumnInfo]
 ) -> list[ast.SelectItem]:
-    """Expand ``*`` / ``table.*`` select items against resolved columns.
-
-    Module-level (statement + column metadata only) so the vectorized
-    compiler shares the exact expansion — including the error for an
-    unknown ``table.*`` — with both row-engine modes.
-    """
+    """Expand ``*`` / ``table.*`` select items against resolved columns."""
     expanded: list[ast.SelectItem] = []
     for item in statement.items:
         if isinstance(item.expression, ast.Star):

@@ -241,9 +241,6 @@ _STRATEGY_NAMES = (
     "subquery_cache_misses",
     "subquery_cache_bypasses",
     "naive_executions",
-    "vectorized_executions",
-    "vectorized_ineligible",
-    "vectorized_runtime_fallbacks",
 )
 
 
@@ -281,20 +278,15 @@ def shared_plan_cache() -> PlanCache:
 
 def engine_stats() -> dict:
     """Aggregate engine-layer stats for ``/stats`` and reports."""
-    # Imported lazily: the analyzer, stats, and optimizer modules sit
-    # above the planner in the module hierarchy (they import the shared
-    # counters from here).
+    # Imported lazily: the analyzer sits above the planner in the module
+    # hierarchy (it imports the shared counters from here).
     from .analyzer import ANALYZER_COUNTERS, analysis_memo_stats
-    from .optimizer import OPTIMIZER_COUNTERS
-    from .stats import STATS_COUNTERS
 
     return {
         "plan_cache": _SHARED_PLAN_CACHE.stats(),
         "strategies": STRATEGY_COUNTERS.snapshot(),
         "analyzer": ANALYZER_COUNTERS.snapshot(),
         "analyzer_memo": analysis_memo_stats(),
-        "optimizer": OPTIMIZER_COUNTERS.snapshot(),
-        "stats": STATS_COUNTERS.snapshot(),
     }
 
 
@@ -304,12 +296,8 @@ def reset_engine_stats() -> None:
     Test/benchmark hook: production code never calls this.
     """
     from .analyzer import reset_analyzer
-    from .optimizer import OPTIMIZER_COUNTERS
-    from .stats import STATS_COUNTERS
 
     STRATEGY_COUNTERS.reset()
     reset_analyzer()
-    OPTIMIZER_COUNTERS.reset()
-    STATS_COUNTERS.reset()
     _SHARED_PLAN_CACHE.clear()
     _SHARED_PLAN_CACHE.reset_stats()

@@ -5,24 +5,17 @@ A :class:`Table` is a named set of columns over a fixed row count; a
 storage substrate under the SQL executor and are also used directly by the
 dataset generators and by the agent's ``unique_column_values`` tool.
 
-Storage is *columnar*: a table holds one value array per column, which is
-what the vectorized executor scans, filters, and aggregates over without
-ever materializing row tuples. The classic ``rows`` tuple view survives as
-a memoized compatibility property — the naive oracle engine, the row-wise
-compiled path, prompt rendering, and every pre-columnar caller keep
-working unchanged. Whichever representation a table was *constructed*
-from is stored as-is; the other is pivoted lazily on first use, so a
-table that only ever feeds the vectorized path never pays for row tuples
-and a table that only feeds prompts never pays for column arrays.
-
-Column arrays are an implementation detail of :mod:`repro.sqlengine`:
-outside the engine (and its tests) only the rows-view API may be used —
-``tools/check_invariants.py`` enforces this.
+Tables store row tuples — what the naive oracle engine, the compiled row
+path and prompt rendering all iterate. A per-column array view
+(:meth:`Table.column_array`) is pivoted lazily on first use for the
+derived per-column facts below; it is an implementation detail of
+:mod:`repro.sqlengine`: outside the engine (and its tests) only the
+rows-view API may be used — cedarlint rule CDL032 enforces this.
 
 Tables are immutable once constructed, which lets them memoize derived
 views that used to be recomputed on every prompt render or tool call:
-inferred column types, first-seen-order distinct values, per-column
-statistics, and lazy equality indexes used by the optimized executor for
+inferred column types, first-seen-order distinct values, nullability,
+and lazy equality indexes used by the optimized executor for
 ``col = literal`` scans. Databases are mutable (``add`` replaces tables)
 and therefore carry a ``fingerprint()`` — a (creation token, mutation
 version) pair — that the query-result cache keys on so stale results can
@@ -83,12 +76,8 @@ class Table:
                     f"row width {len(row_tuple)} does not match "
                     f"{width} columns in table {name!r}"
                 )
-        self._rows: list[tuple[SqlValue, ...]] | None = row_list
+        self._rows: list[tuple[SqlValue, ...]] = row_list
         self._arrays: list[list[SqlValue]] | None = None
-        self._row_count = len(row_list)
-        self._finish_init()
-
-    def _finish_init(self) -> None:
         self._index = {
             c.lower(): i for i, c in enumerate(self.column_names)
         }
@@ -97,84 +86,33 @@ class Table:
         self._equality_indexes: dict[str, object] = {}
         self._null_cache: dict[str, bool] = {}
         self._content_fingerprint: str | None = None
-        self._stats_cache: object | None = None
-
-    @classmethod
-    def from_columns(
-        cls,
-        name: str,
-        columns: Sequence[str],
-        arrays: Sequence[Sequence[SqlValue]],
-    ) -> "Table":
-        """Build a table directly from column value arrays.
-
-        Skips the row pivot entirely: generators that naturally produce
-        one list per column (and the vectorized engine, whose
-        intermediate results already live column-wise) store their arrays
-        as-is. The ``rows`` tuple view is pivoted lazily if anything ever
-        asks for it.
-        """
-        table = cls.__new__(cls)
-        table.name = name
-        table.column_names = [str(c) for c in columns]
-        lowered = [c.lower() for c in table.column_names]
-        if len(set(lowered)) != len(lowered):
-            raise PlanError(f"duplicate column names in table {name!r}")
-        column_arrays = [list(a) for a in arrays]
-        if len(column_arrays) != len(table.column_names):
-            raise PlanError(
-                f"{len(column_arrays)} arrays do not match "
-                f"{len(table.column_names)} columns in table {name!r}"
-            )
-        lengths = {len(a) for a in column_arrays}
-        if len(lengths) > 1:
-            raise PlanError(
-                f"column arrays of unequal length in table {name!r}"
-            )
-        table._rows = None
-        table._arrays = column_arrays
-        table._row_count = lengths.pop() if lengths else 0
-        table._finish_init()
-        return table
 
     @property
     def rows(self) -> list[tuple[SqlValue, ...]]:
-        """Row tuples, in order (memoized compatibility view).
-
-        Tables built from rows keep their original list; tables built
-        from columns pivot once, on first access.
-        """
-        if self._rows is None:
-            assert self._arrays is not None
-            self._rows = (
-                list(zip(*self._arrays)) if self._row_count else []
-            )
+        """Row tuples, in order."""
         return self._rows
 
     def column_array(self, position: int) -> list[SqlValue]:
         """One column's values as a flat array (internal to sqlengine).
 
-        This is the vectorized executor's scan primitive: batch operators
-        iterate these arrays directly instead of indexing row tuples.
-        Callers must treat the returned list as read-only — it is the
-        table's storage, not a copy. Code outside ``repro/sqlengine``
-        must use the rows-view API instead (enforced by
-        ``tools/check_invariants.py``).
+        Pivoted from the rows once, on first access. Callers must treat
+        the returned list as read-only — it is shared, not a copy. Code
+        outside ``repro/sqlengine`` must use the rows-view API instead
+        (enforced by cedarlint rule CDL032).
         """
         if self._arrays is None:
-            assert self._rows is not None
             self._arrays = [
                 list(column) for column in zip(*self._rows)
             ] if self._rows else [[] for _ in self.column_names]
         return self._arrays[position]
 
     def __len__(self) -> int:
-        return self._row_count
+        return len(self._rows)
 
     def __repr__(self) -> str:
         return (
             f"Table({self.name!r}, {len(self.column_names)} cols, "
-            f"{self._row_count} rows)"
+            f"{len(self._rows)} rows)"
         )
 
     def has_column(self, name: str) -> bool:

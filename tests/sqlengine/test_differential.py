@@ -1,15 +1,14 @@
 """Differential tests: the optimized engine vs ``naive=True``.
 
 The optimization contract is byte-identical behaviour — every plan-cache
-hit, compiled evaluator, pushed predicate, indexed scan, hash join, and
-vectorized batch plan must produce exactly the rows (and exactly the
-errors) of the original parse-per-call interpreter. The property tests
-drive both arms over a query family chosen to hit the interesting
-strategy boundaries: NULL join keys, LEFT joins with pushable WHERE
-conjuncts, OR-connected predicates (not splittable), and grouped
-aggregates. A second family targets the vectorized path's soundness
-gates specifically: NaN/inf columns, mixed-type columns, NULL-heavy and
-empty tables, and GROUP BY over all-NULL keys.
+hit, compiled evaluator, pushed predicate, indexed scan and hash join
+must produce exactly the rows (and exactly the errors) of the original
+parse-per-call interpreter. The property tests drive both arms over a
+query family chosen to hit the interesting strategy boundaries: NULL
+join keys, LEFT joins with pushable WHERE conjuncts, OR-connected
+predicates (not splittable), and grouped aggregates. A second family
+feeds both arms hostile values: NaN/inf columns, mixed-type columns,
+NULL-heavy and empty tables, and GROUP BY over all-NULL keys.
 """
 
 import math
@@ -153,12 +152,11 @@ def test_division_by_zero_error_matches_naive():
     assert optimized == naive
 
 
-# -- vectorized path ----------------------------------------------------------
+# -- hostile values -----------------------------------------------------------
 #
-# These drive the vectorized batch plans against the naive oracle AND the
-# unvectorized row path. Comparisons go through repr() so NaN cells (which
-# are != themselves) still compare, and so -0.0 vs 0.0 divergence would be
-# caught rather than masked.
+# Comparisons go through repr() so NaN cells (which are != themselves)
+# still compare, and so -0.0 vs 0.0 divergence would be caught rather
+# than masked.
 
 _NAN = float("nan")
 _INF = float("inf")
@@ -177,37 +175,37 @@ _TEXTS = st.one_of(st.none(), st.sampled_from(("ab", "c", "", "zz")))
 
 
 @st.composite
-def vectorized_databases(draw):
+def hostile_databases(draw):
     v_rows = draw(st.lists(
         st.tuples(_NUMS, _FLOATS, _MIXED, _TEXTS), min_size=0, max_size=14,
     ))
     j_rows = draw(st.lists(
         st.tuples(_FLOATS, st.integers(0, 50)), min_size=0, max_size=10,
     ))
-    db = Database("vecdiff")
+    db = Database("hostile")
     db.add(Table("v", ["num", "fnum", "mix", "txt"], v_rows))
     db.add(Table("j", ["k", "w"], j_rows))
     return db
 
 
-_VECTOR_QUERIES = (
-    # Numeric scan + arithmetic (inf/NaN columns force the row path; the
-    # classes are per-database, so both outcomes are exercised).
+_HOSTILE_QUERIES = (
+    # Numeric scan + arithmetic next to inf/NaN columns.
     "SELECT num, num + 1, num * 2 FROM v WHERE num > 0 ORDER BY 1, 2",
-    # Mixed-type column in predicates: only compare_values semantics work.
+    # Mixed-type column in predicates: only compare_values semantics work
+    # (a NaN in the column makes the equality index decline).
     "SELECT mix FROM v WHERE mix = 7",
     # NULL-heavy grouping; an all-NULL txt column makes one NULL group.
     "SELECT txt, COUNT(*), COUNT(txt), SUM(num) FROM v "
     "GROUP BY txt ORDER BY 2 DESC, 1",
     # GROUP BY over a mixed column (bools, NaN, numeric strings).
     "SELECT COUNT(*) FROM v GROUP BY mix ORDER BY 1",
-    # Global aggregates, empty-relation fallback included.
+    # Global aggregates, empty relation included.
     "SELECT COUNT(*), SUM(num), AVG(num), MIN(txt), MAX(fnum) FROM v",
     "SELECT COUNT(*), MIN(num) FROM v WHERE num > 100",
     # DISTINCT + aggregate arguments.
     "SELECT COUNT(DISTINCT num), COUNT(DISTINCT txt) FROM v",
-    # Join on a float column: NaN keys defeat hashing at runtime and must
-    # fall back identically (the padded LEFT variant too).
+    # Join on a float column: NaN keys defeat hashing at runtime and the
+    # nested loop must answer identically (the padded LEFT variant too).
     "SELECT num, w FROM v JOIN j ON v.fnum = j.k ORDER BY 1, 2",
     "SELECT num, w FROM v LEFT JOIN j ON v.fnum = j.k ORDER BY 1, 2",
     # IN / BETWEEN / CASE / IS NULL over nullable numerics.
@@ -228,55 +226,32 @@ def _run_repr(engine, sql):
     return ("ok", result.columns, repr(result.rows))
 
 
-@given(vectorized_databases(), st.sampled_from(_VECTOR_QUERIES))
+@given(hostile_databases(), st.sampled_from(_HOSTILE_QUERIES))
 @settings(max_examples=150, deadline=None)
-def test_vectorized_matches_naive(db, sql):
+def test_hostile_values_match_naive(db, sql):
     naive = _run_repr(Engine(db, naive=True), sql)
-    vectorized = Engine(db, vectorized=True, result_cache=None)
-    row_path = Engine(db, vectorized=False, result_cache=None)
-    assert _run_repr(vectorized, sql) == naive
-    assert _run_repr(row_path, sql) == naive
-    # Replay through the (possibly runtime-disabled) memoized plan.
-    assert _run_repr(vectorized, sql) == naive
+    optimized = Engine(db, result_cache=None)
+    assert _run_repr(optimized, sql) == naive
+    # Replay through the warm plan cache and the built table indexes.
+    assert _run_repr(optimized, sql) == naive
 
 
-def test_vectorized_path_actually_engages():
-    db = Database("engage")
-    db.add(Table("t", ["a", "b"], [(1, 2.0), (2, 3.5), (3, None)]))
-    engine = Engine(db, vectorized=True, result_cache=None)
-    before = STRATEGY_COUNTERS.snapshot()
-    engine.execute("SELECT a, SUM(b) FROM t GROUP BY a ORDER BY a")
-    after = STRATEGY_COUNTERS.snapshot()
-    assert after["vectorized_executions"] == before["vectorized_executions"] + 1
-
-
-def test_nan_join_key_disables_plan_permanently():
+def test_nan_join_key_takes_the_nested_loop():
     db = Database("nanjoin")
     db.add(Table("l", ["k"], [(math.nan,), (1.0,)]))
     db.add(Table("r", ["k", "w"], [(1.0, 10)]))
-    engine = Engine(db, vectorized=True, result_cache=None)
-    naive = _run_repr(Engine(db, naive=True),
-                      "SELECT l.k, w FROM l JOIN r ON l.k = r.k")
-    before = STRATEGY_COUNTERS.snapshot()
+    engine = Engine(db, result_cache=None)
     sql = "SELECT l.k, w FROM l JOIN r ON l.k = r.k"
-    assert _run_repr(engine, sql) == naive
-    assert _run_repr(engine, sql) == naive
-    after = STRATEGY_COUNTERS.snapshot()
-    # First call trips the runtime fallback; the second skips the plan
-    # without re-running it (the disable is permanent).
-    assert (after["vectorized_runtime_fallbacks"]
-            == before["vectorized_runtime_fallbacks"] + 2)
-    assert after["vectorized_executions"] == before["vectorized_executions"]
-
-
-def test_subqueries_stay_on_the_row_path():
-    db = _correlated_db()
-    engine = Engine(db, vectorized=True, result_cache=None)
+    naive = _run_repr(Engine(db, naive=True), sql)
     before = STRATEGY_COUNTERS.snapshot()
-    engine.execute(CORRELATED)
+    assert _run_repr(engine, sql) == naive
+    assert _run_repr(engine, sql) == naive
     after = STRATEGY_COUNTERS.snapshot()
-    assert after["vectorized_executions"] == before["vectorized_executions"]
-    assert after["vectorized_ineligible"] > before["vectorized_ineligible"]
+    # The hash join declines the NaN key on every run (nothing is
+    # memoized about the data), so each run is one nested loop.
+    assert after["nested_loop_joins"] == before["nested_loop_joins"] + 2
+    assert after["hash_joins"] == before["hash_joins"]
+    assert naive[0] == "ok"
 
 
 def test_group_by_all_null_keys():
@@ -284,13 +259,12 @@ def test_group_by_all_null_keys():
     db.add(Table("t", ["g", "x"], [(None, None), (None, None), (None, 3)]))
     sql = "SELECT g, COUNT(*), COUNT(x), SUM(x), AVG(x) FROM t GROUP BY g"
     naive = _run_repr(Engine(db, naive=True), sql)
-    assert _run_repr(Engine(db, vectorized=True, result_cache=None), sql) \
-        == naive
+    assert _run_repr(Engine(db, result_cache=None), sql) == naive
     assert naive[0] == "ok"
 
 
-def test_empty_table_vectorized():
-    db = Database("emptyv")
+def test_empty_table_matches_naive():
+    db = Database("empty")
     db.add(Table("t", ["a", "b"], []))
     for sql in (
         "SELECT a, b FROM t",
@@ -299,5 +273,4 @@ def test_empty_table_vectorized():
         "SELECT COUNT(*), SUM(a) FROM t",
     ):
         naive = _run_repr(Engine(db, naive=True), sql)
-        assert _run_repr(Engine(db, vectorized=True, result_cache=None), sql) \
-            == naive
+        assert _run_repr(Engine(db, result_cache=None), sql) == naive

@@ -222,15 +222,11 @@ def test_engine_stats_shape():
     stats = engine_stats()
     assert set(stats) == {
         "plan_cache", "strategies", "analyzer", "analyzer_memo",
-        "optimizer", "stats",
     }
     assert "hit_rate" in stats["plan_cache"]
     assert "pushed_predicates" in stats["strategies"]
-    assert "vectorized_executions" in stats["strategies"]
     assert "queries_analyzed" in stats["analyzer"]
     assert "hit_rate" in stats["analyzer_memo"]
-    assert "plans_vectorized" in stats["optimizer"]
-    assert "columns_profiled" in stats["stats"]
 
 
 # -- table memoization --------------------------------------------------------

@@ -90,12 +90,3 @@ def test_write_baseline_refuses_errors(tmp_path, capsys):
     assert "refusing to baseline" in capsys.readouterr().err
     assert not (tmp_path / "baseline.json").exists()
 
-
-def test_deprecated_check_invariants_shim_forwards():
-    completed = subprocess.run(
-        [sys.executable, "tools/check_invariants.py"],
-        cwd=REPO_ROOT, capture_output=True, text=True,
-    )
-    assert completed.returncode == 0, completed.stdout + completed.stderr
-    assert "deprecated" in completed.stderr
-    assert "cedarlint:" in completed.stdout

@@ -115,8 +115,8 @@ class ColumnArrayRule(ModuleRule):
                 yield ctx.diagnostic(
                     self.code, node,
                     f"{node.attr} accessed outside src/repro/sqlengine/ "
-                    "— column arrays are internal storage; consume rows, "
-                    "column_values, or Table.from_columns instead "
+                    "— column arrays are internal storage; consume rows "
+                    "or column_values instead "
                     "(# lint: allow-column-array to opt out)",
                 )
 
