@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: test lint lint-baseline bench bench-parallel bench-service \
 	bench-sqlengine bench-analyzer bench-obs bench-cache bench-cluster \
-	bench-e2e serve serve-cluster experiments
+	bench-e2e bench-pairs serve serve-cluster experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -61,6 +61,13 @@ bench-cluster:
 # (bench/README.md; results under bench/out/).
 bench-e2e:
 	python3 bench/run.py
+
+# Ten interleaved parent/HEAD pairs per workload, medians + quartiles +
+# pairs won per end-to-end metric (tools/bench_pairs.py):
+#   make bench-pairs PARENT=HEAD~1 PAIRS_ARGS="--workload cluster2-hot"
+PARENT ?= HEAD~1
+bench-pairs:
+	python3 tools/bench_pairs.py --parent $(PARENT) $(PAIRS_ARGS)
 
 # HTTP front end for the verification service (Ctrl-C drains and exits).
 serve:

@@ -10,8 +10,10 @@ Requests carry a caller-chosen ``id``; every response frame echoes it,
 which is what lets the router multiplex all traffic to a worker over a
 single connection: a reader task dispatches each arriving frame to the
 pending request (or event subscription) with that id. Most ops produce
-exactly one response; ``subscribe`` produces an ``{"id", "event"}``
-frame per job event and a final ``{"id", "end": true}``.
+exactly one response; ``subscribe`` produces one ``{"id", "lines",
+"last"}`` frame per burst of job events — ``lines`` being the ndjson
+lines clients will read, encoded once by the worker and never decoded
+again on the way out — the final one also carrying ``"end": true``.
 
 The module deliberately has both a blocking reader (the worker side is
 threaded, like the service it wraps) and an asyncio reader (the router

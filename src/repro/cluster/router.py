@@ -147,8 +147,9 @@ class JobRecord:
     worker_job_id: str               # the shard's local id
     client_id: str
     fingerprint: str
-    events: list[dict] = field(default_factory=list)
-    terminal: bool = False
+    #: The stream so far: the worker's ndjson lines, as received.
+    events: list[str] = field(default_factory=list)
+    last: str = ""                   # kind of the newest event
     subscribers: set[asyncio.Queue] = field(default_factory=set)
     submitted_at: float = field(default_factory=time.monotonic)
     #: Distributed-trace state (None with tracing off): the router's
@@ -156,6 +157,10 @@ class JobRecord:
     #: the terminal event, and the trace id the worker was handed.
     root: Span | None = None
     trace_id: str | None = None
+
+    @property
+    def terminal(self) -> bool:
+        return self.last in TERMINAL_KINDS
 
 
 class RoutingTable:
@@ -328,35 +333,39 @@ class ClusterRouter:
             record = self.records.get(job_id)
             if record is None or record.terminal:
                 continue
-            self._count_lost(worker_id)
             lost_here += 1
-            self._append_event(record, WorkerLost(
-                job_id=record.job_id, worker=worker_id, error=error,
-            ).to_dict())
+            self._lose(record, error)
         if lost_here:
             self._log.warning("jobs_lost", worker=worker_id,
                               jobs=lost_here, error=error)
 
-    def _count_lost(self, worker_id: int) -> None:
+    def _lose(self, record: JobRecord, error: str) -> None:
+        """End an open record's stream with a ``worker_lost`` line."""
+        worker_id = record.worker_id
         self._jobs_lost += 1
         self._jobs_lost_by_worker[worker_id] = (
             self._jobs_lost_by_worker.get(worker_id, 0) + 1
         )
+        event = WorkerLost(job_id=record.job_id, worker=worker_id,
+                           error=error)
+        self._append_lines(record, [event.to_json()], event.kind)
 
-    def _append_event(self, record: JobRecord, event: dict) -> None:
-        event = dict(event)
-        event["job_id"] = record.job_id
-        record.events.append(event)
-        if event.get("event") in TERMINAL_KINDS and not record.terminal:
-            record.terminal = True
+    def _append_lines(self, record: JobRecord, lines: list[str],
+                      last: str) -> None:
+        """Buffer one burst and hand it, as is, to every follower."""
+        if record.terminal:
+            return  # absorbing: nothing follows the terminal event
+        record.events.extend(lines)
+        record.last = last
+        if record.terminal:
             if record.root is not None:
                 record.root.end = time.monotonic()
-                if event["event"] in ("job_failed", "worker_lost"):
+                if last in ("job_failed", "worker_lost"):
                     record.root.status = "error"
-                record.root.set(outcome=event["event"])
+                record.root.set(outcome=last)
             self._release(record)
-        for queue in list(record.subscribers):
-            queue.put_nowait(event)
+        for queue in record.subscribers:
+            queue.put_nowait(lines)
 
     def _release(self, record: JobRecord) -> None:
         self._worker_open.get(record.worker_id, set()).discard(
@@ -369,16 +378,12 @@ class ClusterRouter:
             self._client_open.pop(record.client_id, None)
 
     def _on_stream_frame(self, record: JobRecord, frame: dict) -> None:
-        if "event" in frame:
-            self._append_event(record, frame["event"])
+        if "lines" in frame:
+            self._append_lines(record, frame["lines"], frame["last"])
         elif frame.get("lost") and not record.terminal:
             # The link died and this subscription's synthetic end frame
             # arrived before (or without) the slot-level callback.
-            self._count_lost(record.worker_id)
-            self._append_event(record, WorkerLost(
-                job_id=record.job_id, worker=record.worker_id,
-                error=str(frame.get("lost")),
-            ).to_dict())
+            self._lose(record, str(frame["lost"]))
 
     # -- admission and routing ----------------------------------------------
 
@@ -513,16 +518,13 @@ class ClusterRouter:
         )
         try:
             await link.subscribe(
-                worker_job_id,
+                worker_job_id, job_id,
                 lambda frame: self._on_stream_frame(record, frame),
             )
         except WorkerGone:
             if not record.terminal:
-                self._count_lost(worker_id)
-                self._append_event(record, WorkerLost(
-                    job_id=job_id, worker=worker_id,
-                    error="worker died right after accepting the job",
-                ).to_dict())
+                self._lose(record,
+                           "worker died right after accepting the job")
         body["job_id"] = job_id
         body["worker"] = worker_id
         body["events_url"] = f"/v1/jobs/{job_id}/events"
@@ -638,50 +640,50 @@ class ClusterRouter:
         record = self.records.get(job_id)
         if record is None:
             return 404, {"error": f"no job {job_id!r}"}
-        state = "open"
-        if record.terminal and record.events:
-            state = record.events[-1].get("event", "open")
         return 200, {
             "job_id": job_id,
             "worker": record.worker_id,
             "terminal": record.terminal,
-            "state": state,
+            "state": record.last if record.terminal else "open",
             "events": len(record.events),
         }
 
     async def job_events(
         self, job_id: str, wait: bool, timeout: float,
-    ) -> AsyncIterator[dict] | None:
+    ) -> AsyncIterator[list[str]] | None:
+        """The job's ndjson lines in bursts: the backlog as one, then —
+        with ``wait`` — each burst as the worker sends it, until the
+        terminal event or ``timeout`` seconds from now."""
         record = self.records.get(job_id)
         if record is None:
             return None
 
-        async def _stream() -> AsyncIterator[dict]:
+        async def _stream() -> AsyncIterator[list[str]]:
             queue: asyncio.Queue = asyncio.Queue()
-            for event in record.events:
-                queue.put_nowait(event)
+            if record.events:
+                queue.put_nowait(list(record.events))
             following = wait and not record.terminal
             if following:
                 record.subscribers.add(queue)
             self._open_streams += 1
             deadline = time.monotonic() + timeout
             try:
-                while True:
-                    if queue.empty() and not following:
-                        return
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return  # ?wait deadline: end where it stands
-                    try:
-                        event = await asyncio.wait_for(
-                            queue.get(), remaining,
-                        )
-                    except asyncio.TimeoutError:
-                        return
-                    self._events_delivered += 1
-                    yield event
-                    if event.get("event") in TERMINAL_KINDS:
-                        return
+                while following or not queue.empty():
+                    if queue.empty():
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0:
+                            return  # ?wait deadline: end where it stands
+                        try:
+                            lines = await asyncio.wait_for(
+                                queue.get(), remaining,
+                            )
+                        except asyncio.TimeoutError:
+                            return
+                    else:
+                        lines = queue.get_nowait()
+                    self._events_delivered += len(lines)
+                    yield lines
+                    following = following and not record.terminal
             finally:
                 self._open_streams -= 1
                 record.subscribers.discard(queue)
@@ -1079,15 +1081,16 @@ async def _send_text(writer: asyncio.StreamWriter, status: int,
 
 
 async def _send_ndjson(writer: asyncio.StreamWriter,
-                       stream: AsyncIterator[dict]) -> None:
+                       stream: AsyncIterator[list[str]]) -> None:
     writer.write(
         b"HTTP/1.1 200 OK\r\n"
         b"Content-Type: application/x-ndjson\r\n"
         b"Transfer-Encoding: chunked\r\n\r\n"
     )
-    async for event in stream:
-        line = (json.dumps(event, sort_keys=True) + "\n").encode()
-        writer.write(f"{len(line):x}\r\n".encode() + line + b"\r\n")
+    async for lines in stream:
+        # One chunk per burst; the lines are the worker's, untouched.
+        chunk = ("\n".join(lines) + "\n").encode()
+        writer.write(f"{len(chunk):x}\r\n".encode() + chunk + b"\r\n")
         await writer.drain()
     writer.write(b"0\r\n\r\n")
     await writer.drain()

@@ -140,16 +140,18 @@ class WorkerLink:
         finally:
             self._pending.pop(frame_id, None)
 
-    async def subscribe(self, job_id: str,
+    async def subscribe(self, job_id: str, public_id: str,
                         callback: Callable[[dict], None]) -> None:
-        """Stream a job's events to ``callback`` (one frame per event,
-        then an ``end`` frame — synthesised locally if the worker dies).
+        """Stream a job's events to ``callback``: one ``lines`` frame
+        per burst, already encoded under ``public_id``, the last one
+        flagged ``end`` — or a synthesised ``end``/``lost`` frame if the
+        worker dies first.
         """
         frame_id = next(self._seq)
         self._streams[frame_id] = callback
         try:
             await self._send({"id": frame_id, "op": "subscribe",
-                              "job_id": job_id})
+                              "job_id": job_id, "public_id": public_id})
         except WorkerGone:
             self._streams.pop(frame_id, None)
             raise

@@ -19,8 +19,10 @@ Ops (see :mod:`repro.cluster.protocol` for framing):
 ``hello``      handshake; the supervisor's spawn health check.
 ``submit``     ``{"payload": {...}}`` -> ``{"status", "body"}``
                (the ServiceApp route result, HTTP status included).
-``subscribe``  ``{"job_id"}`` -> one ``{"event": {...}}`` frame per job
-               event, then ``{"end": true}`` after the terminal event.
+``subscribe``  ``{"job_id", "public_id"}`` -> one ``{"lines", "last",
+               "end"}`` frame per burst of job events: the final ndjson
+               lines (``job_id`` rewritten to the router's ``public_id``),
+               the newest one's kind, and whether it was the terminal one.
 ``cancel``     ``{"job_id"}`` -> ``{"cancelled": bool}``.
 ``warm``       ``{"dataset"}`` -> ``{"documents": n}``; force-builds the
                dataset bundle so the first real job doesn't pay for it.
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import os
 import socket
 import sys
@@ -96,6 +99,11 @@ def latency_wrapper(scale: float) -> Callable | None:
     if scale <= 0:
         return None
     return lambda client: LatencySimulatingClient(client, scale)
+
+
+#: Ops answered on the connection's reader thread: they wait for no job
+#: and no other request, so a thread each would only add its spawn cost.
+_INLINE_OPS = frozenset({"hello", "health", "submit"})
 
 
 class WorkerServer:
@@ -163,9 +171,12 @@ class WorkerServer:
                     break
                 if request is None:
                     break
-                # Each request gets its own thread: a blocking op (a
-                # long subscribe, a drain) must not stall the health
-                # probes and submits that follow it on the connection.
+                if request.get("op") in _INLINE_OPS:
+                    self._handle(request, connection, write_lock)
+                    continue
+                # An op that can block (a long subscribe, a drain) gets
+                # its own thread: it must not stall the health probes
+                # and submits that follow it on the connection.
                 threading.Thread(
                     target=self._handle,
                     args=(request, connection, write_lock),
@@ -286,11 +297,17 @@ class WorkerServer:
                 "error": f"no job {request.get('job_id')!r}",
             })
             return
-        for event in handle.events(timeout=None):
-            if not self._send(connection, lock,
-                              {"id": request_id, "event": event.to_dict()}):
+        public_id = str(request.get("public_id") or handle.job_id)
+        for burst in handle.bursts():
+            # Encoded once, here, into the lines clients read: the
+            # router forwards them without looking inside.
+            lines = [json.dumps({**event.to_dict(), "job_id": public_id},
+                                sort_keys=True) for event in burst]
+            if not self._send(connection, lock, {
+                "id": request_id, "lines": lines,
+                "last": burst[-1].kind, "end": burst[-1].terminal,
+            }):
                 return
-        self._send(connection, lock, {"id": request_id, "end": True})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 
@@ -33,7 +33,9 @@ class JobEvent:
     terminal: ClassVar[bool] = False
 
     def to_dict(self) -> dict:
-        payload = asdict(self)  # type: ignore[call-overload]
+        # An instance's ``__dict__`` is exactly its dataclass fields (the
+        # ClassVars live on the class): ``asdict`` minus its deep copy.
+        payload = dict(vars(self))
         payload["event"] = self.kind
         return payload
 
@@ -114,6 +116,12 @@ class JobDone(JobEvent):
     spend: dict | None = None    # {"cost_usd", "llm_calls", "tokens"}
     latency_seconds: float = 0.0
     ts: float = field(default_factory=_now)
+
+    def to_dict(self) -> dict:
+        payload = super().to_dict()
+        if self.spend is not None:
+            payload["spend"] = dict(self.spend)  # the one mutable field
+        return payload
 
 
 @dataclass(frozen=True)

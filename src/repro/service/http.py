@@ -13,8 +13,9 @@ versioned ``/v1/`` prefix:
   connection closes.
 * ``GET /v1/jobs/<id>`` — job state summary.
 * ``GET /v1/jobs/<id>/events`` — the job's event stream as ndjson.
-  ``?wait=1`` streams until the terminal event (bounded by
-  ``&timeout=<seconds>``); without it, replays the events so far.
+  ``?wait=1`` streams until the terminal event or until
+  ``&timeout=<seconds>`` (default 30) after the request, whichever
+  comes first; without it, replays the events so far.
 * ``GET /v1/jobs/<id>/trace`` — the job's span tree as Chrome
   trace-event JSON (queue wait plus the per-document verification
   waterfall); save it and load it in Perfetto or ``chrome://tracing``.
@@ -55,6 +56,7 @@ import json
 import math
 import re
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Iterator
 from urllib.parse import parse_qs, urlparse
@@ -90,9 +92,6 @@ DEFAULT_DATASETS: dict[str, Callable[[], DatasetBundle]] = {
     "tabfact": lambda: build_tabfact(table_count=8, total_claims=28),
     "wikitext": lambda: build_wikitext(document_count=5, total_claims=18),
 }
-
-#: Backwards-compatible alias (pre-cluster name).
-_DEFAULT_DATASETS = DEFAULT_DATASETS
 
 #: The one API version this build serves; bump alongside breaking
 #: route changes and keep the old prefix routed during a deprecation
@@ -286,12 +285,16 @@ class ServiceApp:
     def job_events(
         self, job_id: str, wait: bool, timeout: float
     ) -> Iterator[JobEvent] | None:
-        """The job's events — live (bounded by ``timeout``) or replayed."""
+        """The job's events — replayed, or live until the terminal one
+        or until ``timeout`` seconds from now, whichever is first (one
+        deadline for the whole stream, as on the cluster router)."""
         handle = self.service.job(job_id)
         if handle is None:
             return None
         if wait:
-            return handle.events(timeout=timeout)
+            return itertools.chain.from_iterable(
+                handle.bursts(deadline=time.monotonic() + timeout)
+            )
         return iter(handle.events_snapshot())
 
     def job_trace(self, job_id: str) -> tuple[int, dict]:

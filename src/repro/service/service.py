@@ -225,24 +225,18 @@ class Job:
                 self._closed = True
             self._cond.notify_all()
 
-    def event_at(self, index: int, timeout: float | None) -> JobEvent | None:
-        """Block until event ``index`` exists (None once the stream ended)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+    def events_from(self, index: int,
+                    timeout: float | None) -> list[JobEvent]:
+        """Every event from ``index`` on, blocking until there is one
+        (empty once the stream ended): one condition acquisition per
+        wake-up however many events landed meanwhile."""
         with self._cond:
-            while len(self._events) <= index and not self._closed:
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise TimeoutError(
-                            f"no event {index} for job {self.job_id} "
-                            f"within {timeout}s"
-                        )
-                    self._cond.wait(remaining)
-            if index < len(self._events):
-                return self._events[index]
-            return None
+            if not self._cond.wait_for(
+                lambda: len(self._events) > index or self._closed, timeout
+            ):
+                raise TimeoutError(f"no event {index} for job "
+                                   f"{self.job_id} within {timeout}s")
+            return self._events[index:]
 
     def events_snapshot(self) -> list[JobEvent]:
         with self._cond:
@@ -250,17 +244,8 @@ class Job:
 
     def wait(self, timeout: float | None = None) -> bool:
         """True once the job reached a terminal event."""
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while not self._closed:
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                    self._cond.wait(remaining)
-            return True
+            return self._cond.wait_for(lambda: self._closed, timeout)
 
     # -- cancellation --------------------------------------------------------
 
@@ -298,21 +283,36 @@ class JobHandle:
     def error(self) -> str | None:
         return self._job.error
 
+    def bursts(self, timeout: float | None = None,
+               deadline: float | None = None) -> Iterator[list[JobEvent]]:
+        """Yield the events in whatever bursts they are ready: all that
+        landed since the last one, ending with the burst that carries
+        the terminal event.
+
+        ``timeout`` bounds the wait for each *next* burst, ``deadline``
+        (a ``time.monotonic()`` value, used instead when given) the
+        whole stream; exceeding it raises :class:`TimeoutError`.
+        """
+        index = 0
+        while True:
+            if deadline is not None:
+                timeout = max(0.0, deadline - time.monotonic())
+            burst = self._job.events_from(index, timeout)
+            if not burst:
+                return
+            yield burst
+            index += len(burst)
+            if burst[-1].terminal:
+                return
+
     def events(self, timeout: float | None = None) -> Iterator[JobEvent]:
         """Yield events as they land, ending after the terminal event.
 
         ``timeout`` bounds the wait for each *next* event; exceeding it
         raises :class:`TimeoutError`.
         """
-        index = 0
-        while True:
-            event = self._job.event_at(index, timeout)
-            if event is None:
-                return
-            yield event
-            index += 1
-            if event.terminal:
-                return
+        for burst in self.bursts(timeout):
+            yield from burst
 
     def events_snapshot(self) -> list[JobEvent]:
         """The events emitted so far, without blocking."""

@@ -349,8 +349,8 @@ def test_drain_completes_every_accepted_job():
         for job_id in accepted:
             record = harness.router.records[job_id]
             assert record.terminal, f"{job_id} still open after drain"
-            assert record.events[-1]["event"] == "job_done", (
-                job_id, [event["event"] for event in record.events],
+            assert record.last == "job_done", (
+                job_id, [json.loads(line)["event"] for line in record.events],
             )
         # Draining cluster refuses new work.
         status, body = harness.submit(
@@ -418,3 +418,133 @@ def test_cluster_verdicts_match_single_process(cluster):
             )
     finally:
         single.shutdown(drain=False)
+
+
+# -- the stream is the same bytes ---------------------------------------------
+
+_PUBLIC_PREFIX = re.compile(r"^w\d+g\d+-")
+
+
+def _normalised(event):
+    """An event dict minus what legitimately differs between two runs:
+    wall-clock fields, the request tag, the router's job-id prefix."""
+    event = dict(event, ts=0.0, job_id=_PUBLIC_PREFIX.sub("", event["job_id"]))
+    if "latency_seconds" in event:
+        event["latency_seconds"] = 0.0
+    for key in ("claim_id", "doc_id"):
+        if key in event:
+            event[key] = _strip_tag(event[key])
+    return event
+
+
+def test_router_stream_is_the_single_process_stream_line_for_line():
+    from repro.cluster.worker import dataset_builders
+    from repro.service import ServiceConfig, VerificationService
+    from repro.service.http import ServiceApp
+
+    # One claim thread on both sides: verdicts land in claim order, so
+    # the two streams can be compared line by line, not as sets.
+    harness = ClusterHarness(workers=1, shard_threads=1)
+    single = VerificationService(ServiceConfig(workers=1)).start()
+    try:
+        status, body = harness.submit(
+            dataset="aggchecker", document=0, client_id="bytes",
+        )
+        assert status == 202, body
+        public = body["job_id"]
+        status, text, _ = harness.http(
+            f"/v1/jobs/{public}/events?wait=1&timeout=120")
+        assert status == 200
+        lines = text.splitlines()
+
+        app = ServiceApp(single, datasets=dataset_builders("tiny"), seed=0)
+        status, body = app.submit({
+            "dataset": "aggchecker", "document": 0, "client_id": "bytes",
+        })
+        assert status == 202, body
+        local = list(single.job(body["job_id"]).events(timeout=120))
+    finally:
+        single.shutdown(drain=False)
+        harness.close()
+
+    assert [json.loads(line)["event"] for line in lines] \
+        == [event.kind for event in local]
+    for line, event in zip(lines, local):
+        decoded = json.loads(line)
+        # The worker's one encoding, forwarded untouched: exactly
+        # json.dumps({**event.to_dict(), "job_id": public}, sort_keys=True).
+        assert line == json.dumps(decoded, sort_keys=True)
+        assert decoded["job_id"] == public
+        assert _normalised(decoded) == _normalised(event.to_dict())
+    assert text.endswith("\n") and "\n\n" not in text
+    # The router's buffer is those same lines.
+    assert harness.router.records[public].events == lines
+
+
+# -- ?wait=1&timeout= means one thing -----------------------------------------
+
+
+def _follow_timed(base_url, job_id, timeout):
+    import time
+
+    started = time.monotonic()
+    with urllib.request.urlopen(
+        f"{base_url}/v1/jobs/{job_id}/events?wait=1&timeout={timeout}",
+        timeout=60,
+    ) as response:
+        body = response.read().decode()
+    return ([json.loads(line) for line in body.splitlines()],
+            time.monotonic() - started)
+
+
+def _assert_timeout_bounds_the_whole_stream(base_url, job_id):
+    """Against a job that emits an event every < 0.5 s for > 1 s: the
+    stream ends at the deadline, mid-job, however recent the last event
+    was — and the job itself is untouched."""
+    events, elapsed = _follow_timed(base_url, job_id, 0.6)
+    kinds = [event["event"] for event in events]
+    assert elapsed >= 0.6
+    assert kinds[0] == "job_queued" and "job_started" in kinds
+    assert kinds[-1] != "job_done", (elapsed, kinds)
+    events, _ = _follow_timed(base_url, job_id, 60)
+    assert [event["event"] for event in events].count("job_done") == 1
+    assert events[-1]["event"] == "job_done"
+
+
+def test_wait_timeout_is_a_whole_stream_deadline_on_the_router():
+    # latency_scale 0.1: the tiny aggchecker document 0 takes ~1.3 s of
+    # simulated model time, its longest silence ~0.4 s.
+    harness = ClusterHarness(workers=1, shard_threads=1, latency_scale=0.1)
+    try:
+        status, body = harness.submit(
+            dataset="aggchecker", document=0, client_id="slow",
+        )
+        assert status == 202, body
+        _assert_timeout_bounds_the_whole_stream(
+            f"http://{harness.host}:{harness.port}", body["job_id"])
+    finally:
+        harness.close()
+
+
+def test_wait_timeout_is_a_whole_stream_deadline_on_the_service():
+    from repro.cluster.worker import dataset_builders, latency_wrapper
+    from repro.service import ServiceConfig, VerificationService
+    from repro.service.http import ServiceApp, make_server
+
+    service = VerificationService(ServiceConfig(workers=1)).start()
+    app = ServiceApp(service, datasets=dataset_builders("tiny"), seed=0,
+                     client_wrapper=latency_wrapper(0.1))
+    server = make_server(port=0, app=app)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        status, body = app.submit({"dataset": "aggchecker", "document": 0})
+        assert status == 202, body
+        host, port = server.server_address[:2]
+        _assert_timeout_bounds_the_whole_stream(
+            f"http://{host}:{port}", body["job_id"])
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.shutdown(drain=False)
+        thread.join(timeout=5.0)

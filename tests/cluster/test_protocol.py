@@ -82,6 +82,38 @@ def test_async_reader_matches_blocking_reader():
     assert asyncio.run(_read_all()) == messages
 
 
+def test_lines_frames_carry_ndjson_lines_verbatim():
+    """A ``subscribe`` burst: the lines arrive as the strings that went
+    in — quotes, non-ASCII and all — through both readers."""
+    import json
+
+    from repro.service.events import ClaimVerdict, JobDone
+
+    events = [
+        ClaimVerdict(job_id="job-000001", claim_id="r1/c1",
+                     verdict="incorrect", query='SELECT "naïve" FROM t'),
+        JobDone(job_id="job-000001", claims=1, flagged=1,
+                spend={"cost_usd": 0.01, "llm_calls": 1, "tokens": 9}),
+    ]
+    frame = {
+        "id": 3,
+        "lines": [json.dumps({**event.to_dict(), "job_id": "w0g1-job-1"},
+                             sort_keys=True) for event in events],
+        "last": events[-1].kind,
+        "end": True,
+    }
+    wire = encode_frame(frame)
+    assert read_frame(io.BytesIO(wire)) == frame
+
+    async def _read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(wire)
+        reader.feed_eof()
+        return await read_frame_async(reader)
+
+    assert asyncio.run(_read()) == frame
+
+
 def test_async_reader_raises_on_truncation():
     async def _read():
         reader = asyncio.StreamReader()

@@ -59,10 +59,10 @@ class TraceHarness:
 
         async def _drain():
             stream = await self.router.job_events(job_id, True, 120)
-            return [event async for event in stream]
+            return [line async for burst in stream for line in burst]
 
-        events = self.run(_drain())
-        assert events[-1]["event"] == "job_done", events
+        lines = self.run(_drain())
+        assert json.loads(lines[-1])["event"] == "job_done", lines
         return job_id
 
     def stitched_tree(self, job_id):
