@@ -1,9 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-baseline bench bench-parallel bench-service \
-	bench-sqlengine bench-analyzer bench-obs bench-cache bench-cluster \
-	bench-e2e bench-pairs serve serve-cluster experiments
+.PHONY: test lint lint-baseline bench bench-e2e bench-pairs serve \
+	serve-cluster experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -19,42 +18,10 @@ lint:
 lint-baseline:
 	$(PYTHON) -m tools.cedarlint --write-baseline
 
-# Full reproduction run: every benchmark regenerates a table/figure.
+# Paper shape checks: every benchmark regenerates a table/figure and
+# asserts the paper's shape on it (CI gates on this target).
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Sequential vs 4-worker executor on simulated per-token latency.
-bench-parallel:
-	$(PYTHON) -m repro.experiments parallel
-
-# Service throughput with vs without cross-request micro-batching.
-bench-service:
-	$(PYTHON) -m repro.experiments service
-
-# The optimized SQL row path vs the naive oracle, three workloads,
-# byte-identity checked (writes BENCH_sqlengine.json).
-bench-sqlengine:
-	$(PYTHON) -m repro.experiments sqlengine
-
-# Static analyzer overhead and rejection counts on a seeded corpus of
-# invalid queries (writes BENCH_analyzer.json).
-bench-analyzer:
-	$(PYTHON) -m repro.experiments analyzer
-
-# Tracing overhead on the SQL agent-trace workload — the observability
-# layer's ≤5% contract (writes BENCH_obs.json).
-bench-obs:
-	$(PYTHON) -m repro.experiments obs
-
-# Cold vs warm persistent-L2 verification — the ≥3× restart contract
-# (writes BENCH_cache.json).
-bench-cache:
-	$(PYTHON) -m repro.experiments cache
-
-# Saturation throughput and p99, 1 process vs 4 sharded workers behind
-# the consistent-hash router (writes BENCH_cluster.json).
-bench-cluster:
-	$(PYTHON) -m repro.experiments cluster
 
 # Claim in → verdict out through the real front doors: four workloads,
 # every job checked against bench/golden/, then a traced per-layer set

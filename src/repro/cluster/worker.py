@@ -67,18 +67,13 @@ from .protocol import ProtocolError, encode_frame, metrics_to_wire, read_frame
 
 #: Dataset sets the router and its workers must agree on (the router
 #: computes routing fingerprints from the same builders the workers
-#: verify against). "tiny" keeps integration tests fast; "bench" is the
-#: hot-document load the cluster benchmark drives.
+#: verify against). "tiny" keeps integration tests fast.
 DATASET_PROFILES: dict[str, Callable[[], dict]] = {
     "default": lambda: dict(DEFAULT_DATASETS),
     "tiny": lambda: {
         "aggchecker": lambda: build_aggchecker(document_count=2,
                                                total_claims=8),
         "tabfact": lambda: build_tabfact(table_count=2, total_claims=6),
-    },
-    "bench": lambda: {
-        "aggchecker": lambda: build_aggchecker(document_count=32,
-                                               total_claims=192),
     },
 }
 

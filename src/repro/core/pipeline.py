@@ -11,16 +11,13 @@ claimed value.
 
 Verifier behaviour is configured through :class:`VerifierConfig`, which
 both :class:`MultiStageVerifier` (sequential) and
-:class:`~repro.core.executor.ParallelVerifier` (concurrent) consume; the
-old ``MultiStageVerifier(ledger=..., use_samples=...)`` signature keeps
-working through a deprecation shim.
+:class:`~repro.core.executor.ParallelVerifier` (concurrent) consume.
 """
 
 from __future__ import annotations
 
 import copy
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import time
 
@@ -201,24 +198,8 @@ class VerificationObserver:
 class MultiStageVerifier:
     """Executes Algorithm 1 over documents with a given schedule."""
 
-    def __init__(
-        self,
-        config: VerifierConfig | CostLedger | None = None,
-        use_samples: bool | None = None,
-        *,
-        ledger: CostLedger | None = None,
-    ) -> None:
-        config, legacy = _coerce_config(config, use_samples, ledger)
-        if legacy:
-            # stacklevel=2 points the warning at the code constructing the
-            # verifier, not at this frame.
-            warnings.warn(
-                "MultiStageVerifier(ledger=..., use_samples=...) is "
-                "deprecated; pass MultiStageVerifier(config="
-                "VerifierConfig(ledger=..., use_samples=...)) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+    def __init__(self, config: VerifierConfig | None = None) -> None:
+        config = config if config is not None else VerifierConfig()
         self.config = config
         self.ledger = config.make_ledger()
         #: When False, the few-shot sample harvesting of Algorithm 1 is
@@ -536,37 +517,6 @@ class MultiStageVerifier:
             claim.query = None
         if self.observer is not None:
             self.observer.claim_resolved(claim, report)
-
-
-def _coerce_config(
-    config: VerifierConfig | CostLedger | None,
-    use_samples: bool | None,
-    ledger: CostLedger | None,
-) -> tuple[VerifierConfig, bool]:
-    """Map the legacy ``(ledger, use_samples)`` signature onto a config.
-
-    Passing a :class:`CostLedger` positionally, or the ``ledger=`` /
-    ``use_samples=`` keywords, is deprecated in favour of
-    ``MultiStageVerifier(config=VerifierConfig(...))``. Returns the
-    coerced config plus a flag telling the caller to emit the
-    :class:`DeprecationWarning` (from ``__init__``, so ``stacklevel=2``
-    lands on the caller's code).
-    """
-    if isinstance(config, CostLedger):
-        if ledger is not None:
-            raise TypeError("pass the ledger positionally or by keyword, "
-                            "not both")
-        ledger = config
-        config = None
-    if ledger is not None or use_samples is not None:
-        base = config if config is not None else VerifierConfig()
-        overrides: dict = {}
-        if ledger is not None:
-            overrides["ledger"] = ledger
-        if use_samples is not None:
-            overrides["use_samples"] = use_samples
-        return replace(base, **overrides), True
-    return (config if config is not None else VerifierConfig()), False
 
 
 def _make_sample(claim: Claim) -> Sample:

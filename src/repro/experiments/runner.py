@@ -5,9 +5,7 @@ Usage::
     python -m repro.experiments <experiment> [--fast]
     python -m repro.experiments all [--fast]
 
-Experiments: table2, costs, figure5, figure6, table3, joinbench,
-figure7, assumptions, parallel, service, sqlengine, analyzer, obs,
-cache, cluster.
+The experiment names are the keys of ``EXPERIMENTS``.
 
 ``--trace FILE`` installs a process-wide tracer for the run and writes
 the resulting span forest as Chrome trace-event JSON (load it in
@@ -20,20 +18,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import (analyzer_bench, assumptions, cache_bench, cluster_bench,
-               costs, figure5, figure6, figure7, joinbench_exp, obs_bench,
-               parallel_bench, service_bench, sqlengine_bench, table2,
-               table3)
+from . import (assumptions, costs, figure5, figure6, figure7, joinbench_exp,
+               table2, table3)
 
 EXPERIMENTS = {
-    "analyzer": analyzer_bench.main,
-    "cache": cache_bench.main,
-    "cluster": cluster_bench.main,
-    "obs": obs_bench.main,
     "assumptions": assumptions.main,
-    "parallel": parallel_bench.main,
-    "service": service_bench.main,
-    "sqlengine": sqlengine_bench.main,
     "table2": table2.main,
     "costs": costs.main,
     "figure5": figure5.main,

@@ -282,8 +282,8 @@ class Tracer:
         update the :meth:`annotate_latest` target. Deliberately flat —
         no helper calls, ``Span`` built without re-entering ``__init__``
         — because the SQL engine invokes this once per execution and
-        its cost is exactly the traced-vs-untraced gap BENCH_obs.json
-        budgets.
+        its cost is exactly the traced-vs-untraced gap
+        ``obs.tracing_overhead_pct`` measures.
         """
         span = Span.__new__(Span)
         span.name = name

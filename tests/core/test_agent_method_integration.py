@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import AgentMethod, MultiStageVerifier, ScheduleEntry
+from repro.core import (AgentMethod, MultiStageVerifier, ScheduleEntry,
+                        VerifierConfig)
 from repro.core.claims import Claim, Document, Span
 from repro.llm import CostLedger, ScriptedLLM
 from repro.sqlengine import Database, Table
@@ -30,7 +31,7 @@ class TestAgentThroughPipeline:
             "Thought: done.\nFinal Answer: 5",
         ], ledger=ledger)
         method = AgentMethod(client)
-        run = MultiStageVerifier(ledger).verify_documents(
+        run = MultiStageVerifier(config=VerifierConfig(ledger=ledger)).verify_documents(
             [document], [ScheduleEntry(method, 1)]
         )
         claim = document.claims[0]
@@ -48,7 +49,7 @@ class TestAgentThroughPipeline:
                    "SELECT v FROM t WHERE name = 'a'"),
             "Thought: done.\nFinal Answer: 5",
         ], ledger=ledger)
-        MultiStageVerifier(ledger).verify_documents(
+        MultiStageVerifier(config=VerifierConfig(ledger=ledger)).verify_documents(
             [document], [ScheduleEntry(AgentMethod(client), 1)]
         )
         # Three LLM calls, each billed with a growing scratchpad.
@@ -64,7 +65,7 @@ class TestAgentThroughPipeline:
             [action("unique_column_values", "name")], ledger=ledger
         )
         method = AgentMethod(client, max_iterations=4)
-        MultiStageVerifier(ledger).verify_documents(
+        MultiStageVerifier(config=VerifierConfig(ledger=ledger)).verify_documents(
             [document], [ScheduleEntry(method, 1)]
         )
         assert ledger.totals().calls == 4
@@ -76,7 +77,7 @@ class TestAgentThroughPipeline:
             action("database_querying", "SELECT nothing FROM nowhere"),
             "Thought: give up.\nFinal Answer: unknown",
         ], ledger=ledger)
-        run = MultiStageVerifier(ledger).verify_documents(
+        run = MultiStageVerifier(config=VerifierConfig(ledger=ledger)).verify_documents(
             [document], [ScheduleEntry(AgentMethod(client), 1)]
         )
         claim = document.claims[0]

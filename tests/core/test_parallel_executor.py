@@ -2,7 +2,6 @@
 the ``repro.verify`` facade."""
 
 import threading
-import warnings
 
 import pytest
 
@@ -399,49 +398,11 @@ class TestConcurrentLedger:
         assert ledger.current_tags() == ()
 
 
-class TestDeprecationShims:
-    def test_positional_ledger_warns_but_works(self):
-        ledger = CostLedger()
-        with pytest.warns(DeprecationWarning):
-            verifier = MultiStageVerifier(ledger)
-        assert verifier.ledger is ledger
-
-    def test_use_samples_keyword_warns_but_works(self):
-        with pytest.warns(DeprecationWarning):
-            verifier = MultiStageVerifier(use_samples=False)
-        assert verifier.use_samples is False
-
-    def test_warning_points_at_caller_site(self):
-        # The shim must warn with stacklevel=2 so the filename/lineno in
-        # the warning is the code constructing the verifier (this test),
-        # not a frame inside repro.core.pipeline.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DeprecationWarning)
-            MultiStageVerifier(CostLedger())
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert deprecations[0].filename == __file__
-
-    def test_parallel_verifier_warning_points_at_caller_site(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DeprecationWarning)
-            ParallelVerifier(use_samples=False)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert deprecations[0].filename == __file__
-
-    def test_config_signature_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            verifier = MultiStageVerifier(
-                config=VerifierConfig(use_samples=False)
-            )
-        assert verifier.use_samples is False
-
-
 class TestVerifierConfigValidation:
+    def test_config_sets_use_samples(self):
+        verifier = MultiStageVerifier(config=VerifierConfig(use_samples=False))
+        assert verifier.use_samples is False
+
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
             VerifierConfig(workers=0)

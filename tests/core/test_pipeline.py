@@ -7,6 +7,7 @@ from repro.core import (
     OneShotMethod,
     Sample,
     ScheduleEntry,
+    VerifierConfig,
 )
 from repro.core.claims import Claim, Document, Span
 from repro.llm import CostLedger, ScriptedLLM
@@ -56,7 +57,7 @@ class TestVerifyBatchSemantics:
             [wrap(GOOD_FRANCE), wrap(GOOD_USA)], ledger=ledger
         )
         method = OneShotMethod(client)
-        verifier = MultiStageVerifier(ledger)
+        verifier = MultiStageVerifier(config=VerifierConfig(ledger=ledger))
         run = verifier.verify_documents([document],
                                         [ScheduleEntry(method, 1)])
         first, second = document.claims
@@ -68,7 +69,7 @@ class TestVerifyBatchSemantics:
         document = make_document()
         client = ScriptedLLM([wrap(GOOD_FRANCE), wrap(GOOD_USA)])
         method = OneShotMethod(client)
-        MultiStageVerifier(client.ledger).verify_documents(
+        MultiStageVerifier(config=VerifierConfig(ledger=client.ledger)).verify_documents(
             [document], [ScheduleEntry(method, 1)]
         )
         # Algorithm 1: after the first success, Verify is re-invoked with a
@@ -80,7 +81,7 @@ class TestVerifyBatchSemantics:
         document = make_document()
         client = ScriptedLLM([wrap(GOOD_FRANCE), wrap(GOOD_USA)])
         method = OneShotMethod(client)
-        MultiStageVerifier(client.ledger).verify_documents(
+        MultiStageVerifier(config=VerifierConfig(ledger=client.ledger)).verify_documents(
             [document], [ScheduleEntry(method, 1)]
         )
         assert client.calls[0][1] == 0.0
@@ -91,7 +92,7 @@ class TestVerifyBatchSemantics:
             [wrap(BAD), wrap(BAD), wrap(GOOD_FRANCE), wrap(GOOD_USA)]
         )
         method = OneShotMethod(client)
-        MultiStageVerifier(client.ledger).verify_documents(
+        MultiStageVerifier(config=VerifierConfig(ledger=client.ledger)).verify_documents(
             [document], [ScheduleEntry(method, 2)]
         )
         temperatures = [t for _, t in client.calls]
@@ -102,7 +103,7 @@ class TestVerifyBatchSemantics:
         document = make_document()
         client = ScriptedLLM([wrap(GOOD_FRANCE), wrap(GOOD_USA)])
         method = OneShotMethod(client)
-        MultiStageVerifier(client.ledger).verify_documents(
+        MultiStageVerifier(config=VerifierConfig(ledger=client.ledger)).verify_documents(
             [document], [ScheduleEntry(method, 1)]
         )
         first_prompt = client.calls[0][0]
@@ -121,7 +122,7 @@ class TestEscalation:
             ScriptedLLM([wrap(GOOD_FRANCE), wrap(GOOD_USA)], ledger=ledger),
             name="succeeding",
         )
-        verifier = MultiStageVerifier(ledger)
+        verifier = MultiStageVerifier(config=VerifierConfig(ledger=ledger))
         run = verifier.verify_documents(
             [document],
             [ScheduleEntry(failing, 1), ScheduleEntry(succeeding, 1)],
@@ -139,7 +140,7 @@ class TestEscalation:
             ScriptedLLM([wrap(GOOD_FRANCE), wrap(GOOD_USA)], ledger=ledger),
             name="used",
         )
-        MultiStageVerifier(ledger).verify_documents(
+        MultiStageVerifier(config=VerifierConfig(ledger=ledger)).verify_documents(
             [document],
             [ScheduleEntry(skipped, 0), ScheduleEntry(used, 1)],
         )
@@ -152,7 +153,7 @@ class TestEscalation:
             [wrap(GOOD_FRANCE), wrap(GOOD_USA), wrap(BAD)], ledger=ledger
         )
         method = OneShotMethod(client)
-        MultiStageVerifier(ledger).verify_documents(
+        MultiStageVerifier(config=VerifierConfig(ledger=ledger)).verify_documents(
             [document], [ScheduleEntry(method, 3)]
         )
         # Two claims, both verified on the first pass (plus the sample
@@ -166,7 +167,7 @@ class TestFallbackVerdicts:
         # BAD parses and runs but returns no rows: executable, implausible.
         client = ScriptedLLM([wrap(BAD)])
         method = OneShotMethod(client)
-        run = MultiStageVerifier(client.ledger).verify_documents(
+        run = MultiStageVerifier(config=VerifierConfig(ledger=client.ledger)).verify_documents(
             [document], [ScheduleEntry(method, 1)]
         )
         for claim in document.claims:
@@ -177,7 +178,7 @@ class TestFallbackVerdicts:
         document = make_document()
         client = ScriptedLLM(["I refuse to produce SQL."])
         method = OneShotMethod(client)
-        run = MultiStageVerifier(client.ledger).verify_documents(
+        run = MultiStageVerifier(config=VerifierConfig(ledger=client.ledger)).verify_documents(
             [document], [ScheduleEntry(method, 1)]
         )
         for claim in document.claims:
@@ -189,7 +190,7 @@ class TestFallbackVerdicts:
         document = make_document()
         client = ScriptedLLM([wrap("SELECT FROM WHERE")])
         method = OneShotMethod(client)
-        MultiStageVerifier(client.ledger).verify_documents(
+        MultiStageVerifier(config=VerifierConfig(ledger=client.ledger)).verify_documents(
             [document], [ScheduleEntry(method, 1)]
         )
         assert all(c.correct is True for c in document.claims)
@@ -202,7 +203,7 @@ class TestLedgerAttribution:
         client = ScriptedLLM([wrap(GOOD_FRANCE), wrap(GOOD_USA)],
                              ledger=ledger)
         method = OneShotMethod(client)
-        MultiStageVerifier(ledger).verify_documents(
+        MultiStageVerifier(config=VerifierConfig(ledger=ledger)).verify_documents(
             [document], [ScheduleEntry(method, 1)]
         )
         assert ledger.totals(f"method:{method.name}").calls == 2
@@ -228,7 +229,7 @@ class TestSingleExecution:
         document = make_document()
         client = ScriptedLLM([wrap(GOOD_FRANCE), wrap(GOOD_USA)])
         method = OneShotMethod(client)
-        MultiStageVerifier(client.ledger).verify_documents(
+        MultiStageVerifier(config=VerifierConfig(ledger=client.ledger)).verify_documents(
             [document], [ScheduleEntry(method, 1)]
         )
         assert document.claims[0].correct is True
@@ -241,7 +242,7 @@ class TestSingleExecution:
         client = ScriptedLLM([wrap(GOOD_FRANCE), wrap(GOOD_USA)],
                              ledger=ledger)
         method = OneShotMethod(client)
-        MultiStageVerifier(ledger).verify_documents(
+        MultiStageVerifier(config=VerifierConfig(ledger=ledger)).verify_documents(
             [document], [ScheduleEntry(method, 1)]
         )
         assert ledger.sql_executions == 2

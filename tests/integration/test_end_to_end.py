@@ -137,13 +137,14 @@ class TestFailureInjection:
         correct-by-default — the pipeline must not crash."""
         target = build_tabfact(table_count=3, total_claims=9)
         other = build_wikitext(document_count=2, total_claims=6)
-        from repro.core import MultiStageVerifier, OneShotMethod
+        from repro.core import (MultiStageVerifier, OneShotMethod,
+                                VerifierConfig)
         from repro.llm import SimulatedLLM
 
         ledger = CostLedger()
         client = SimulatedLLM("gpt-4o", other.world, ledger)
         method = OneShotMethod(client)
-        verifier = MultiStageVerifier(ledger)
+        verifier = MultiStageVerifier(config=VerifierConfig(ledger=ledger))
         run = verifier.verify_documents(
             target.documents, [ScheduleEntry(method, 1)]
         )

@@ -51,8 +51,11 @@ def _verify(sql_cache_size: int, workers: int = 1,
     l2_stats = store.backend.stats() if store is not None else None
     if store is not None:
         store.close()
+    cache = run.verifier.cache
+    bypasses = cache.stats.bypasses if cache is not None else None
     return (reports, rendered, verdicts,
-            (ledger.totals().calls, ledger.totals().cost), l2_stats)
+            (ledger.totals().calls, ledger.totals().cost), l2_stats,
+            bypasses)
 
 
 class TestCacheDeterminism:
@@ -98,6 +101,12 @@ class TestPersistentTierDeterminism:
         # report bytes must not.
         assert warm[0] == cold[0]
         assert warm[1] == cold[1]
+        # Every temperature-0 call is answered from L1/L2: the only calls
+        # that reach the model are the temperature > 0 retries, which
+        # bypass the cache by design (Assumption 1).
+        warm_calls, cold_calls = warm[3][0], cold[3][0]
+        assert warm_calls == warm[5]
+        assert warm_calls < cold_calls
 
     def test_corrupt_l2_file_recovers_without_crashing(self, tmp_path):
         """Garbage where the database should be → quarantine, not error."""

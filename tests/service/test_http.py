@@ -4,7 +4,7 @@ Boots a real ``ThreadingHTTPServer`` on a free port with a tiny injected
 dataset and exercises every route once over actual sockets: submit,
 stream, summary, stats, health, and the error paths. Kept small so it
 can run in tier-1; load behaviour is covered by the service tests and
-``benchmarks/bench_service.py``.
+the front-door benchmark (``bench/run.py``).
 """
 
 import json

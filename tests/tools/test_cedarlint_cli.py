@@ -25,7 +25,7 @@ def run_cli(*args, cwd=REPO_ROOT):
 
 
 def test_self_application_is_clean():
-    completed = run_cli("src", "tests", "benchmarks", "experiments")
+    completed = run_cli()
     assert completed.returncode == 0, completed.stdout + completed.stderr
     assert "0 errors, 0 warnings" in completed.stdout
 
@@ -51,15 +51,14 @@ def test_unknown_select_code_is_a_usage_error(capsys):
     assert "CDL999" in capsys.readouterr().err
 
 
-def test_missing_roots_are_skipped(tmp_path):
-    # The documented invocation names `experiments`, which this repo
-    # keeps under src/; a missing root is skipped, not an error.
+def test_missing_path_is_a_usage_error(tmp_path, capsys):
+    # A typo must not lint nothing and pass.
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "ok.py").write_text("x = 1\n", encoding="utf-8")
     assert main([
-        "--repo-root", str(tmp_path), "--no-baseline",
-        str(tmp_path / "src"), str(tmp_path / "experiments"),
-    ]) == 0
+        "--repo-root", str(tmp_path), "--no-baseline", "src", "srcc",
+    ]) == 2
+    assert "no such path: srcc" in capsys.readouterr().err
 
 
 def test_json_format_reports_structured_findings(tmp_path):

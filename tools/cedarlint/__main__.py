@@ -16,10 +16,8 @@ from .baseline import Baseline
 from .diagnostics import CODES, ERROR, code_table
 from .engine import LintConfig, LintResult, run_lint
 
-#: Scanned when no paths are given; missing roots are skipped (the
-#: repo keeps its experiments under ``src/repro/experiments/``, but the
-#: documented invocation names a top-level ``experiments`` too).
-DEFAULT_ROOTS = ("src", "tests", "benchmarks", "experiments", "tools")
+#: Scanned when no paths are given — the one root list CI gates on.
+DEFAULT_ROOTS = ("src", "tests", "benchmarks", "tools")
 
 DEFAULT_BASELINE = "tools/cedarlint/baseline.json"
 
@@ -123,6 +121,10 @@ def main(argv: list[str] | None = None) -> int:
         path if path.is_absolute() else repo_root / path
         for path in (Path(name) for name in names)
     ]
+    missing = [name for name, root in zip(names, roots) if not root.exists()]
+    if missing:
+        print(f"no such path: {', '.join(missing)}", file=sys.stderr)
+        return 2
 
     select = None
     if args.select:

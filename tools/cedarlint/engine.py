@@ -129,14 +129,13 @@ class LintResult:
 def collect_files(roots: Iterable[Path]) -> list[Path]:
     files: list[Path] = []
     for root in roots:
-        if root.is_file() and root.suffix == ".py":
+        if root.is_dir():
+            files.extend(
+                path for path in sorted(root.rglob("*.py"))
+                if not any(part in _SKIP_DIRS for part in path.parts)
+            )
+        elif root.suffix == ".py":
             files.append(root)
-            continue
-        if not root.is_dir():
-            continue
-        for path in sorted(root.rglob("*.py")):
-            if not any(part in _SKIP_DIRS for part in path.parts):
-                files.append(path)
     return files
 
 
