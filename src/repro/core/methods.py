@@ -11,7 +11,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 from repro.llm.base import LLMClient
-from repro.sqlengine import Database, QueryAnalysis, SqlValue
+from repro.sqlengine import Database, SqlValue
 
 from .masking import MaskedClaim
 
@@ -37,9 +37,6 @@ class TranslationResult:
     response_text: str = ""
     issued_queries: list[str] = field(default_factory=list)
     trace_text: str = ""
-    #: Static analysis of ``query`` (attached by methods with the
-    #: analyzer enabled; None when analysis is off or no query emerged).
-    analysis: QueryAnalysis | None = None
 
 
 class VerificationMethod(ABC):

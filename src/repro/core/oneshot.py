@@ -69,9 +69,7 @@ class OneShotMethod(VerificationMethod):
         )
         response = self.client.complete(prompt, temperature)
         query = extract_sql_block(response.text)
-        # Attach the static analysis so callers (and reports) can see why
-        # a candidate is about to be rejected without re-walking the AST —
-        # analyses are memoized, so the verifier's own gate reuses this.
+        # Analyses are memoized, so the verifier's own gate reuses this.
         analysis = (
             analyze_sql(query, database)
             if query and self.analyze_sql else None
@@ -92,5 +90,4 @@ class OneShotMethod(VerificationMethod):
             query=query,
             response_text=response.text,
             issued_queries=[query] if query else [],
-            analysis=analysis,
         )

@@ -68,24 +68,18 @@ def execute_single_cell(
     return active.execute(sql).first_cell()
 
 
-def static_rejection(
-    sql: str, claim: Claim, database: Database
-) -> str | None:
+def static_rejection(sql: str, database: Database) -> str | None:
     """Run the static analyzer over one candidate; rendered errors or None.
 
-    Two layers of verdicts can rule the query out before any row is
-    touched: analyzer *errors* (a guaranteed runtime failure — unknown
-    columns, arity mistakes, aggregate misuse), and claim-shape checks
+    Two verdicts rule the query out before any row is touched: an
+    analyzer error (a guaranteed runtime failure — the text does not
+    parse, or a column that is certainly evaluated does not exist), and
+    the claim-shape check
     (:func:`~repro.sqlengine.analyzer.shape_diagnostics`: a multi-column
-    result can never be the single cell of Definition 2.4, and a provably
-    BOOLEAN/NULL result can never match a numeric claim). Warnings never
-    reject.
+    result can never be the single cell of Definition 2.4).
     """
     analysis = analyze_sql(sql, database)
-    diagnostics: tuple = analysis.errors
-    if not diagnostics:
-        claim_numeric = coerce_numeric(claim.value) is not None
-        diagnostics = shape_diagnostics(analysis, claim_numeric=claim_numeric)
+    diagnostics = analysis.errors or shape_diagnostics(analysis)
     if not diagnostics:
         return None
     record_rejection()
@@ -112,7 +106,7 @@ def assess_query(
     if not sql:
         return QueryAssessment(False, False, error="no query produced")
     if analyze:
-        rejection = static_rejection(sql, claim, database)
+        rejection = static_rejection(sql, database)
         if rejection is not None:
             return QueryAssessment(False, False, error=rejection)
     try:

@@ -274,6 +274,5 @@ def _engine_line(stats: dict) -> str:
         parts.append(
             f"analyzer {analyzer.get('queries_analyzed', 0)} analyzed"
             f"/{analyzer.get('rejected_pre_execution', 0)} rejected"
-            f"/{analyzer.get('warnings', 0)} warnings"
         )
     return "SQL engine: " + ", ".join(parts) + "."

@@ -818,7 +818,7 @@ class VerificationService:
     def _batch_key(job: Job) -> tuple:
         """Jobs coalesce when they verify against the same databases with
         the same schedule stages (identical method objects and budgets)."""
-        databases = tuple(sorted({id(doc.data) for doc in job.documents}))  # lint: allow-id-key
+        databases = tuple(sorted({id(doc.data) for doc in job.documents}))  # cedarlint: disable=CDL013
         stages = tuple((id(entry.method), entry.tries)
                        for entry in job.schedule)
         return (databases, stages)

@@ -381,6 +381,31 @@ def walk_expressions(node: object):
         # the wrapper is yielded, the nested statement is not entered.
 
 
+def is_aggregate_query(statement: SelectStatement) -> bool:
+    """True when the statement groups: GROUP BY, or an aggregate call in
+    the select list or HAVING (ORDER BY alone does not make it one)."""
+    if statement.group_by:
+        return True
+    candidates: list[object] = [item.expression for item in statement.items]
+    candidates.append(statement.having)
+    return any(
+        isinstance(node, AggregateCall)
+        for candidate in candidates
+        for node in walk_expressions(candidate)
+    )
+
+
+def is_ordinal(expression: Expression) -> bool:
+    """True for an ORDER BY item that names a select item by 1-based
+    position: an integer literal. ``TRUE``/``FALSE`` are constant sort
+    keys, not positions, although ``bool`` subclasses ``int``."""
+    return (
+        isinstance(expression, Literal)
+        and isinstance(expression.value, int)
+        and not isinstance(expression.value, bool)
+    )
+
+
 def walk_subqueries(statement: SelectStatement):
     """Yield every nested SelectStatement under ``statement`` (exclusive)."""
     for node in walk_expressions(statement):

@@ -228,14 +228,14 @@ class Engine:
         if self.naive or self.result_cache is None:
             return self.execute_statement(statement, outer_scopes)
         fingerprint = self.database.fingerprint()
-        meta = self._subquery_meta.get(id(statement))  # lint: allow-id-key
+        meta = self._subquery_meta.get(id(statement))  # cedarlint: disable=CDL013
         if meta is None or meta[0] is not statement or meta[1] != fingerprint:
             cacheable = subquery_is_cacheable(statement, self.database)
             key_sql = normalize_sql(statement.to_sql()) if cacheable else None
             if len(self._subquery_meta) > 256:
                 self._subquery_meta.clear()
             meta = (statement, fingerprint, cacheable, key_sql)
-            self._subquery_meta[id(statement)] = meta  # lint: allow-id-key
+            self._subquery_meta[id(statement)] = meta  # cedarlint: disable=CDL013
         if not meta[2]:
             STRATEGY_COUNTERS.bump("subquery_cache_bypasses")
             return self.execute_statement(statement, outer_scopes)
@@ -283,7 +283,7 @@ class Engine:
         relation: "_Relation",
         outer_scopes: list[Scope],
     ) -> tuple[list[str], list[tuple[tuple[SqlValue, ...], tuple]]]:
-        if self._is_aggregate_query(statement):
+        if ast.is_aggregate_query(statement):
             return self._execute_grouped(statement, relation, outer_scopes)
         return self._execute_plain(statement, relation, outer_scopes)
 
@@ -701,36 +701,14 @@ class Engine:
 
     # -- projection --------------------------------------------------------
 
-    def _is_aggregate_query(self, statement: ast.SelectStatement) -> bool:
-        if statement.group_by:
-            return True
-        candidates: list[object] = [i.expression for i in statement.items]
-        if statement.having is not None:
-            candidates.append(statement.having)
-        for candidate in candidates:
-            for node in ast.walk_expressions(candidate):
-                if isinstance(node, ast.AggregateCall):
-                    return True
-        return False
-
-    def _expand_items(
-        self, statement: ast.SelectStatement, relation: _Relation
-    ) -> list[ast.SelectItem]:
-        return _expand_select_items(statement, relation.columns)
-
-    def _order_expressions(
-        self, statement: ast.SelectStatement, items: list[ast.SelectItem]
-    ) -> list[ast.OrderItem]:
-        return _resolve_order_items(statement, items)
-
     def _execute_plain(
         self,
         statement: ast.SelectStatement,
         relation: _Relation,
         outer_scopes: list[Scope],
     ) -> tuple[list[str], list[tuple[tuple[SqlValue, ...], tuple]]]:
-        items = self._expand_items(statement, relation)
-        order_items = self._order_expressions(statement, items)
+        items = _expand_select_items(statement, relation.columns)
+        order_items = _resolve_order_items(statement, items)
         names = [_output_name(item) for item in items]
         tagged: list[tuple[tuple[SqlValue, ...], tuple]] = []
         if self.naive:
@@ -776,7 +754,7 @@ class Engine:
         if any(isinstance(i.expression, ast.Star) for i in statement.items):
             raise PlanError("'*' cannot appear in an aggregate select list")
         items = list(statement.items)
-        order_items = self._order_expressions(statement, items)
+        order_items = _resolve_order_items(statement, items)
         groups = self._group_rows(statement, relation, outer_scopes)
         names = [_output_name(item) for item in items]
         tagged: list[tuple[tuple[SqlValue, ...], tuple]] = []
@@ -945,9 +923,7 @@ def _resolve_order_items(
     resolved: list[ast.OrderItem] = []
     for order in statement.order_by:
         expression = order.expression
-        if isinstance(expression, ast.Literal) and isinstance(
-            expression.value, int
-        ):
+        if ast.is_ordinal(expression):
             position = expression.value - 1
             if not 0 <= position < len(items):
                 raise PlanError(

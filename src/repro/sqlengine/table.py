@@ -158,9 +158,9 @@ class Table:
         """True when any stored value of the column is NULL (memoized).
 
         The static analyzer uses this nullability fact to decide whether
-        an expression over the column is provably non-NULL — the
-        evaluator short-circuits NULLs before most type checks, so only
-        provably non-NULL operands can make a type error certain.
+        an expression over the column is provably non-NULL — a NULL
+        ``IN`` operand short-circuits before the items are evaluated, so
+        only a provably non-NULL operand makes them certain to run.
         """
         key = name.lower()
         cached = self._null_cache.get(key)
@@ -302,7 +302,7 @@ class Database:
         # independently, and sharing (token, version) coordinates would let
         # the two databases poison each other's cached query results.
         clone = Database(self.name)
-        memo[id(self)] = clone  # lint: allow-id-key (deepcopy protocol)
+        memo[id(self)] = clone  # cedarlint: disable=CDL013 (deepcopy protocol)
         clone._tables = {
             key: deepcopy(table, memo) for key, table in self._tables.items()
         }

@@ -273,6 +273,16 @@ class TestOrderLimitDistinct:
         )
         assert result.rows[0][0] == "Aeroflot"
 
+    @pytest.mark.parametrize("literal", ["TRUE", "FALSE"])
+    def test_order_by_boolean_is_a_constant_key(self, db, literal):
+        # bool subclasses int, but TRUE/FALSE are not 1-based positions:
+        # the sort key is constant, so rows keep their scan order.
+        sql = f"SELECT airline, fatal FROM airlines ORDER BY {literal}"
+        scan_order = [(row[0], row[2]) for row in db.table("airlines").rows]
+        naive = Engine(db, naive=True).execute(sql)
+        optimized = Engine(db, result_cache=None).execute(sql)
+        assert naive.rows == optimized.rows == scan_order
+
     def test_order_by_alias(self, engine):
         result = engine.execute(
             "SELECT airline, seats * 2 AS double_seats FROM airlines "

@@ -425,7 +425,7 @@ def test_native_pragma_for_other_code_does_not_suppress(tmp_path):
     assert codes(result) == ["CDL013"]
 
 
-def test_legacy_pragmas_map_to_their_codes(tmp_path):
+def test_legacy_pragma_spelling_no_longer_suppresses(tmp_path):
     result = lint_fixture(tmp_path, {
         "src/repro/core/legacy.py": (
             "import random\n"
@@ -437,8 +437,11 @@ def test_legacy_pragmas_map_to_their_codes(tmp_path):
             "    return rng, Engine(db)  # lint: allow-engine\n"
         ),
     })
-    assert codes(result) == []
-    assert result.suppressed == 2
+    assert codes(result) == ["CDL011", "CDL030"]
+    assert result.suppressed == 0
+    # Each message names the one spelling that does suppress.
+    assert "# cedarlint: disable=CDL011" in result.findings[0].message
+    assert "# cedarlint: disable=CDL030" in result.findings[1].message
 
 
 def test_select_runs_only_named_codes(tmp_path):

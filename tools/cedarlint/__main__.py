@@ -105,12 +105,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.list_codes:
         for info in code_table():
-            pragma = (
-                f"  pragma: # lint: {info.legacy_pragma}"
-                if info.legacy_pragma else ""
-            )
-            if not info.suppressible:
-                pragma = "  (unsuppressible)"
+            pragma = "" if info.suppressible else "  (unsuppressible)"
             print(f"{info.code}  {info.severity:7s} {info.family:12s} "
                   f"{info.summary}{pragma}")
         return 0

@@ -46,9 +46,6 @@ class CodeInfo:
     severity: str
     family: str
     summary: str
-    #: Legacy ``# lint: allow-<name>`` pragma absorbed by this code
-    #: (pre-cedarlint sites keep working unchanged).
-    legacy_pragma: str | None = None
     #: False for codes with no legitimate exception: neither pragmas
     #: nor the baseline may silence them.
     suppressible: bool = True
@@ -71,13 +68,11 @@ _register(
     CodeInfo("CDL010", WARNING, "determinism",
              "wall-clock read in deterministic library code"),
     CodeInfo("CDL011", ERROR, "determinism",
-             "random.Random() without a seed",
-             legacy_pragma="allow-unseeded"),
+             "random.Random() without a seed"),
     CodeInfo("CDL012", ERROR, "determinism",
              "module-level random.* call mutates the shared global RNG"),
     CodeInfo("CDL013", WARNING, "determinism",
-             "id()-derived value used as a mapping key or set element",
-             legacy_pragma="allow-id-key"),
+             "id()-derived value used as a mapping key or set element"),
     CodeInfo("CDL014", WARNING, "determinism",
              "unordered set iteration feeding ordered output"),
     CodeInfo("CDL015", ERROR, "determinism",
@@ -90,18 +85,14 @@ _register(
     CodeInfo("CDL021", WARNING, "concurrency",
              "lock-guarded attribute written without the owning lock"),
     CodeInfo("CDL022", ERROR, "concurrency",
-             "blocking call inside an async def body",
-             legacy_pragma="allow-blocking"),
+             "blocking call inside an async def body"),
     # -- layering ------------------------------------------------------------
     CodeInfo("CDL030", ERROR, "layering",
-             "direct Engine() construction outside sqlengine/",
-             legacy_pragma="allow-engine"),
+             "direct Engine() construction outside sqlengine/"),
     CodeInfo("CDL031", ERROR, "layering",
-             "sqlite used outside src/repro/cache/",
-             legacy_pragma="allow-sqlite"),
+             "sqlite used outside src/repro/cache/"),
     CodeInfo("CDL032", ERROR, "layering",
-             "column arrays accessed outside src/repro/sqlengine/",
-             legacy_pragma="allow-column-array"),
+             "column arrays accessed outside src/repro/sqlengine/"),
     CodeInfo("CDL033", ERROR, "layering",
              "showcased code imports outside the public __all__ surface"),
 )

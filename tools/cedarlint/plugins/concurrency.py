@@ -252,7 +252,7 @@ class AsyncBlockingRule(ModuleRule):
                         f"{qualified}() blocks the event loop inside "
                         f"async {func.name}() — await the asyncio "
                         "equivalent or push it through run_in_executor "
-                        "(# lint: allow-blocking to opt out)",
+                        "(# cedarlint: disable=CDL022 to opt out)",
                     )
             for child in ast.iter_child_nodes(node):
                 yield from walk(child)

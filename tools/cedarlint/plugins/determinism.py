@@ -110,7 +110,7 @@ class UnseededRandomRule(ModuleRule):
                     self.code, node,
                     "random.Random() without a seed breaks reproducible "
                     "transcripts — pass an explicit seed "
-                    "(# lint: allow-unseeded to opt out)",
+                    "(# cedarlint: disable=CDL011 to opt out)",
                 )
 
 
@@ -166,7 +166,7 @@ class IdKeyRule(ModuleRule):
                         "id()-derived value used as a key — ids are "
                         "per-process addresses; key on content "
                         "fingerprints for anything that outlives the "
-                        "process (# lint: allow-id-key to opt out)",
+                        "process (# cedarlint: disable=CDL013 to opt out)",
                     )
 
     @staticmethod

@@ -63,8 +63,8 @@ class EngineConstructionRule(ModuleRule):
                     self.code, node,
                     "direct Engine() construction outside sqlengine/ — "
                     "use engine_for(db) so queries share the "
-                    "process-wide caches (# lint: allow-engine to opt "
-                    "out)",
+                    "process-wide caches (# cedarlint: disable=CDL030 "
+                    "to opt out)",
                 )
 
 
@@ -80,7 +80,7 @@ class SqliteOwnershipRule(ModuleRule):
         message = (
             "sqlite used outside src/repro/cache/ — the persistent tier "
             "owns connection, quarantine, and eviction policy "
-            "(# lint: allow-sqlite to opt out)"
+            "(# cedarlint: disable=CDL031 to opt out)"
         )
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
@@ -117,7 +117,7 @@ class ColumnArrayRule(ModuleRule):
                     f"{node.attr} accessed outside src/repro/sqlengine/ "
                     "— column arrays are internal storage; consume rows "
                     "or column_values instead "
-                    "(# lint: allow-column-array to opt out)",
+                    "(# cedarlint: disable=CDL032 to opt out)",
                 )
 
 

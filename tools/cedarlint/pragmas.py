@@ -1,13 +1,7 @@
 """Per-line pragma suppressions.
 
-Two spellings silence a finding on its own line:
-
-* ``# cedarlint: disable=CDL013`` — the native form; several codes may
-  be comma-separated (``disable=CDL013,CDL014``).
-* ``# lint: allow-<name>`` — the legacy ``check_invariants.py`` pragmas,
-  each absorbed by exactly one code (see
-  :data:`~tools.cedarlint.diagnostics.CODES`); existing annotated sites
-  keep working without edits.
+``# cedarlint: disable=CDL013`` silences a finding on its own line;
+several codes may be comma-separated (``disable=CDL013,CDL014``).
 
 Pragmas are strictly per-line (the line the diagnostic points at) and
 never silence unsuppressible codes (CDL001, CDL015).
@@ -20,14 +14,6 @@ import re
 from .diagnostics import CODES
 
 _DISABLE = re.compile(r"#\s*cedarlint:\s*disable=([A-Z0-9,\s]+)")
-_LEGACY = re.compile(r"#\s*lint:\s*(allow-[a-z-]+)")
-
-#: legacy pragma name -> code, derived from the registry.
-LEGACY_PRAGMAS: dict[str, str] = {
-    info.legacy_pragma: info.code
-    for info in CODES.values()
-    if info.legacy_pragma is not None
-}
 
 
 def suppressed_codes(line: str) -> frozenset[str]:
@@ -39,10 +25,6 @@ def suppressed_codes(line: str) -> frozenset[str]:
             token for token in re.split(r"[,\s]+", match.group(1))
             if token
         )
-    for match in _LEGACY.finditer(line):
-        code = LEGACY_PRAGMAS.get(match.group(1))
-        if code is not None:
-            codes.add(code)
     return frozenset(
         code for code in codes
         if code in CODES and CODES[code].suppressible
