@@ -2,7 +2,7 @@
 
 Starts N worker processes (each a full single-process service shard)
 plus the asyncio router, and serves the familiar HTTP surface —
-``POST /v1/verify``, ndjson event streams, ``/v1/stats``, ``/metrics``,
+``POST /v1/verify``, ndjson event streams, ``/v1/stats``, ``/v1/metrics``,
 ``/v1/healthz``, ``/v1/readyz`` — on one event loop.
 
 SIGTERM/SIGINT trigger the same graceful drain the single-process

@@ -25,9 +25,10 @@ event loop doing four jobs:
   supervisor respawns the slot; the ring maps the dead shard's keys to
   the next live shard in the interim and snaps back on respawn.
 
-The HTTP layer underneath is a hand-rolled asyncio HTTP/1.1 server —
-the same framework-free stance as the stdlib single-process front end,
-minus the thread-per-connection cost that motivated this subsystem.
+HTTP itself is the service's: :class:`~repro.service.http.HttpServer`
+parses the requests and writes the replies, and the router is one of
+the two backends whose route coroutines it awaits. This module parses
+and writes no HTTP.
 
 Observability (docs/observability.md): every accepted job gets a router
 root span (admission → routing decision → worker RPC) whose trace
@@ -45,8 +46,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
-import json
-import math
 import os
 import shutil
 import sys
@@ -73,7 +72,7 @@ from repro.obs.tracer import (
     spans_from_dicts,
 )
 from repro.service import WorkerLost, retry_after_seconds
-from repro.service.http import BodyRejected, declared_body_length
+from repro.service.http import HttpServer, submission_error
 from repro.service.queue import (
     REASON_CLIENT_LIMIT,
     REASON_DRAINING,
@@ -175,9 +174,6 @@ class RoutingTable:
     def datasets(self) -> list[str]:
         return sorted(self._builders)
 
-    def knows(self, dataset: str) -> bool:
-        return dataset in self._builders
-
     async def fingerprints(self, dataset: str) -> list[str]:
         """Per-document routing keys, built once per dataset off-loop."""
         cached = self._fingerprints.get(dataset)
@@ -243,7 +239,7 @@ class ClusterRouter:
         self._open_streams = 0
         self._trace_seq = itertools.count(1)
         self._health_task: asyncio.Task | None = None
-        self._http_server: asyncio.AbstractServer | None = None
+        self._http: HttpServer | None = None
         self._log = get_logger("cluster.router")
         #: The last 512 structured log records (router process only —
         #: each worker serves its own ring), behind /v1/debug/logs.
@@ -402,13 +398,11 @@ class ClusterRouter:
     async def submit(self, payload: dict) -> tuple[int, dict]:
         """Route one submission; mirrors ``ServiceApp.submit``'s API."""
         t_start = time.monotonic()
+        error = submission_error(payload, self.routing.datasets)
+        if error is not None:
+            return 400, error
         dataset = payload.get("dataset", "aggchecker")
-        if not self.routing.knows(dataset):
-            return 400, {"error": f"unknown dataset {dataset!r}",
-                         "datasets": self.routing.datasets}
         index = payload.get("document", 0)
-        if not isinstance(index, int):
-            return 400, {"error": "document must be an integer index"}
         if self.draining:
             return self._shed_response(
                 REASON_DRAINING,
@@ -636,7 +630,7 @@ class ClusterRouter:
 
     # -- job introspection ---------------------------------------------------
 
-    def job_summary(self, job_id: str) -> tuple[int, dict]:
+    async def job_summary(self, job_id: str) -> tuple[int, dict]:
         record = self.records.get(job_id)
         if record is None:
             return 404, {"error": f"no job {job_id!r}"}
@@ -692,7 +686,7 @@ class ClusterRouter:
 
     # -- probes and aggregation ----------------------------------------------
 
-    def health(self) -> tuple[int, dict]:
+    async def health(self) -> tuple[int, dict]:
         """Liveness: the router process itself is up."""
         return 200, {
             "status": "ok",
@@ -701,7 +695,7 @@ class ClusterRouter:
             "live_workers": len(self.supervisor.live_workers()),
         }
 
-    def ready(self) -> tuple[int, dict]:
+    async def ready(self) -> tuple[int, dict]:
         """Readiness: accepting jobs and at least one shard is ready."""
         shards = {
             str(worker_id): {
@@ -877,15 +871,15 @@ class ClusterRouter:
             await asyncio.sleep(0.02)
 
     async def stop(self) -> None:
+        # HTTP first, while the workers still answer: a stream open now
+        # reads on to its terminal line or its deadline.
+        if self._http is not None:
+            await self._http.close()
         if self._health_task is not None:
             self._health_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._health_task
         await self.supervisor.stop()
-        if self._http_server is not None:
-            self._http_server.close()
-            with contextlib.suppress(Exception):
-                await self._http_server.wait_closed()
         if self._own_socket_dir:
             shutil.rmtree(self.socket_dir, ignore_errors=True)
         # Detach this router's sinks from the process-global logging
@@ -895,202 +889,9 @@ class ClusterRouter:
             remove_sink(self._file_sink)
             self._file_sink.close()
 
-    # -- the asyncio HTTP front end ------------------------------------------
-
     async def serve_http(self, host: str = "127.0.0.1",
                          port: int = 8100) -> tuple[str, int]:
-        """Start the HTTP server; returns the bound (host, port)."""
-        self._http_server = await asyncio.start_server(
-            self._serve_client, host, port,
-        )
-        bound = self._http_server.sockets[0].getsockname()
-        return bound[0], bound[1]
-
-    async def _serve_client(self, reader: asyncio.StreamReader,
-                            writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    request = await _read_http_request(reader)
-                except BodyRejected as error:
-                    # The body stays unread: answer, then hang up.
-                    await _send_json(writer, error.status,
-                                     {"error": str(error)})
-                    return
-                if request is None:
-                    return
-                method, path, query, headers, body = request
-                keep_alive = headers.get("connection", "").lower() != "close"
-                await self._route(method, path, query, body, writer)
-                if not keep_alive:
-                    return
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            pass  # client went away mid-request/stream
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-
-    async def _route(self, method: str, path: str, query: dict,
-                     body: bytes, writer: asyncio.StreamWriter) -> None:
-        parts = [part for part in path.split("/") if part]
-        if parts and parts[0] == "v1":
-            parts = parts[1:]
-        if method == "POST" and parts == ["verify"]:
-            try:
-                payload = json.loads(body or b"{}")
-                if not isinstance(payload, dict):
-                    raise ValueError("body must be a JSON object")
-            except (ValueError, json.JSONDecodeError) as error:
-                await _send_json(writer, 400,
-                                 {"error": f"bad request body: {error}"})
-                return
-            status, reply = await self.submit(payload)
-            await _send_json(writer, status, reply)
-        elif method == "GET" and parts == ["healthz"]:
-            status, reply = self.health()
-            await _send_json(writer, status, reply)
-        elif method == "GET" and parts == ["readyz"]:
-            status, reply = self.ready()
-            await _send_json(writer, status, reply)
-        elif method == "GET" and parts == ["stats"]:
-            status, reply = await self.stats()
-            await _send_json(writer, status, reply)
-        elif method == "GET" and parts == ["metrics"]:
-            await _send_text(
-                writer, 200, await self.metrics_text(),
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
-        elif method == "GET" and parts == ["telemetry"]:
-            status, reply = await self.telemetry_snapshot()
-            await _send_json(writer, status, reply)
-        elif method == "GET" and parts == ["debug", "logs"]:
-            try:
-                count = int(query.get("n", "100"))
-                if count < 0:
-                    raise ValueError
-            except ValueError:
-                await _send_json(
-                    writer, 400,
-                    {"error": "n must be a non-negative integer"},
-                )
-                return
-            await _send_text(
-                writer, 200, self.log_buffer.to_ndjson(count),
-                "application/x-ndjson",
-            )
-        elif (method == "GET" and len(parts) == 3 and parts[0] == "jobs"
-              and parts[2] == "trace"):
-            status, reply = await self.job_trace(
-                parts[1], query.get("format", ""),
-            )
-            await _send_json(writer, status, reply)
-        elif method == "GET" and len(parts) == 2 and parts[0] == "jobs":
-            status, reply = self.job_summary(parts[1])
-            await _send_json(writer, status, reply)
-        elif (method == "GET" and len(parts) == 3 and parts[0] == "jobs"
-              and parts[2] == "events"):
-            wait = query.get("wait", "0") not in ("0", "", "false")
-            try:
-                timeout = float(query.get("timeout", "30"))
-                if not math.isfinite(timeout) or timeout < 0:
-                    raise ValueError
-            except ValueError:
-                await _send_json(
-                    writer, 400,
-                    {"error": "timeout must be a non-negative number"},
-                )
-                return
-            stream = await self.job_events(parts[1], wait, timeout)
-            if stream is None:
-                await _send_json(writer, 404,
-                                 {"error": f"no job {parts[1]!r}"})
-                return
-            await _send_ndjson(writer, stream)
-        else:
-            await _send_json(writer, 404,
-                             {"error": f"no route for {method} {path}"})
-
-
-# -- minimal asyncio HTTP/1.1 plumbing ---------------------------------------
-
-_REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
-             404: "Not Found", 409: "Conflict",
-             413: "Request Entity Too Large", 429: "Too Many Requests",
-             500: "Internal Server Error", 503: "Service Unavailable"}
-
-_MAX_HEADER_LINES = 100
-
-
-async def _read_http_request(
-    reader: asyncio.StreamReader,
-) -> tuple[str, str, dict, dict, bytes] | None:
-    """Parse one request; None on EOF/garbage (connection then closes).
-
-    Raises :class:`~repro.service.http.BodyRejected` for a hostile
-    ``Content-Length``, before reading any of the body."""
-    line = await reader.readline()
-    if not line or b" " not in line:
-        return None
-    try:
-        method, target, _version = line.decode("latin1").split(None, 2)
-    except ValueError:
-        return None
-    headers: dict[str, str] = {}
-    for _ in range(_MAX_HEADER_LINES):
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = raw.decode("latin1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    body = b""
-    length = declared_body_length(headers.get("content-length"))
-    if length:
-        body = await reader.readexactly(length)
-    path, _, query_string = target.partition("?")
-    query: dict[str, str] = {}
-    for pair in query_string.split("&"):
-        if pair:
-            key, _, value = pair.partition("=")
-            query[key] = value
-    return method.upper(), path, query, headers, body
-
-
-async def _send_json(writer: asyncio.StreamWriter, status: int,
-                     body: dict) -> None:
-    payload = json.dumps(body, sort_keys=True).encode()
-    headers = [
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Response')}",
-        "Content-Type: application/json",
-        f"Content-Length: {len(payload)}",
-    ]
-    if "retry_after_seconds" in body:
-        headers.append(f"Retry-After: {int(body['retry_after_seconds'])}")
-    writer.write("\r\n".join(headers).encode() + b"\r\n\r\n" + payload)
-    await writer.drain()
-
-
-async def _send_text(writer: asyncio.StreamWriter, status: int,
-                     body: str, content_type: str) -> None:
-    payload = body.encode()
-    writer.write((
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Response')}\r\n"
-        f"Content-Type: {content_type}\r\n"
-        f"Content-Length: {len(payload)}\r\n\r\n"
-    ).encode() + payload)
-    await writer.drain()
-
-
-async def _send_ndjson(writer: asyncio.StreamWriter,
-                       stream: AsyncIterator[list[str]]) -> None:
-    writer.write(
-        b"HTTP/1.1 200 OK\r\n"
-        b"Content-Type: application/x-ndjson\r\n"
-        b"Transfer-Encoding: chunked\r\n\r\n"
-    )
-    async for lines in stream:
-        # One chunk per burst; the lines are the worker's, untouched.
-        chunk = ("\n".join(lines) + "\n").encode()
-        writer.write(f"{len(chunk):x}\r\n".encode() + chunk + b"\r\n")
-        await writer.drain()
-    writer.write(b"0\r\n\r\n")
-    await writer.drain()
+        """Serve ``/v1`` through the shared HTTP layer; returns the
+        bound (host, port)."""
+        self._http = HttpServer(self)
+        return await self._http.start(host, port)

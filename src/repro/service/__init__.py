@@ -6,8 +6,9 @@ The package turns the concurrent executor into a long-lived service:
   cross-request micro-batching onto shared verifiers (one response
   cache and ledger for the whole service), streaming job events,
   cancellation, and drain-on-shutdown.
-* :mod:`repro.service.http` — a stdlib ``http.server`` front end
-  (``python -m repro.service``) exposing submit / events / stats.
+* :mod:`repro.service.http` — the asyncio HTTP front end
+  (``python -m repro.service``) exposing submit / events / stats, the
+  same HTTP code the cluster router serves through.
 
 Importing this package never imports the HTTP layer; embedders that
 just want ``VerificationService`` pay for nothing else.

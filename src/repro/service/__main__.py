@@ -1,11 +1,12 @@
 """CLI entry point: ``python -m repro.service`` (or ``make serve``).
 
-Starts the verification service behind the stdlib HTTP front end and
+Starts the verification service behind the asyncio HTTP front end and
 blocks until signalled. SIGTERM and SIGINT (Ctrl-C) both trigger a
-graceful drain — the server stops accepting, every accepted job is
-flushed, then the process exits; a second signal kills it the blunt
-way. ``GET /readyz`` flips to 503 the moment the drain starts, so a
-load balancer in front stops routing first.
+graceful drain — the server stops accepting, every request open at
+that moment is answered (a follower reads its terminal line), every
+accepted job is flushed, then the process exits; a second signal kills
+it the blunt way. ``GET /v1/readyz`` flips to 503 the moment the drain
+starts, so a load balancer in front stops routing first.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ def main(argv: list[str] | None = None) -> int:
     def begin_drain(signum: int) -> None:
         # Refuse new work immediately (readyz goes 503, submits get
         # `draining` + Retry-After), then stop the accept loop from a
-        # side thread: BaseServer.shutdown() blocks until serve_forever
-        # exits, so calling it in the handler frame would deadlock.
+        # side thread: shutdown() blocks until serve_forever, which runs
+        # on this thread, exits, so calling it here would deadlock.
         service.begin_drain()
         threading.Thread(target=server.shutdown, daemon=True).start()
 

@@ -5,7 +5,7 @@ admission, stages starting, per-claim verdicts as they land, and exactly
 one terminal event (done, failed, or cancelled). Callers consume them
 through :meth:`~repro.service.service.JobHandle.events`; the HTTP front
 end replays them as ``application/x-ndjson`` from
-``GET /jobs/<id>/events``.
+``GET /v1/jobs/<id>/events``.
 
 Events are frozen dataclasses — facts about the run, not mutable state —
 and each carries its ``kind`` in the serialised form so a stream can be

@@ -1,16 +1,17 @@
-"""Stdlib HTTP front end for the verification service.
+"""The HTTP/1.1 front end of the service and the cluster router.
 
-``python -m repro.service`` serves these endpoints, mounted under the
-versioned ``/v1/`` prefix:
+``python -m repro.service`` and ``python -m repro.cluster`` serve these
+endpoints, mounted under the versioned ``/v1/`` prefix:
 
 * ``POST /v1/verify`` — body ``{"dataset": "tabfact", "document": 0}``
-  (optional ``"client_id"``, ``"priority"``). Clones the dataset
-  document under a request-unique tag and submits it; replies ``202``
-  with the job id, or a structured rejection: ``429`` (queue full /
-  client limit), ``503`` (draining), ``409`` (claim-id conflict). A
-  ``Content-Length`` that is not a non-negative integer gets ``400``,
-  one above 1 MiB ``413``; either way the body is never read and the
-  connection closes.
+  (optional ``"client_id"``, ``"priority"``; ``document`` and
+  ``priority`` must be JSON integers, and ``true`` is not one). Clones
+  the dataset document under a request-unique tag and submits it;
+  replies ``202`` with the job id, or a structured rejection: ``429``
+  (queue full / client limit), ``503`` (draining), ``409`` (claim-id
+  conflict). A ``Content-Length`` that is not a non-negative integer
+  gets ``400``, one above 1 MiB ``413``; either way the body is never
+  read and the connection closes.
 * ``GET /v1/jobs/<id>`` — job state summary.
 * ``GET /v1/jobs/<id>/events`` — the job's event stream as ndjson.
   ``?wait=1`` streams until the terminal event or until
@@ -36,30 +37,33 @@ versioned ``/v1/`` prefix:
   ndjson, straight out of the process ring buffer
   (docs/observability.md "Structured logs").
 
-The legacy unprefixed paths (``POST /verify``, ``GET /stats``, ...)
-keep working as aliases but answer with a ``Deprecation: true``
-response header; an unknown version prefix (``/v2/...``) is rejected
-with a structured 404 naming the supported versions.
+Any other path — an unversioned ``/healthz``, a ``/v2/...`` — gets a
+structured 404 naming the supported versions.
 
-Every request against a dataset shares one service-wide response cache
-and ledger, and jobs arriving close together coalesce into one verifier
-batch — the ``batches.mean_size`` stat shows it happening. The app is
-deliberately framework-free: ``ThreadingHTTPServer`` plus hand-rolled
-routing is all a demo-scale service needs, and it keeps the repo
-dependency-light.
+One implementation serves both doors. :class:`HttpServer` is a
+framework-free asyncio HTTP/1.1 server (keep-alive, pipelined requests
+answered in order, chunked ndjson with one chunk per burst of events)
+that awaits route methods on a backend: :class:`ServiceServer`, which
+:func:`make_server` returns, over a :class:`ServiceApp`, or the
+:class:`~repro.cluster.router.ClusterRouter`. Every request against a
+dataset shares one service-wide response cache and ledger, and jobs
+arriving close together coalesce into one verifier batch — the
+``batches.mean_size`` stat shows it happening.
 """
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import itertools
 import json
 import math
-import re
+import socket
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Iterator
-from urllib.parse import parse_qs, urlparse
+from typing import AsyncIterator, Callable, Iterable
+from urllib.parse import parse_qsl
 
 from repro.core import ScheduleEntry, VerifierConfig
 from repro.datasets import (
@@ -72,7 +76,6 @@ from repro.experiments import build_cedar
 from repro.obs.export import to_chrome_trace, to_prometheus
 from repro.obs.logging import RingBufferSink, add_sink
 
-from .events import JobEvent
 from .queue import (
     REASON_CLIENT_LIMIT,
     REASON_CONFLICT,
@@ -82,7 +85,7 @@ from .queue import (
     AdmissionError,
     retry_after_seconds,
 )
-from .service import ServiceConfig, VerificationService, clone_document
+from .service import JobHandle, VerificationService, clone_document
 
 #: The datasets served by default — also the cluster workers' default
 #: profile, so the router and its shards agree on document identity.
@@ -93,12 +96,8 @@ DEFAULT_DATASETS: dict[str, Callable[[], DatasetBundle]] = {
     "wikitext": lambda: build_wikitext(document_count=5, total_claims=18),
 }
 
-#: The one API version this build serves; bump alongside breaking
-#: route changes and keep the old prefix routed during a deprecation
-#: window.
+#: The one API version this build serves.
 API_VERSION = "v1"
-
-_VERSION_PART = re.compile(r"v\d+")
 
 #: HTTP status per admission-rejection code.
 _REJECTION_STATUS = {
@@ -145,11 +144,25 @@ def declared_body_length(raw: str | None) -> int:
     return length
 
 
+def submission_error(payload: dict, datasets: list[str]) -> dict | None:
+    """The 400 body for a ``POST /v1/verify`` payload naming an unknown
+    dataset, or whose ``document`` or ``priority`` is not an ``int``
+    (``True`` is an ``int`` to ``isinstance``, not to this); else None."""
+    name = payload.get("dataset", "aggchecker")
+    if not isinstance(name, str) or name not in datasets:
+        return {"error": f"unknown dataset {name!r}", "datasets": datasets}
+    for key in ("document", "priority"):
+        if type(payload.get(key, 0)) is not int:
+            return {"error": f"{key} must be an integer"}
+    return None
+
+
 class ServiceApp:
-    """Routes requests onto a :class:`VerificationService`.
+    """Turns ``POST /v1/verify`` payloads into jobs on a
+    :class:`VerificationService`.
 
     Dataset bundles (and the verification methods over them) are built
-    lazily on first use and share the service's ledger, so ``/stats``
+    lazily on first use and share the service's ledger, so ``/v1/stats``
     accounts for every request's spend in one place. All jobs against a
     dataset use one fixed single-try schedule — identical schedules are
     what makes cross-request batching possible.
@@ -218,21 +231,13 @@ class ServiceApp:
         bundle, _schedule = self._dataset(name)
         return len(bundle.documents)
 
-    # -- routes --------------------------------------------------------------
-
     def submit(self, payload: dict) -> tuple[int, dict]:
-        name = payload.get("dataset", "aggchecker")
-        if name not in self._builders:
-            return 400, {"error": f"unknown dataset {name!r}",
-                         "datasets": sorted(self._builders)}
+        error = submission_error(payload, self.datasets)
+        if error is not None:
+            return 400, error
+        bundle, schedule = self._dataset(payload.get("dataset",
+                                                     "aggchecker"))
         index = payload.get("document", 0)
-        if not isinstance(index, int):
-            return 400, {"error": "document must be an integer index"}
-        try:
-            priority = int(payload.get("priority", 0))
-        except (TypeError, ValueError):
-            return 400, {"error": "priority must be an integer"}
-        bundle, schedule = self._dataset(name)
         if not 0 <= index < len(bundle.documents):
             return 400, {
                 "error": f"document index out of range "
@@ -252,7 +257,7 @@ class ServiceApp:
                 document,
                 schedule,
                 client_id=str(payload.get("client_id", "default")),
-                priority=priority,
+                priority=payload.get("priority", 0),
                 trace_context=trace,
             )
         except AdmissionError as error:
@@ -272,8 +277,138 @@ class ServiceApp:
             "events_url": f"/{API_VERSION}/jobs/{handle.job_id}/events",
         }
 
-    def job_summary(self, job_id: str) -> tuple[int, dict]:
-        handle = self.service.job(job_id)
+
+async def job_bursts(handle: JobHandle, wait: bool,
+                     timeout: float) -> AsyncIterator[list[str]]:
+    """A job's events as ndjson lines, one list per burst: the backlog,
+    then — with ``wait`` — whatever lands until the terminal event or
+    ``timeout`` seconds from now, whichever is first.
+
+    No thread waits on the job: its wake hook sets an event on this
+    loop, and each wake-up drains everything that landed meanwhile with
+    one ``events_from``. Each event is encoded once, here.
+    """
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    woken = asyncio.Event()
+    index = 0
+    with handle.wake_hook(lambda: loop.call_soon_threadsafe(woken.set)):
+        while True:
+            woken.clear()
+            try:
+                burst = handle.events_from(index, 0)
+            except TimeoutError:            # open, and nothing new yet
+                burst = None
+            if burst:
+                index += len(burst)
+                yield [event.to_json() for event in burst]
+            if not wait or burst == [] or (burst and burst[-1].terminal):
+                return
+            if burst is None:
+                try:
+                    async with asyncio.timeout_at(deadline):
+                        await woken.wait()
+                except TimeoutError:
+                    return                  # ?wait deadline: end here
+
+
+class ServiceServer:
+    """The single-process door: :class:`ServiceApp` behind
+    :class:`HttpServer`, on an event loop of its own.
+
+    Keeps the ``socketserver`` lifecycle the CLIs drive: the socket is
+    bound on construction, so ``server_address`` is readable at once;
+    ``serve_forever()`` runs the loop on the calling thread;
+    ``shutdown()``, from any other thread, stops accepting and returns
+    once ``serve_forever()`` has — after every request open at that
+    moment was answered, so a follower still reads its terminal line;
+    ``server_close()`` releases the socket.
+    """
+
+    def __init__(self, app: ServiceApp, host: str, port: int,
+                 verbose: bool = False) -> None:
+        self.app = app
+        self.log_buffer = app.log_buffer
+        self.socket = socket.create_server((host, port))
+        self.server_address = self.socket.getsockname()
+        self._http = HttpServer(self, verbose)
+        self._built: set[str] = set()
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._stop = asyncio.Event()
+        self._closing = False
+        self._served = threading.Event()
+
+    def serve_forever(self) -> None:
+        try:
+            asyncio.run(self._serve())
+        finally:
+            self._served.set()
+
+    async def _serve(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        await self._http.start(sock=self.socket)
+        if not self._closing:
+            await self._stop.wait()
+        await self._http.close()
+
+    def shutdown(self) -> None:
+        self._closing = True          # seen by a loop still starting up
+        if self._loop is not None:
+            with contextlib.suppress(RuntimeError):  # the loop has ended
+                self._loop.call_soon_threadsafe(self._stop.set)
+        self._served.wait()
+
+    def server_close(self) -> None:
+        self.socket.close()
+
+    # -- routes, awaited by HttpServer ---------------------------------------
+
+    async def submit(self, payload: dict) -> tuple[int, dict]:
+        name = payload.get("dataset", "aggchecker")
+        if (isinstance(name, str) and name not in self._built
+                and name in self.app.datasets):
+            # A first build takes seconds: off the loop, as the router
+            # builds its routing keys. Later submits run inline.
+            await asyncio.get_running_loop().run_in_executor(
+                None, self.app.warm, name,
+            )
+            self._built.add(name)
+        return self.app.submit(payload)
+
+    async def health(self) -> tuple[int, dict]:
+        """Liveness: the process is up and answering (draining or not)."""
+        return 200, {"status": "ok",
+                     "draining": self.app.service.draining}
+
+    async def ready(self) -> tuple[int, dict]:
+        """Readiness: 200 only while new submissions are accepted.
+
+        A draining service stays *live* (``/v1/healthz`` keeps
+        returning 200 so orchestrators don't kill it mid-flush) but
+        flips ``/v1/readyz`` to 503 so load balancers stop sending it
+        work.
+        """
+        service = self.app.service
+        if service.ready:
+            return 200, {"ready": True, "draining": False}
+        return 503, {
+            "ready": False, "draining": service.draining,
+            "retry_after_seconds": retry_after_seconds(service.queue_depth),
+        }
+
+    async def stats(self) -> tuple[int, dict]:
+        return 200, self.app.service.stats().to_dict()
+
+    async def metrics_text(self) -> str:
+        """The service registry in Prometheus text exposition format."""
+        return to_prometheus(self.app.service.metrics)
+
+    async def telemetry_snapshot(self) -> tuple[int, dict]:
+        """The rolling telemetry window's current snapshot."""
+        return 200, self.app.service.telemetry.snapshot()
+
+    async def job_summary(self, job_id: str) -> tuple[int, dict]:
+        handle = self.app.service.job(job_id)
         if handle is None:
             return 404, {"error": f"no job {job_id!r}"}
         body = {"job_id": job_id, "state": handle.state,
@@ -282,245 +417,20 @@ class ServiceApp:
             body["error"] = handle.error
         return 200, body
 
-    def job_events(
-        self, job_id: str, wait: bool, timeout: float
-    ) -> Iterator[JobEvent] | None:
-        """The job's events — replayed, or live until the terminal one
-        or until ``timeout`` seconds from now, whichever is first (one
-        deadline for the whole stream, as on the cluster router)."""
-        handle = self.service.job(job_id)
-        if handle is None:
-            return None
-        if wait:
-            return itertools.chain.from_iterable(
-                handle.bursts(deadline=time.monotonic() + timeout)
-            )
-        return iter(handle.events_snapshot())
-
-    def job_trace(self, job_id: str) -> tuple[int, dict]:
+    async def job_trace(self, job_id: str,
+                        _fmt: str = "") -> tuple[int, dict]:
         """The job's span forest as Chrome trace-event JSON."""
-        handle = self.service.job(job_id)
+        handle = self.app.service.job(job_id)
         if handle is None:
             return 404, {"error": f"no job {job_id!r}"}
         return 200, to_chrome_trace(handle.spans(), process_name=job_id)
 
-    def health(self) -> tuple[int, dict]:
-        """Liveness: the process is up and answering (draining or not)."""
-        return 200, {"status": "ok", "draining": self.service.draining}
-
-    def ready(self) -> tuple[int, dict]:
-        """Readiness: 200 only while new submissions are accepted.
-
-        A draining service stays *live* (``/healthz`` keeps returning
-        200 so orchestrators don't kill it mid-flush) but flips
-        ``/readyz`` to 503 so load balancers stop sending it work.
-        """
-        if self.service.ready:
-            return 200, {"ready": True, "draining": False}
-        return 503, {"ready": False,
-                     "draining": self.service.draining}
-
-    def stats(self) -> tuple[int, dict]:
-        return 200, self.service.stats().to_dict()
-
-    def metrics(self) -> str:
-        """The service registry in Prometheus text exposition format."""
-        return to_prometheus(self.service.metrics)
-
-    def telemetry(self) -> tuple[int, dict]:
-        """The rolling telemetry window's current snapshot."""
-        return 200, self.service.telemetry.snapshot()
-
-    def debug_logs(self, n: int | None = None) -> str:
-        """The last ``n`` structured log records as ndjson."""
-        return self.log_buffer.to_ndjson(n)
-
-
-class ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Thin adapter from HTTP to :class:`ServiceApp` routes."""
-
-    app: ServiceApp  # injected by make_server
-    protocol_version = "HTTP/1.1"
-    #: TCP_NODELAY on every accepted socket: replies and ndjson events
-    #: are small and complete, so there is nothing for Nagle to gather.
-    disable_nagle_algorithm = True
-
-    # -- plumbing ------------------------------------------------------------
-
-    def log_message(self, format: str, *args) -> None:
-        if getattr(self.server, "verbose", False):
-            super().log_message(format, *args)
-
-    def _extra_headers(self) -> None:
-        # Legacy unprefixed paths still work, but every response from
-        # one carries the deprecation signal so clients can migrate on
-        # their own schedule (draft-ietf-httpapi-deprecation-header).
-        if getattr(self, "_legacy_path", False):
-            self.send_header("Deprecation", "true")
-
-    def _route_parts(self) -> list[str] | None:
-        """Path segments with the version prefix resolved.
-
-        Returns the post-prefix segments for ``/v1/...``, the raw
-        segments for legacy unprefixed paths (flagging the response as
-        deprecated), or ``None`` after answering an unsupported
-        ``/v<k>/`` prefix with a structured 404.
-        """
-        url = urlparse(self.path)
-        parts = [p for p in url.path.split("/") if p]
-        self._legacy_path = not (parts and _VERSION_PART.fullmatch(parts[0]))
-        if self._legacy_path:
-            return parts
-        if parts[0] != API_VERSION:
-            self._send_json(404, {
-                "error": f"unknown API version {parts[0]!r}",
-                "supported": [API_VERSION],
-            })
+    async def job_events(self, job_id: str, wait: bool,
+                         timeout: float) -> AsyncIterator[list[str]] | None:
+        handle = self.app.service.job(job_id)
+        if handle is None:
             return None
-        return parts[1:]
-
-    def _write(self, data: bytes) -> None:
-        self.wfile.write(data)
-        self.wfile.flush()
-
-    def _end_headers_with(self, payload: bytes) -> None:
-        """``end_headers()``, but the head leaves with ``payload`` as one
-        write: sent apart, the second small segment sits behind the
-        client's delayed ACK (~40 ms on Linux loopback)."""
-        self._headers_buffer.append(b"\r\n")
-        head = b"".join(self._headers_buffer)
-        self._headers_buffer = []
-        self._write(head + payload)
-
-    def _send_json(self, status: int, body: dict,
-                   headers: dict[str, str] | None = None) -> None:
-        payload = json.dumps(body, sort_keys=True).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        # Structured rejections advertise when to come back; the header
-        # mirrors the body's retry_after_seconds for plain HTTP clients.
-        if "retry_after_seconds" in body:
-            self.send_header("Retry-After",
-                             str(int(body["retry_after_seconds"])))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self._extra_headers()
-        self._end_headers_with(payload)
-
-    def _send_text(self, status: int, body: str,
-                   content_type: str) -> None:
-        payload = body.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self._extra_headers()
-        self._end_headers_with(payload)
-
-    def _send_ndjson(self, events: Iterator[JobEvent]) -> None:
-        # Length unknown up front (events may still be landing), so the
-        # stream is chunked: one chunk, one write, one flush per event.
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self._extra_headers()
-        self._end_headers_with(b"")
-        try:
-            for event in events:
-                line = (event.to_json() + "\n").encode()
-                self._write(f"{len(line):x}\r\n".encode() + line + b"\r\n")
-        except TimeoutError:
-            pass  # ?wait deadline hit: end the stream where it stands
-        self._write(b"0\r\n\r\n")
-
-    # -- verbs ---------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server's casing)
-        url = urlparse(self.path)
-        parts = self._route_parts()
-        if parts is None:
-            return
-        if parts == ["healthz"]:
-            self._send_json(*self.app.health())
-        elif parts == ["readyz"]:
-            status, body = self.app.ready()
-            if status != 200:
-                body["retry_after_seconds"] = retry_after_seconds(
-                    self.app.service.queue_depth
-                )
-            self._send_json(status, body)
-        elif parts == ["stats"]:
-            self._send_json(*self.app.stats())
-        elif parts == ["metrics"]:
-            self._send_text(
-                200, self.app.metrics(),
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
-        elif parts == ["telemetry"]:
-            self._send_json(*self.app.telemetry())
-        elif parts == ["debug", "logs"]:
-            query = parse_qs(url.query)
-            try:
-                n = int(query.get("n", ["100"])[0])
-                if n < 0:
-                    raise ValueError
-            except ValueError:
-                self._send_json(
-                    400, {"error": "n must be a non-negative integer"}
-                )
-                return
-            self._send_text(200, self.app.debug_logs(n),
-                            "application/x-ndjson")
-        elif len(parts) == 2 and parts[0] == "jobs":
-            self._send_json(*self.app.job_summary(parts[1]))
-        elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "trace":
-            self._send_json(*self.app.job_trace(parts[1]))
-        elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "events":
-            query = parse_qs(url.query)
-            wait = query.get("wait", ["0"])[0] not in ("0", "", "false")
-            try:
-                timeout = float(query.get("timeout", ["30"])[0])
-                if not math.isfinite(timeout) or timeout < 0:
-                    raise ValueError
-            except ValueError:
-                self._send_json(
-                    400,
-                    {"error": "timeout must be a non-negative number"},
-                )
-                return
-            events = self.app.job_events(parts[1], wait, timeout)
-            if events is None:
-                self._send_json(404, {"error": f"no job {parts[1]!r}"})
-            else:
-                self._send_ndjson(events)
-        else:
-            self._send_json(404, {"error": f"no route for {url.path}"})
-
-    def do_POST(self) -> None:  # noqa: N802
-        url = urlparse(self.path)
-        parts = self._route_parts()
-        if parts is None:
-            return
-        if parts != ["verify"]:
-            self._send_json(404, {"error": f"no route for {url.path}"})
-            return
-        try:
-            length = declared_body_length(self.headers.get("Content-Length"))
-        except BodyRejected as error:
-            # The body stays unread, so the connection cannot carry
-            # another request: say so and close it.
-            self._send_json(error.status, {"error": str(error)},
-                            headers={"Connection": "close"})
-            return
-        raw = self.rfile.read(length) if length else b"{}"
-        try:
-            payload = json.loads(raw or b"{}")
-            if not isinstance(payload, dict):
-                raise ValueError("body must be a JSON object")
-        except (ValueError, json.JSONDecodeError) as error:
-            self._send_json(400, {"error": f"bad request body: {error}"})
-            return
-        self._send_json(*self.app.submit(payload))
+        return job_bursts(handle, wait, timeout)
 
 
 def make_server(
@@ -528,12 +438,249 @@ def make_server(
     port: int = 8000,
     app: ServiceApp | None = None,
     verbose: bool = False,
-) -> ThreadingHTTPServer:
+) -> ServiceServer:
     """Build (but don't start) the HTTP server; ``port=0`` picks a free
     port — read it back from ``server.server_address``."""
-    app = app if app is not None else ServiceApp()
-    handler = type("BoundHandler", (ServiceRequestHandler,), {"app": app})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.verbose = verbose  # type: ignore[attr-defined]
-    server.app = app  # type: ignore[attr-defined]
-    return server
+    return ServiceServer(app if app is not None else ServiceApp(),
+                         host, port, verbose)
+
+
+# -- the one asyncio HTTP/1.1 implementation ---------------------------------
+
+_REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
+            404: "Not Found", 409: "Conflict",
+            413: "Request Entity Too Large", 429: "Too Many Requests",
+            500: "Internal Server Error", 503: "Service Unavailable"}
+
+_MAX_HEADER_LINES = 100
+
+_PROMETHEUS_TEXT = "text/plain; version=0.0.4; charset=utf-8"
+
+
+class HttpServer:
+    """Parses requests, awaits the backend's route methods, writes the
+    replies — for :class:`ServiceServer` and the cluster router alike.
+
+    A backend provides the coroutines ``submit``, ``health``,
+    ``ready``, ``stats``, ``metrics_text``, ``telemetry_snapshot``,
+    ``job_summary``, ``job_trace`` and ``job_events``, plus a
+    ``log_buffer``.
+    """
+
+    def __init__(self, backend, verbose: bool = False) -> None:
+        self.backend = backend
+        self.verbose = verbose
+        self._server: asyncio.AbstractServer | None = None
+        #: Connection task -> its writer while it waits for a request,
+        #: None while it answers one.
+        self._clients: dict[asyncio.Task,
+                            asyncio.StreamWriter | None] = {}
+        self._closing = False
+
+    async def start(self, host: str | None = None, port: int | None = None,
+                    sock: socket.socket | None = None) -> tuple[str, int]:
+        """Listen on ``host:port`` or an already-bound ``sock``; returns
+        the bound (host, port)."""
+        self._server = await asyncio.start_server(
+            self._serve_client, host, port, sock=sock,
+        )
+        bound = self._server.sockets[0].getsockname()
+        return bound[0], bound[1]
+
+    async def close(self) -> None:
+        """Stop accepting and hang up idle connections. A request in
+        progress is answered first: a follower reads on to its terminal
+        line or its ``?wait`` deadline."""
+        self._closing = True
+        if self._server is not None:
+            self._server.close()
+        for writer in self._clients.values():
+            if writer is not None:
+                writer.close()      # the waiting read sees EOF
+        await asyncio.gather(*self._clients, return_exceptions=True)
+
+    async def _serve_client(self, reader: asyncio.StreamReader,
+                            writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._clients[task] = writer
+        # asyncio turns Nagle off itself only when the listener's
+        # protocol is IPPROTO_TCP, which socket.create_server's is not;
+        # replies are small and complete, nothing is worth gathering.
+        writer.get_extra_info("socket").setsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        try:
+            while not self._closing:
+                try:
+                    request = await _read_http_request(reader)
+                except BodyRejected as error:
+                    # The body stays unread, so the connection cannot
+                    # carry another request: say so and hang up.
+                    await _send_json(writer, error.status,
+                                     {"error": str(error)}, close=True)
+                    return
+                if request is None:
+                    return
+                method, target, headers, body = request
+                self._clients[task] = None
+                status = await self._route(method, target, body, writer)
+                self._clients[task] = writer
+                if self.verbose:
+                    print(f"{writer.get_extra_info('peername')[0]} - - "
+                          f"[{time.strftime('%d/%b/%Y %H:%M:%S')}] "
+                          f'"{method} {target}" {status}',
+                          file=sys.stderr, flush=True)
+                if headers.get("connection", "").lower() == "close":
+                    return
+        except (ConnectionError, asyncio.IncompleteReadError, OSError):
+            pass  # client went away mid-request/stream
+        finally:
+            del self._clients[task]
+            writer.close()
+
+    async def _route(self, method: str, target: str, body: bytes,
+                     writer: asyncio.StreamWriter) -> int:
+        """Answer one request; returns the status sent."""
+        backend = self.backend
+        path, _, query_string = target.partition("?")
+        query = dict(parse_qsl(query_string))
+        version, *parts = [part for part in path.split("/") if part] or [""]
+        if version != API_VERSION:
+            return await _send_json(writer, 404, {
+                "error": f"no route for {method} {path}: the API lives "
+                         f"under /{API_VERSION}/",
+                "supported": [API_VERSION],
+            })
+        jobs = len(parts) in (2, 3) and parts[0] == "jobs"
+        if method == "POST" and parts == ["verify"]:
+            try:
+                payload = json.loads(body or b"{}")
+                if not isinstance(payload, dict):
+                    raise ValueError("body must be a JSON object")
+            except ValueError as error:
+                reply = 400, {"error": f"bad request body: {error}"}
+            else:
+                reply = await backend.submit(payload)
+        elif method != "GET":
+            reply = 404, {"error": f"no route for {method} {path}"}
+        elif parts == ["healthz"]:
+            reply = await backend.health()
+        elif parts == ["readyz"]:
+            reply = await backend.ready()
+        elif parts == ["stats"]:
+            reply = await backend.stats()
+        elif parts == ["telemetry"]:
+            reply = await backend.telemetry_snapshot()
+        elif parts == ["metrics"]:
+            return await _send_text(writer, 200, await backend.metrics_text(),
+                                    _PROMETHEUS_TEXT)
+        elif parts == ["debug", "logs"]:
+            count = _non_negative(query.get("n", "100"), int)
+            if count is None:
+                reply = 400, {"error": "n must be a non-negative integer"}
+            else:
+                return await _send_text(
+                    writer, 200, backend.log_buffer.to_ndjson(count),
+                    "application/x-ndjson",
+                )
+        elif jobs and len(parts) == 2:
+            reply = await backend.job_summary(parts[1])
+        elif jobs and parts[2] == "trace":
+            reply = await backend.job_trace(parts[1],
+                                            query.get("format", ""))
+        elif jobs and parts[2] == "events":
+            timeout = _non_negative(query.get("timeout", "30"), float)
+            if timeout is None:
+                reply = 400, {"error": "timeout must be a non-negative "
+                                       "number"}
+            else:
+                wait = query.get("wait", "0") not in ("0", "", "false")
+                stream = await backend.job_events(parts[1], wait, timeout)
+                if stream is not None:
+                    return await _send_ndjson(writer, stream)
+                reply = 404, {"error": f"no job {parts[1]!r}"}
+        else:
+            reply = 404, {"error": f"no route for {method} {path}"}
+        return await _send_json(writer, *reply)
+
+
+def _non_negative(raw: str, kind: type) -> int | float | None:
+    """``kind(raw)`` when that is a finite number >= 0, else None."""
+    try:
+        value = kind(raw)
+    except ValueError:
+        return None
+    return value if 0 <= value < math.inf else None   # NaN fails both
+
+
+async def _read_http_request(
+    reader: asyncio.StreamReader,
+) -> tuple[str, str, dict[str, str], bytes] | None:
+    """One request as (method, target, headers, body); None on EOF or
+    garbage (the connection then closes).
+
+    Raises :class:`BodyRejected` for a hostile ``Content-Length``,
+    before reading any of the body."""
+    line = await reader.readline()
+    try:
+        method, target, _version = line.decode("latin1").split(None, 2)
+    except ValueError:
+        return None
+    headers: dict[str, str] = {}
+    for _ in range(_MAX_HEADER_LINES):
+        raw = await reader.readline()
+        if raw in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = raw.decode("latin1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = declared_body_length(headers.get("content-length"))
+    body = await reader.readexactly(length) if length else b""
+    return method.upper(), target, headers, body
+
+
+async def _send_text(writer: asyncio.StreamWriter, status: int, body: str,
+                     content_type: str, extra: Iterable[str] = ()) -> int:
+    """Head and body in one write: sent apart, the second small
+    segment can sit behind the client's delayed ACK."""
+    payload = body.encode()
+    head = "\r\n".join([
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Response')}",
+        f"Content-Type: {content_type}",
+        f"Content-Length: {len(payload)}",
+        *extra,
+    ])
+    writer.write(head.encode() + b"\r\n\r\n" + payload)
+    await writer.drain()
+    return status
+
+
+async def _send_json(writer: asyncio.StreamWriter, status: int, body: dict,
+                     close: bool = False) -> int:
+    extra = []
+    # Structured rejections advertise when to come back; the header
+    # mirrors the body's retry_after_seconds for plain HTTP clients.
+    if "retry_after_seconds" in body:
+        extra.append(f"Retry-After: {int(body['retry_after_seconds'])}")
+    if close:
+        extra.append("Connection: close")
+    return await _send_text(writer, status, json.dumps(body, sort_keys=True),
+                            "application/json", extra)
+
+
+async def _send_ndjson(writer: asyncio.StreamWriter,
+                       stream: AsyncIterator[list[str]]) -> int:
+    """A chunked ndjson stream, one chunk (and one write) per burst; the
+    head leaves with the first. Closing the stream on the way out —
+    a client that hung up included — unhooks it from its job."""
+    head = (b"HTTP/1.1 200 OK\r\n"
+            b"Content-Type: application/x-ndjson\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n")
+    async with contextlib.aclosing(stream):
+        async for lines in stream:
+            chunk = ("\n".join(lines) + "\n").encode()
+            writer.write(head + f"{len(chunk):x}\r\n".encode()
+                         + chunk + b"\r\n")
+            head = b""
+            await writer.drain()
+    writer.write(head + b"0\r\n\r\n")
+    await writer.drain()
+    return 200

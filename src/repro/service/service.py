@@ -31,11 +31,12 @@ copy when submitting the same document many times.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.core import (
     ParallelVerifier,
@@ -211,6 +212,7 @@ class Job:
         self._cond = threading.Condition()
         self._cancelled = False
         self._closed = False
+        self._wake_hooks: set[Callable[[], None]] = set()
 
     # -- event stream --------------------------------------------------------
 
@@ -224,6 +226,21 @@ class Job:
             if event.terminal:
                 self._closed = True
             self._cond.notify_all()
+            for hook in self._wake_hooks:
+                hook()
+
+    @contextlib.contextmanager
+    def wake_hook(self, hook: Callable[[], None]) -> Iterator[None]:
+        """Call ``hook`` on every emit while the block runs — how a
+        follower on an event loop learns there is something to drain.
+        It runs under the job's condition, so it must only schedule."""
+        with self._cond:
+            self._wake_hooks.add(hook)
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._wake_hooks.discard(hook)
 
     def events_from(self, index: int,
                     timeout: float | None) -> list[JobEvent]:
@@ -283,20 +300,18 @@ class JobHandle:
     def error(self) -> str | None:
         return self._job.error
 
-    def bursts(self, timeout: float | None = None,
-               deadline: float | None = None) -> Iterator[list[JobEvent]]:
+    def bursts(
+        self, timeout: float | None = None,
+    ) -> Iterator[list[JobEvent]]:
         """Yield the events in whatever bursts they are ready: all that
         landed since the last one, ending with the burst that carries
         the terminal event.
 
-        ``timeout`` bounds the wait for each *next* burst, ``deadline``
-        (a ``time.monotonic()`` value, used instead when given) the
-        whole stream; exceeding it raises :class:`TimeoutError`.
+        ``timeout`` bounds the wait for each *next* burst; exceeding it
+        raises :class:`TimeoutError`.
         """
         index = 0
         while True:
-            if deadline is not None:
-                timeout = max(0.0, deadline - time.monotonic())
             burst = self._job.events_from(index, timeout)
             if not burst:
                 return
@@ -317,6 +332,16 @@ class JobHandle:
     def events_snapshot(self) -> list[JobEvent]:
         """The events emitted so far, without blocking."""
         return self._job.events_snapshot()
+
+    def events_from(self, index: int,
+                    timeout: float | None) -> list[JobEvent]:
+        """See :meth:`Job.events_from`."""
+        return self._job.events_from(index, timeout)
+
+    def wake_hook(self, hook: Callable[[], None]
+                  ) -> contextlib.AbstractContextManager[None]:
+        """See :meth:`Job.wake_hook`."""
+        return self._job.wake_hook(hook)
 
     def wait(self, timeout: float | None = None) -> bool:
         return self._job.wait(timeout)

@@ -258,7 +258,7 @@ def test_stats_and_metrics_aggregate_all_shards(cluster):
     assert set(stats["workers"]) == {"0", "1"}
     assert stats["cluster"]["workers"] == 2
     assert stats["jobs"]["submitted"] >= stats["jobs"]["completed"] >= 1
-    status, text, _ = cluster.http("/metrics")
+    status, text, _ = cluster.http("/v1/metrics")
     assert status == 200
     assert 'cedar_cluster_jobs_routed_total{worker="0"}' in text
     assert 'cedar_cluster_jobs_routed_total{worker="1"}' in text

@@ -66,7 +66,8 @@ def test_a_terminal_record_is_absorbing(router):
     assert follower.qsize() == 1
     assert follower.get_nowait() == record.events[1:]
     assert router._jobs_lost == 1
-    assert router.job_summary(record.job_id)[1]["state"] == "worker_lost"
+    assert asyncio.run(router.job_summary(record.job_id))[1]["state"] \
+        == "worker_lost"
 
 
 def test_lines_are_stored_and_served_as_received(router):

@@ -1,12 +1,14 @@
-"""Smoke test for the stdlib HTTP front end.
+"""Smoke test for the single-process HTTP front end.
 
-Boots a real ``ThreadingHTTPServer`` on a free port with a tiny injected
-dataset and exercises every route once over actual sockets: submit,
-stream, summary, stats, health, and the error paths. Kept small so it
-can run in tier-1; load behaviour is covered by the service tests and
-the front-door benchmark (``bench/run.py``).
+Boots ``make_server`` on a free port with a tiny injected dataset and
+exercises every route once over actual sockets: submit, stream,
+summary, stats, health, and the error paths. Kept small so it can run
+in tier-1; what both front doors must answer alike is
+``tests/integration/test_front_door_conformance.py``, load behaviour
+the service tests and the front-door benchmark (``bench/run.py``).
 """
 
+import asyncio
 import json
 import socket
 import threading
@@ -24,8 +26,11 @@ from repro.service import (
 )
 from repro.service.http import (
     MAX_BODY_BYTES,
+    HttpServer,
     ServiceApp,
-    ServiceRequestHandler,
+    _send_json,
+    _send_ndjson,
+    _send_text,
     make_server,
 )
 
@@ -76,16 +81,9 @@ def post_json(url, payload):
 
 class TestHttpSmoke:
     def test_healthz(self, server):
-        status, body, headers = get_json_with_headers(f"{server}/v1/healthz")
+        status, body, _ = get_json_with_headers(f"{server}/v1/healthz")
         assert status == 200
         assert body == {"status": "ok", "draining": False}
-        assert headers.get("Deprecation") is None
-
-    def test_legacy_alias_carries_deprecation_header(self, server):
-        status, body, headers = get_json_with_headers(f"{server}/healthz")
-        assert status == 200
-        assert body == {"status": "ok", "draining": False}
-        assert headers.get("Deprecation") == "true"
 
     def test_unknown_version_structured_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -140,17 +138,17 @@ class TestHttpSmoke:
 
     def test_unknown_route_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            get_json(f"{server}/nope")
+            get_json(f"{server}/v1/nope")
         assert excinfo.value.code == 404
 
     def test_unknown_job_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            get_json(f"{server}/jobs/job-999999/events")
+            get_json(f"{server}/v1/jobs/job-999999/events")
         assert excinfo.value.code == 404
 
     def test_bad_body_400(self, server):
         request = urllib.request.Request(
-            f"{server}/verify", data=b"not json", method="POST"
+            f"{server}/v1/verify", data=b"not json", method="POST"
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
@@ -158,18 +156,19 @@ class TestHttpSmoke:
 
     def test_unknown_dataset_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            post_json(f"{server}/verify", {"dataset": "missing"})
+            post_json(f"{server}/v1/verify", {"dataset": "missing"})
         assert excinfo.value.code == 400
         assert json.loads(excinfo.value.read())["datasets"] == ["tiny"]
 
     def test_document_index_validation(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            post_json(f"{server}/verify", {"dataset": "tiny", "document": 99})
+            post_json(f"{server}/v1/verify",
+                      {"dataset": "tiny", "document": 99})
         assert excinfo.value.code == 400
 
     def test_bad_priority_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            post_json(f"{server}/verify",
+            post_json(f"{server}/v1/verify",
                       {"dataset": "tiny", "priority": "urgent"})
         assert excinfo.value.code == 400
         assert "priority" in json.loads(excinfo.value.read())["error"]
@@ -180,7 +179,7 @@ class TestHttpSmoke:
         assert body == {"ready": True, "draining": False}
 
     def test_bad_events_timeout_400(self, server):
-        status, body = post_json(f"{server}/verify", {"dataset": "tiny"})
+        status, body = post_json(f"{server}/v1/verify", {"dataset": "tiny"})
         assert status == 202
         for bad in ("soon", "nan", "-1"):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -239,8 +238,8 @@ class TestHostileContentLength:
         assert b"unknown dataset" in reply
 
 
-class RecordingFile:
-    """Stands in for ``wfile``: remembers each write and each flush."""
+class RecordingWriter:
+    """Stands in for a ``StreamWriter``: remembers each write and drain."""
 
     def __init__(self):
         self.calls = []
@@ -248,67 +247,64 @@ class RecordingFile:
     def write(self, data):
         self.calls.append(bytes(data))
 
-    def flush(self):
-        self.calls.append("flush")
+    async def drain(self):
+        self.calls.append("drain")
 
 
 class TestOneSegmentReplies:
-    """Head and body — and each ndjson event — leave as one write and
-    one flush, on a socket with Nagle off: a reply split in two small
-    writes waits out the client's delayed ACK."""
-
-    @staticmethod
-    def _handler():
-        handler = ServiceRequestHandler.__new__(ServiceRequestHandler)
-        handler.request_version = "HTTP/1.1"
-        handler.requestline = "GET /v1/healthz HTTP/1.1"
-        handler.client_address = ("127.0.0.1", 0)
-        handler.server = type("Quiet", (), {"verbose": False})()
-        handler.wfile = RecordingFile()
-        return handler
+    """A reply's head and body leave in one write, and an ndjson stream
+    one chunk per burst, on a socket with Nagle off: a reply split in
+    two small writes waits out the client's delayed ACK."""
 
     def test_send_json_is_one_write_and_one_flush(self):
-        handler = self._handler()
-        handler._send_json(200, {"status": "ok"})
-        (data, flush) = handler.wfile.calls
-        assert flush == "flush"
+        writer = RecordingWriter()
+        assert asyncio.run(_send_json(writer, 200, {"status": "ok"})) == 200
+        (data, drain) = writer.calls
+        assert drain == "drain"
         head, _, body = data.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 200 OK\r\n")
         assert f"Content-Length: {len(body)}".encode() in head
         assert json.loads(body) == {"status": "ok"}
 
     def test_send_text_is_one_write_and_one_flush(self):
-        handler = self._handler()
-        handler._send_text(200, "cedar_up 1\n", "text/plain")
-        (data, flush) = handler.wfile.calls
-        assert flush == "flush"
+        writer = RecordingWriter()
+        asyncio.run(_send_text(writer, 200, "cedar_up 1\n", "text/plain"))
+        (data, drain) = writer.calls
+        assert drain == "drain"
         assert data.endswith(b"\r\n\r\ncedar_up 1\n")
 
-    def test_each_ndjson_event_is_one_write_and_one_flush(self):
-        handler = self._handler()
-        events = [JobQueued(job_id="job-000001"),
-                  JobDone(job_id="job-000001", claims=1, flagged=0)]
-        handler._send_ndjson(iter(events))
-        calls = handler.wfile.calls
-        assert calls[1::2] == ["flush"] * 4  # head, 2 events, terminator
-        head, first, second, end = calls[0::2]
-        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
-        assert head.endswith(b"\r\n\r\n")
-        for chunk, event in zip((first, second), events):
-            line = (event.to_json() + "\n").encode()
-            assert chunk == f"{len(line):x}\r\n".encode() + line + b"\r\n"
+    def test_each_ndjson_burst_is_one_chunk(self):
+        bursts = [[JobQueued(job_id="job-000001").to_json(),
+                   JobQueued(job_id="job-000001").to_json()],
+                  [JobDone(job_id="job-000001", claims=1).to_json()]]
+
+        async def stream():
+            for burst in bursts:
+                yield burst
+
+        writer = RecordingWriter()
+        asyncio.run(_send_ndjson(writer, stream()))
+        calls = writer.calls
+        assert calls[1::2] == ["drain"] * 3       # 2 bursts, terminator
+        first, second, end = calls[0::2]
+        head, _, first = first.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")   # with burst 1
+        assert b"Transfer-Encoding: chunked" in head
+        for chunk, lines in zip((first, second), bursts):
+            data = ("\n".join(lines) + "\n").encode()
+            assert chunk == f"{len(data):x}\r\n".encode() + data + b"\r\n"
         assert end == b"0\r\n\r\n"
 
     def test_accepted_sockets_have_nagle_off(self, server, monkeypatch):
         seen = []
-        original = ServiceRequestHandler.setup
+        original = HttpServer._route
 
-        def setup(handler):
-            original(handler)
-            seen.append(handler.connection.getsockopt(
+        async def route(self, method, target, body, writer):
+            seen.append(writer.get_extra_info("socket").getsockopt(
                 socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            return await original(self, method, target, body, writer)
 
-        monkeypatch.setattr(ServiceRequestHandler, "setup", setup)
+        monkeypatch.setattr(HttpServer, "_route", route)
         assert get_json(f"{server}/v1/healthz")[0] == 200
         assert seen and all(seen)
 

@@ -1,11 +1,14 @@
 """The ``Job`` batch drain: every event from index *i* on, per wake-up.
 
 ``Job.events_from`` is what every delivery path sits on — the worker's
-``subscribe`` frames, the HTTP front door, ``JobHandle.events()`` — so
-its contract is pinned as a property over arbitrary interleavings of
-emits, a cancel and drains from two followers.
+``subscribe`` frames, the HTTP follower ``job_bursts``,
+``JobHandle.events()`` — so its contract is pinned as a property over
+arbitrary interleavings of emits, a cancel and drains from two
+followers.
 """
 
+import asyncio
+import json
 import sys
 import threading
 import time
@@ -15,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service.events import ClaimVerdict, JobCancelled, JobDone
+from repro.service.http import job_bursts
 from repro.service.service import Job, JobHandle
 
 STEPS = st.lists(
@@ -147,23 +151,40 @@ def test_bursts_follow_a_live_job_across_threads():
     assert list(handle.events(timeout=0)) == snapshot
 
 
-def test_a_deadline_bounds_the_whole_stream_not_each_wait():
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=4), max_size=8),
+       st.booleans())
+def test_a_hook_woken_follower_reads_what_events_from_serves(sizes, cancel):
+    """``job_bursts`` on an event loop, woken only by the job's hook
+    while another thread emits: the events ``events_from`` holds, in
+    order, one terminal and last — and the hook is gone afterwards."""
     job = make_job()
     handle = JobHandle(job, service=None)
-    stop = threading.Event()
 
-    def trickle():
-        while not stop.wait(0.02):        # an event every 20 ms, forever
-            job.emit(ClaimVerdict(job_id=job.job_id))
+    def emit():
+        for number, size in enumerate(sizes):
+            for index in range(size):
+                job.emit(ClaimVerdict(job_id=job.job_id,
+                                      claim_id=f"c{number}.{index}"))
+            time.sleep(0.001)
+        if cancel:
+            job.request_cancel()
+        job.emit((JobCancelled if cancel else JobDone)(job.job_id),
+                 force=True)
+        job.emit(ClaimVerdict(job_id=job.job_id))   # after the end: dropped
 
-    emitter = threading.Thread(target=trickle)
-    emitter.start()
-    try:
-        started = time.monotonic()
-        with pytest.raises(TimeoutError):
-            for _ in handle.bursts(deadline=started + 0.2):
-                pass
-        assert 0.2 <= time.monotonic() - started < 2.0
-    finally:
-        stop.set()
-        emitter.join()
+    async def follow():
+        emitter = threading.Thread(target=emit)
+        emitter.start()
+        try:
+            return [line async for burst in job_bursts(handle, True, 30)
+                    for line in burst]
+        finally:
+            emitter.join(timeout=30)
+
+    lines = asyncio.run(follow())
+    assert lines == [event.to_json() for event in job.events_from(0, 0)]
+    ends = [json.loads(line)["event"] in ("job_done", "job_cancelled")
+            for line in lines]
+    assert ends == [False] * (len(lines) - 1) + [True]
+    assert not job._wake_hooks

@@ -169,7 +169,7 @@ def post_json(url, payload):
 
 class TestHttpObservability:
     def test_metrics_route_serves_prometheus_text(self, server):
-        status, content_type, body = get_raw(f"{server}/metrics")
+        status, content_type, body = get_raw(f"{server}/v1/metrics")
         assert status == 200
         assert content_type == "text/plain; version=0.0.4; charset=utf-8"
         assert "# TYPE cedar_queue_depth gauge" in body
@@ -178,17 +178,17 @@ class TestHttpObservability:
                 float(line.rsplit(" ", 1)[1])
 
     def test_job_trace_route_serves_chrome_trace(self, server):
-        status, body = post_json(f"{server}/verify",
+        status, body = post_json(f"{server}/v1/verify",
                                  {"dataset": "tiny", "document": 0})
         assert status == 202
         job_id = body["job_id"]
         # Stream to completion so spans have been filed.
         with urllib.request.urlopen(
-            f"{server}/jobs/{job_id}/events?wait=1&timeout=30", timeout=35
+            f"{server}/v1/jobs/{job_id}/events?wait=1&timeout=30", timeout=35
         ) as response:
             for _ in response:
                 pass
-        status, _, raw = get_raw(f"{server}/jobs/{job_id}/trace")
+        status, _, raw = get_raw(f"{server}/v1/jobs/{job_id}/trace")
         assert status == 200
         payload = json.loads(raw)
         complete = [e for e in payload["traceEvents"]
@@ -198,5 +198,5 @@ class TestHttpObservability:
 
     def test_trace_for_unknown_job_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            get_raw(f"{server}/jobs/nope/trace")
+            get_raw(f"{server}/v1/jobs/nope/trace")
         assert excinfo.value.code == 404

@@ -8,10 +8,14 @@ and call shape below is one the harness depends on (``bench/serve.py``,
 one has to change, the benchmark changes in its own PR first.
 """
 
+import http.client
 import importlib
 import importlib.util
 import io
+import json
 import os
+import socket
+import threading
 
 import pytest
 
@@ -70,9 +74,30 @@ def test_the_launcher_imports_and_its_parser_has_the_ten_dests():
     assert arguments.port == 0
 
 
+def _read_replies(sock, count):
+    """``count`` Content-Length replies off one connection, in order."""
+    buffer, replies = b"", []
+    while len(replies) < count:
+        head, separator, rest = buffer.partition(b"\r\n\r\n")
+        if separator:
+            length = next(int(line.split(b":", 1)[1])
+                          for line in head.split(b"\r\n")
+                          if line.lower().startswith(b"content-length:"))
+            if len(rest) >= length:
+                replies.append(json.loads(rest[:length]))
+                buffer = rest[length:]
+                continue
+        chunk = sock.recv(65536)
+        assert chunk, "server hung up mid-reply"
+        buffer += chunk
+    return replies
+
+
 def test_the_launcher_call_shapes():
     """``bench/serve.py`` and ``golden.py``, with a tiny dataset and a
-    never-started service (``shutdown(drain=True)`` runs it inline)."""
+    never-started service (``shutdown(drain=True)`` runs it inline),
+    then the server lifecycle ``bench/serve.py`` drives, on a started
+    one."""
     from repro.cluster.worker import latency_wrapper
     from repro.datasets import build_aggchecker
     from repro.service.http import DEFAULT_DATASETS, ServiceApp, make_server
@@ -109,6 +134,46 @@ def test_the_launcher_call_shapes():
         assert server.server_address[1] > 0
     finally:
         server.server_close()
+
+    # The lifecycle: serve_forever() on a thread; pipelined POSTs on one
+    # connection, as open-llm's Pipeline sends them; a follower from
+    # before the drain; shutdown() from a side thread; server_close().
+    service = VerificationService(ServiceConfig(workers=2)).start()
+    app = ServiceApp(
+        service,
+        datasets={"tiny": lambda: build_aggchecker(document_count=2,
+                                                   total_claims=4)},
+        seed=0, client_wrapper=latency_wrapper(0.1),
+    )
+    app.warm("tiny")
+    server = make_server("127.0.0.1", 0, app, verbose=False)
+    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    serving.start()
+    address = server.server_address[:2]
+    try:
+        with socket.create_connection(address, timeout=30) as pipe:
+            pipe.sendall(b"".join(
+                b"POST /v1/verify HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: %d\r\n\r\n%s" % (len(payload), payload)
+                for payload in (b'{"dataset": "tiny", "document": 0}',
+                                b'{"dataset": "tiny", "document": 1}')
+            ))
+            first, second = _read_replies(pipe, 2)
+        assert first["job_id"] < second["job_id"]      # in order
+        follower = http.client.HTTPConnection(*address, timeout=60)
+        follower.request("GET", f"{first['events_url']}?wait=1")
+        response = follower.getresponse()
+        kinds = [json.loads(response.readline())["event"]]
+        service.begin_drain()
+        threading.Thread(target=server.shutdown, daemon=True).start()
+        kinds += [json.loads(line)["event"] for line in response]
+        follower.close()
+        serving.join(timeout=60)
+        assert not serving.is_alive()
+    finally:
+        server.server_close()
+        service.shutdown(drain=True)
+    assert kinds[0] == "job_queued" and kinds[-1] == "job_done", kinds
 
 
 def test_the_frame_probe_round_trips_an_event_frame():
