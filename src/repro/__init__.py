@@ -29,6 +29,8 @@ and one call verifies a batch of documents::
                        config=repro.VerifierConfig(workers=4))
 """
 
+import logging
+
 from repro.cache import CacheConfig, CacheStats, open_cache
 from repro.core import (
     AgentMethod,
@@ -57,6 +59,11 @@ from repro.llm import (
 from repro.sqlengine import Database, Engine, Table, load_csv
 
 __version__ = "1.2.0"
+
+# A library logs into the void until its application configures
+# logging: without this, stdlib's last-resort handler would print every
+# ``llm_retry`` warning to stderr (docs/observability.md).
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "AgentMethod",

@@ -23,8 +23,6 @@ _EXPORTS = {
     "MAX_FRAME_BYTES": ".protocol",
     "ProtocolError": ".protocol",
     "encode_frame": ".protocol",
-    "metrics_from_wire": ".protocol",
-    "metrics_to_wire": ".protocol",
     "read_frame": ".protocol",
     "read_frame_async": ".protocol",
     "DEFAULT_REPLICAS": ".ring",

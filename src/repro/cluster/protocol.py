@@ -27,10 +27,8 @@ import json
 import struct
 from typing import BinaryIO
 
-from repro.obs.metrics import Metric
-
-#: Upper bound on one frame's JSON body. Stats and metrics snapshots
-#: are the largest frames and sit far below this; anything bigger is a
+#: Upper bound on one frame's JSON body. Stats snapshots and span
+#: forests are the largest frames and sit far below this; anything bigger is a
 #: corrupt length prefix, and failing fast beats a 4 GiB allocation.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
@@ -134,48 +132,3 @@ def parse_trace_context(payload) -> dict | None:
     parent_span = payload.get("parent_span", "1")
     return {"trace_id": trace_id, "parent_span": str(parent_span)}
 
-
-# -- metric snapshots on the wire --------------------------------------------
-#
-# The router's GET /metrics aggregates every shard's registry. Metric
-# objects cross the boundary as plain JSON and are rebuilt with a
-# ``worker`` label on every sample, so one Prometheus family carries
-# all shards side by side.
-
-
-def metrics_to_wire(metrics: list[Metric]) -> list[dict]:
-    """Serialise a registry snapshot for a ``metrics`` response frame."""
-    return [
-        {
-            "name": metric.name,
-            "type": metric.type,
-            "help": metric.help,
-            "samples": [
-                [[list(pair) for pair in labels], value]
-                for labels, value in metric.samples
-            ],
-        }
-        for metric in metrics
-    ]
-
-
-def metrics_from_wire(
-    payload: list[dict], extra_labels: dict[str, str] | None = None
-) -> list[Metric]:
-    """Rebuild :class:`Metric` objects, tagging samples with
-    ``extra_labels`` (the router adds ``{"worker": <shard>}``)."""
-    extra = tuple(sorted((str(k), str(v))
-                         for k, v in (extra_labels or {}).items()))
-    rebuilt: list[Metric] = []
-    for entry in payload:
-        samples = tuple(
-            (tuple(tuple(pair) for pair in labels) + extra, value)
-            for labels, value in entry.get("samples", [])
-        )
-        rebuilt.append(Metric(
-            name=entry["name"],
-            type=entry["type"],
-            help=entry.get("help", ""),
-            samples=samples,
-        ))
-    return rebuilt

@@ -34,11 +34,12 @@ Observability (docs/observability.md): every accepted job gets a router
 root span (admission → routing decision → worker RPC) whose trace
 context rides the submit frame; ``GET /v1/jobs/<id>/trace`` stitches
 the worker's span tree back under that root into one Chrome trace.
-``GET /v1/telemetry`` serves the router's rolling telemetry window plus
-every shard's, and ``GET /v1/debug/logs?n=`` tails the structured-log
-ring buffer. Router spans are built by hand from recorded timestamps —
-never through a shared ``Tracer``, whose thread-local span stack would
-cross-contaminate between interleaved coroutines on the one event loop.
+``GET /v1/metrics`` renders the ``/v1/stats`` body the router gathers
+with its ``stats`` broadcast, and ``GET /v1/debug/logs?n=`` tails the
+router's structured-log ring buffer. Router spans are built by hand
+from recorded timestamps — never through a shared ``Tracer``, whose
+thread-local span stack would cross-contaminate between interleaved
+coroutines on the one event loop.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
+import logging
 import os
 import shutil
 import sys
@@ -54,16 +56,8 @@ import time
 from dataclasses import dataclass, field
 from typing import AsyncIterator, Callable
 
-from repro.obs.export import to_chrome_trace, to_prometheus
-from repro.obs.logging import (
-    FileSink,
-    RingBufferSink,
-    add_sink,
-    get_logger,
-    remove_sink,
-)
-from repro.obs.metrics import Metric, merge_metrics
-from repro.obs.telemetry import TelemetryWindow
+from repro.obs.export import to_chrome_trace
+from repro.obs.logs import LogRing, attach, detach
 from repro.obs.tracer import (
     Span,
     annotate_critical_path,
@@ -83,6 +77,8 @@ from .protocol import make_trace_context
 from .ring import DEFAULT_REPLICAS, HashRing
 from .supervisor import WorkerGone, WorkerSupervisor
 from .worker import dataset_builders
+
+_log = logging.getLogger(__name__)
 
 #: Event kinds that end a job's stream.
 TERMINAL_KINDS = frozenset(
@@ -240,40 +236,13 @@ class ClusterRouter:
         self._trace_seq = itertools.count(1)
         self._health_task: asyncio.Task | None = None
         self._http: HttpServer | None = None
-        self._log = get_logger("cluster.router")
-        #: The last 512 structured log records (router process only —
-        #: each worker serves its own ring), behind /v1/debug/logs.
-        self.log_buffer = RingBufferSink(512)
-        add_sink(self.log_buffer)
-        self._file_sink: FileSink | None = None
-        if self.config.log_file:
-            self._file_sink = FileSink(self.config.log_file)
-            add_sink(self._file_sink)
-        #: Router-side rolling telemetry window; /v1/telemetry merges
-        #: this with every shard's own window.
-        self.telemetry = TelemetryWindow()
-        self._wire_telemetry()
-
-    def _wire_telemetry(self) -> None:
-        window = self.telemetry
-        window.register_gauges(lambda: {
-            "open_jobs": self._total_open(),
-            "open_event_streams": self._open_streams,
-            "live_workers": len(self.supervisor.live_workers()),
-            "queue_depth": sum(
-                slot.link.queue_depth
-                for slot in self.supervisor.slots.values()
-                if slot.link is not None and slot.link.alive
-            ),
-        })
-        window.register_counters("cluster", lambda: {
-            "jobs_routed": sum(self._routed.values()),
-            "jobs_lost": self._jobs_lost,
-            "events_delivered": self._events_delivered,
-            "worker_restarts": self.supervisor.total_restarts,
-        })
-        window.register_counters(
-            "shed", lambda: dict(self._shed), keyed_by="reason",
+        #: The router process's last structured log records, behind
+        #: /v1/debug/logs (worker lines go to their own --log-file).
+        self.log_buffer = attach(LogRing())
+        self._log_file = (
+            attach(logging.FileHandler(self.config.log_file,
+                                       encoding="utf-8"))
+            if self.config.log_file else None
         )
 
     # -- worker process plumbing --------------------------------------------
@@ -332,8 +301,9 @@ class ClusterRouter:
             lost_here += 1
             self._lose(record, error)
         if lost_here:
-            self._log.warning("jobs_lost", worker=worker_id,
-                              jobs=lost_here, error=error)
+            _log.warning("jobs_lost", extra={"fields": {
+                "worker": worker_id, "jobs": lost_here, "error": error,
+            }})
 
     def _lose(self, record: JobRecord, error: str) -> None:
         """End an open record's stream with a ``worker_lost`` line."""
@@ -386,8 +356,9 @@ class ClusterRouter:
     def _shed_response(self, code: str, message: str,
                        queue_depth: int) -> tuple[int, dict]:
         self._shed[code] = self._shed.get(code, 0) + 1
-        self._log.warning("submission_shed", reason=code,
-                          queue_depth=queue_depth)
+        _log.warning("submission_shed", extra={"fields": {
+            "reason": code, "queue_depth": queue_depth,
+        }})
         body: dict = {"rejected": {"code": code, "message": message}}
         body["retry_after_seconds"] = retry_after_seconds(queue_depth)
         return _REJECTION_STATUS.get(code, 429), body
@@ -505,11 +476,11 @@ class ClusterRouter:
             self._client_open.get(client_id, 0) + 1
         )
         self._routed[worker_id] = self._routed.get(worker_id, 0) + 1
-        self._log.info(
-            "job_routed", job_id=job_id, worker=worker_id,
-            client_id=client_id, dataset=dataset, document=index,
+        _log.info("job_routed", extra={"fields": {
+            "job_id": job_id, "worker": worker_id, "client_id": client_id,
+            "dataset": dataset, "document": index,
             **({"trace_id": trace_id} if trace_id is not None else {}),
-        )
+        }})
         try:
             await link.subscribe(
                 worker_job_id, job_id,
@@ -775,91 +746,6 @@ class ClusterRouter:
             "workers": workers,
         }
 
-    def _own_metrics(self) -> list[Metric]:
-        metrics = [
-            Metric.gauge("cedar_cluster_workers", self.config.workers,
-                         "Configured worker slots"),
-            Metric.gauge("cedar_cluster_live_workers",
-                         len(self.supervisor.live_workers()),
-                         "Worker slots with a live connection"),
-            Metric.gauge("cedar_cluster_open_event_streams",
-                         self._open_streams,
-                         "Client event streams currently open"),
-            Metric.counter("cedar_cluster_events_delivered_total",
-                           self._events_delivered,
-                           "Events fanned out to client streams"),
-        ]
-        for worker_id in range(self.config.workers):
-            labels = {"worker": str(worker_id)}
-            link = self.supervisor.link(worker_id)
-            slot = self.supervisor.slots[worker_id]
-            metrics.append(Metric.counter(
-                "cedar_cluster_jobs_routed_total",
-                self._routed.get(worker_id, 0),
-                "Jobs routed to each shard", labels,
-            ))
-            # Restarts and losses stay per-worker only (no unlabelled
-            # aggregate sample — Prometheus would double-count the sum).
-            metrics.append(Metric.counter(
-                "cedar_cluster_worker_restarts_total",
-                slot.restarts,
-                "Workers respawned after a crash", labels,
-            ))
-            metrics.append(Metric.counter(
-                "cedar_cluster_jobs_lost_total",
-                self._jobs_lost_by_worker.get(worker_id, 0),
-                "Jobs ended by a worker_lost event", labels,
-            ))
-            metrics.append(Metric.gauge(
-                "cedar_cluster_queue_depth",
-                link.queue_depth if link is not None else 0,
-                "Last-probed queue depth per shard", labels,
-            ))
-            metrics.append(Metric.gauge(
-                "cedar_cluster_open_jobs",
-                len(self._worker_open.get(worker_id, ())),
-                "Router-tracked open jobs per shard", labels,
-            ))
-        for code, count in sorted(self._shed.items()):
-            metrics.append(Metric.counter(
-                "cedar_cluster_jobs_shed_total", count,
-                "Submissions shed at admission", {"reason": code},
-            ))
-        return metrics
-
-    async def metrics_text(self) -> str:
-        """Aggregated Prometheus text: router families plus every
-        shard's registry relabelled with ``worker=<id>`` and the slot's
-        ``generation``, so a scrape after a crash-respawn never merges
-        the dead process's counters with its replacement's."""
-        from .protocol import metrics_from_wire
-
-        replies = await self.supervisor.broadcast("metrics", timeout=30.0)
-        merged: list[Metric] = list(self._own_metrics())
-        for worker_id, reply in sorted(replies.items()):
-            if not reply or "metrics" not in reply:
-                continue
-            generation = self.supervisor.slots[worker_id].generation
-            merged.extend(metrics_from_wire(
-                reply["metrics"],
-                {"worker": str(worker_id),
-                 "generation": str(generation)},
-            ))
-        return to_prometheus(merge_metrics(merged))
-
-    async def telemetry_snapshot(self) -> tuple[int, dict]:
-        """The router's telemetry window plus every live shard's own."""
-        replies = await self.supervisor.broadcast("telemetry",
-                                                  timeout=30.0)
-        workers = {
-            str(worker_id): (reply or {}).get("telemetry")
-            for worker_id, reply in sorted(replies.items())
-        }
-        return 200, {
-            "cluster": self.telemetry.snapshot(),
-            "workers": workers,
-        }
-
     # -- drain and shutdown --------------------------------------------------
 
     async def drain(self, timeout: float = 300.0) -> None:
@@ -882,12 +768,11 @@ class ClusterRouter:
         await self.supervisor.stop()
         if self._own_socket_dir:
             shutil.rmtree(self.socket_dir, ignore_errors=True)
-        # Detach this router's sinks from the process-global logging
-        # state so a later router in the same process starts clean.
-        remove_sink(self.log_buffer)
-        if self._file_sink is not None:
-            remove_sink(self._file_sink)
-            self._file_sink.close()
+        # Detach this router's handlers from the process-wide ``repro``
+        # logger so a later router in the same process starts clean.
+        detach(self.log_buffer)
+        if self._log_file is not None:
+            detach(self._log_file)
 
     async def serve_http(self, host: str = "127.0.0.1",
                          port: int = 8100) -> tuple[str, int]:

@@ -25,17 +25,16 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
+import logging
 import os
 import subprocess
 import sys
 import time
 from typing import Awaitable, Callable
 
-from repro.obs.logging import get_logger
-
 from .protocol import ProtocolError, encode_frame, read_frame_async
 
-_log = get_logger("cluster.supervisor")
+_log = logging.getLogger(__name__)
 
 #: How long a single request waits for its response frame. Generous:
 #: under full CPU load a worker's handler threads contend with its
@@ -281,16 +280,19 @@ class WorkerSupervisor:
     async def _spawn_slot(self, slot: WorkerProcess) -> None:
         link = await slot.spawn(self.spawn_timeout, self._env)
         link.on_lost = lambda _link, error: self._lost(slot, error)
-        _log.info("worker_spawned", worker=slot.worker_id,
-                  generation=slot.generation,
-                  pid=slot.process.pid if slot.process else None)
+        _log.info("worker_spawned", extra={"fields": {
+            "worker": slot.worker_id, "generation": slot.generation,
+            "pid": slot.process.pid if slot.process else None,
+        }})
         if self.on_worker_up is not None:
             self.on_worker_up(slot.worker_id)
 
     def _lost(self, slot: WorkerProcess, error: str) -> None:
-        _log.warning("worker_lost", worker=slot.worker_id,
-                     generation=slot.generation, error=error,
-                     will_respawn=not self.stopping and self.respawn)
+        _log.warning("worker_lost", extra={"fields": {
+            "worker": slot.worker_id, "generation": slot.generation,
+            "error": error,
+            "will_respawn": not self.stopping and self.respawn,
+        }})
         if self.on_worker_lost is not None:
             self.on_worker_lost(slot.worker_id, error)
         if not self.stopping and self.respawn:
@@ -308,8 +310,10 @@ class WorkerSupervisor:
         try:
             await self._spawn_slot(slot)
         except (RuntimeError, TimeoutError) as error:
-            _log.error("worker_respawn_failed", worker=slot.worker_id,
-                       error=str(error), retrying=not self.stopping)
+            _log.error("worker_respawn_failed", extra={"fields": {
+                "worker": slot.worker_id, "error": str(error),
+                "retrying": not self.stopping,
+            }})
             if not self.stopping and self.respawn:
                 await asyncio.sleep(0.5)
                 asyncio.ensure_future(self._respawn(slot))
@@ -347,13 +351,15 @@ class WorkerSupervisor:
     async def drain_all(self, timeout: float = 300.0) -> dict[int, bool]:
         """Graceful drain: every live worker flushes and confirms."""
         self.stopping = True
-        _log.info("drain_started", workers=len(self.live_workers()))
+        _log.info("drain_started",
+                  extra={"fields": {"workers": len(self.live_workers())}})
         replies = await self.broadcast("drain", timeout=timeout)
         results = {worker_id: bool(reply and reply.get("drained"))
                    for worker_id, reply in replies.items()}
-        _log.info("drain_finished",
-                  drained=sum(1 for ok in results.values() if ok),
-                  workers=len(results))
+        _log.info("drain_finished", extra={"fields": {
+            "drained": sum(1 for ok in results.values() if ok),
+            "workers": len(results),
+        }})
         return results
 
     async def stop(self) -> None:

@@ -2,14 +2,14 @@
 
 ``python -m repro.cluster.worker --socket PATH --worker-id N`` runs
 exactly the single-process service — same admission queue, same
-micro-batcher, same shard-local L1 caches and metrics registry — but
+micro-batcher, same shard-local L1 caches and ``/v1/stats`` counters — but
 fronted by the length-prefixed JSON protocol on a Unix socket instead
 of HTTP. The router is its only client; every op maps onto the same
 :class:`~repro.service.http.ServiceApp` routes the HTTP front end uses,
 so a routed job executes byte-identically to a directly-submitted one.
 
 Shard-local vs shared state: the LLM and SQL caches, verifiers, ledger,
-and metrics live in this process (shared-nothing between shards); an
+and stats live in this process (shared-nothing between shards); an
 optional ``--cache-db`` adds the one deliberately *shared* tier, the
 sqlite L2 from PR 6, which is multi-process safe and keyed by content
 fingerprints — the same fingerprints the router shards on.
@@ -27,15 +27,12 @@ Ops (see :mod:`repro.cluster.protocol` for framing):
 ``warm``       ``{"dataset"}`` -> ``{"documents": n}``; force-builds the
                dataset bundle so the first real job doesn't pay for it.
 ``health``     readiness probe: ``{"ready", "draining", "queue_depth"}``.
-``stats``      the full ServiceStats dict for ``/v1/stats`` aggregation.
-``metrics``    the metrics registry snapshot (wire form) for
-               ``GET /metrics`` aggregation.
+``stats``      the full ServiceStats dict for ``/v1/stats`` aggregation
+               (and so for ``GET /v1/metrics``, rendered from it).
 ``trace``      ``{"job_id"}`` -> the job's span forest (wire form, wall
                times included) plus the trace context it was submitted
                with; the router stitches these under its own job root
                for ``GET /v1/jobs/<id>/trace``.
-``telemetry``  the shard's rolling telemetry-window snapshot for
-               ``GET /v1/telemetry`` aggregation.
 ``drain``      graceful drain: stop accepting, flush accepted jobs,
                reply ``{"drained": true}`` when the queue is empty.
 ``exit``       acknowledge, then stop the process.
@@ -49,6 +46,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import logging
 import os
 import socket
 import sys
@@ -58,12 +56,12 @@ from typing import Callable
 from repro.cache import CacheConfig
 from repro.datasets import DatasetBundle, build_aggchecker, build_tabfact
 from repro.llm import LatencySimulatingClient
-from repro.obs.logging import FileSink, add_sink
+from repro.obs.logs import attach
 from repro.service import ServiceConfig, VerificationService
 from repro.service.http import DEFAULT_DATASETS, ServiceApp
 from repro.service.signals import install_drain_handlers
 
-from .protocol import ProtocolError, encode_frame, metrics_to_wire, read_frame
+from .protocol import ProtocolError, encode_frame, read_frame
 
 #: Dataset sets the router and its workers must agree on (the router
 #: computes routing fingerprints from the same builders the workers
@@ -230,18 +228,8 @@ class WorkerServer:
                     "id": request_id, "ok": True,
                     "stats": self.service.stats().to_dict(),
                 })
-            elif op == "metrics":
-                snapshot = metrics_to_wire(self.service.metrics.collect())
-                self._send(connection, lock, {
-                    "id": request_id, "ok": True, "metrics": snapshot,
-                })
             elif op == "trace":
                 self._trace(request, connection, lock)
-            elif op == "telemetry":
-                self._send(connection, lock, {
-                    "id": request_id, "ok": True,
-                    "telemetry": self.service.telemetry.snapshot(),
-                })
             elif op == "drain":
                 self.drain()
                 self._send(connection, lock, {
@@ -335,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     arguments = build_parser().parse_args(argv)
     if arguments.log_file:
-        add_sink(FileSink(arguments.log_file))
+        # Left attached until the process exits; the handler flushes
+        # every line, so nothing is lost when it does.
+        attach(logging.FileHandler(arguments.log_file, encoding="utf-8"))
     service = VerificationService(ServiceConfig(
         max_queue_depth=arguments.queue_depth,
         # Fairness is enforced at the router across all shards; a

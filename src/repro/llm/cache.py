@@ -135,7 +135,7 @@ class LLMCache:
         return self._tier.stats()
 
     def tier_stats(self) -> dict:
-        """Per-tier stats (``{"l1": ..., "l2": ...}``) for metrics."""
+        """Per-tier stats (``{"l1": ..., "l2": ...}``) for ``/v1/stats``."""
         return self._tier.tier_stats()
 
     def __len__(self) -> int:

@@ -14,10 +14,9 @@ a deterministic order once the worker joins — so a parallel run produces
 the same entry sequence (and therefore the same totals) as a sequential
 one.
 
-The grand total and the per-``method:`` totals are folded as entries
-reach the shared list, so reading them costs the same however long the
-process has been serving; per-request tags (``doc:``, ``claim:``) are
-unique and stay scan-only.
+The grand total and the retry backoff are folded as entries reach the
+shared list, so reading them costs the same however long the process
+has been serving; per-tag totals are computed by a scan.
 """
 
 from __future__ import annotations
@@ -83,11 +82,6 @@ class LedgerTotals:
         return self.prompt_tokens + self.completion_tokens
 
 
-#: The one tag family with a running index: few distinct values, read
-#: after every service batch and on every ``/v1/metrics`` scrape.
-_METHOD_PREFIX = "method:"
-
-
 @dataclass
 class LedgerDelta:
     """A worker's private slice of ledger activity (see ``capture``)."""
@@ -107,7 +101,6 @@ class CostLedger:
         # Running totals over ``entries``/``events``, folded in entry
         # order under the lock (see :meth:`_append`).
         self._totals = LedgerTotals()
-        self._method_totals: dict[str, LedgerTotals] = {}
         self._backoff_seconds = 0.0
         # Data-side (SQL engine) latency, tracked as plain counters rather
         # than entries: it costs no tokens, and keeping it out of
@@ -142,11 +135,6 @@ class CostLedger:
         with self._lock:
             for entry in entries:
                 self._totals.add(entry)
-                for tag in entry.tags:
-                    if tag.startswith(_METHOD_PREFIX):
-                        self._method_totals.setdefault(
-                            tag, LedgerTotals()
-                        ).add(entry)
             self.entries.extend(entries)
             for event in events:
                 self._backoff_seconds += event.delay_seconds
@@ -307,13 +295,8 @@ class CostLedger:
     def totals_by_tag_prefix(self, prefix: str) -> dict[str, LedgerTotals]:
         """Aggregate entries per tag, over tags starting with ``prefix``.
 
-        E.g. ``totals_by_tag_prefix("method:")`` returns per-method totals
-        — that prefix from the running index, any other by a scan.
+        E.g. ``totals_by_tag_prefix("method:")`` returns per-method totals.
         """
-        if prefix == _METHOD_PREFIX:
-            with self._lock:
-                return {tag: replace(totals)
-                        for tag, totals in self._method_totals.items()}
         grouped: dict[str, LedgerTotals] = {}
         for entry in self.entries:
             for tag in entry.tags:

@@ -19,18 +19,18 @@ fresh draw the schedule accounts for. This module adds that resilience:
 from __future__ import annotations
 
 import hashlib
+import logging
 import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.obs.logging import get_logger
 from repro.obs.tracer import current_tracer
 
 from .base import ChatResponse, DelegatingLLMClient, LLMClient
 from .openai_client import TransportError
 
-_log = get_logger("llm.resilience")
+_log = logging.getLogger(__name__)
 
 
 class TransientLLMError(RuntimeError):
@@ -155,10 +155,10 @@ class ResilientLLMClient(DelegatingLLMClient):
                         error=repr(error),
                         gave_up=True,
                     )
-                    _log.error(
-                        "llm_retries_exhausted", model=self.model_name,
-                        attempts=attempt, error=repr(error),
-                    )
+                    _log.error("llm_retries_exhausted", extra={"fields": {
+                        "model": self.model_name, "attempts": attempt,
+                        "error": repr(error),
+                    }})
                     if tracer.enabled:
                         now = tracer.clock()
                         tracer.record(
@@ -174,10 +174,10 @@ class ResilientLLMClient(DelegatingLLMClient):
                     delay_seconds=delay,
                     error=repr(error),
                 )
-                _log.warning(
-                    "llm_retry", model=self.model_name, attempt=attempt,
-                    delay_seconds=round(delay, 6), error=repr(error),
-                )
+                _log.warning("llm_retry", extra={"fields": {
+                    "model": self.model_name, "attempt": attempt,
+                    "delay_seconds": round(delay, 6), "error": repr(error),
+                }})
                 # The retry span covers the backoff sleep, so waterfalls
                 # show waiting-out-a-failure as its own bar next to the
                 # model-call latency it shadows.

@@ -1,12 +1,10 @@
-"""Unified observability layer: tracing, logging, metrics, telemetry.
+"""Observability: span trees, one stats renderer, structured logs.
 
-This package is the one place the rest of the stack reports *where time
-and money went*. It deliberately sits below every other ``repro``
-package — nothing here imports pipeline, service, or engine code — so
-any layer (LLM client, SQL engine, HTTP front end) can attach spans or
-publish metrics without import cycles.
-
-Five modules:
+This package sits below every other ``repro`` package — nothing here
+imports pipeline, service, or engine code — so any layer (LLM client,
+SQL engine, HTTP front end) can attach spans or log without import
+cycles. What it keeps is what an operator reads (docs/observability.md
+has the inventory):
 
 * :mod:`repro.obs.tracer` — deterministic span trees. Span ids are
   parent-scoped sequence numbers (``1``, ``1.2``, ``1.2.3`` …), never
@@ -14,49 +12,18 @@ Five modules:
   work produce the *same tree* — the integration suite diffs parallel
   vs sequential runs on exactly this property. Wall times come only
   from the tracer's injected clock (enforced by cedarlint CDL015).
-* :mod:`repro.obs.logging` — correlated structured logging: ndjson
-  :class:`~repro.obs.logging.LogRecord` lines with a stable field
-  order, trace/span/job correlation ids pulled from the ambient
-  tracer, and pluggable sinks (ring buffer for ``/v1/debug/logs``,
-  file for ``--log-file``).
-* :mod:`repro.obs.telemetry` — a rolling-window aggregator over the
-  stack's cumulative counters (queue depth, retries, cache hit rates,
-  per-method spend) serving ``GET /v1/telemetry`` and the
-  ``cedar_telemetry_*`` gauges.
-* :mod:`repro.obs.metrics` — a process-level registry of named
-  counters/gauges/histograms plus *collectors* that absorb the stats
-  already kept elsewhere (cost ledger, LLM/SQL caches, engine strategy
-  counters, analyzer counters) behind one ``snapshot()``.
-* :mod:`repro.obs.export` — renderers: Chrome trace-event JSON (loads
-  in Perfetto / ``chrome://tracing``), Prometheus text exposition for
-  ``GET /metrics``, and ndjson span records.
+* :mod:`repro.obs.export` — Chrome trace-event JSON (loads in Perfetto
+  / ``chrome://tracing``) and :func:`to_prometheus`, which renders a
+  ``/v1/stats`` body as the text exposition served by
+  ``GET /v1/metrics``.
+* :mod:`repro.obs.logs` — the stdlib-``logging`` parts a front door
+  installs: a JSON formatter with a stable key order, a filter stamping
+  trace/span ids from the ambient tracer, and the ring buffer behind
+  ``GET /v1/debug/logs``.
 """
 
-from .export import (
-    to_chrome_trace,
-    to_ndjson,
-    to_prometheus,
-    write_chrome_trace,
-)
-from .logging import (
-    FileSink,
-    LogRecord,
-    Logger,
-    RingBufferSink,
-    add_sink,
-    configure_logging,
-    get_logger,
-    remove_sink,
-    reset_logging,
-)
-from .metrics import (
-    Metric,
-    MetricsRegistry,
-    cache_metrics,
-    engine_metrics,
-    ledger_metrics,
-)
-from .telemetry import TelemetryWindow, hit_rate
+from .export import to_chrome_trace, to_prometheus, write_chrome_trace
+from .logs import FIELD_ORDER, LogRing, attach, detach
 from .tracer import (
     NULL_TRACER,
     NullTracer,
@@ -75,30 +42,18 @@ from .tracer import (
 )
 
 __all__ = [
-    "FileSink",
-    "LogRecord",
-    "Logger",
-    "Metric",
-    "MetricsRegistry",
+    "FIELD_ORDER",
+    "LogRing",
     "NULL_TRACER",
     "NullTracer",
-    "RingBufferSink",
     "Span",
     "SpanDelta",
-    "TelemetryWindow",
     "Tracer",
-    "add_sink",
     "annotate_critical_path",
-    "cache_metrics",
-    "configure_logging",
+    "attach",
     "critical_path",
     "current_tracer",
-    "engine_metrics",
-    "get_logger",
-    "hit_rate",
-    "ledger_metrics",
-    "remove_sink",
-    "reset_logging",
+    "detach",
     "self_time_table",
     "set_default_tracer",
     "shift_times",
@@ -106,7 +61,6 @@ __all__ = [
     "spans_from_dicts",
     "strip_times",
     "to_chrome_trace",
-    "to_ndjson",
     "to_prometheus",
     "write_chrome_trace",
 ]

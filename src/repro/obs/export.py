@@ -1,7 +1,7 @@
-"""Trace and metrics exporters.
+"""Exporters: Chrome trace events for span trees, Prometheus text for
+the ``/v1/stats`` body.
 
-Three output formats, all derived from the in-memory structures and
-never feeding back into them:
+Both derive from in-memory structures and never feed back into them:
 
 * :func:`to_chrome_trace` — the Chrome trace-event JSON format (an
   object with a ``traceEvents`` array of complete ``"ph": "X"`` events,
@@ -9,24 +9,18 @@ never feeding back into them:
   (https://ui.perfetto.dev) or ``chrome://tracing``; each root span
   gets its own track so concurrent documents render side by side.
 * :func:`to_prometheus` — the Prometheus text exposition format
-  (version 0.0.4) for a :class:`~repro.obs.metrics.MetricsRegistry`;
-  this is the body of the service's ``GET /metrics``.
-* :func:`to_ndjson` — one structured-log JSON object per span with
-  trace/span/parent correlation ids, for grep-able post-mortems and
-  log shippers.
-
-Determinism note: exporters assign span ids structurally (the same
-parent-scoped sequence numbers as :meth:`Tracer.tree`), so everything
-except the wall-time fields is reproducible run over run.
+  (version 0.0.4) of a ``/v1/stats`` JSON body; this is the body of
+  ``GET /v1/metrics`` on both front doors, so the two endpoints can
+  never disagree.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import IO, Iterable, Iterator
+import re
+from typing import IO, Mapping
 
-from .metrics import Metric, MetricsRegistry
 from .tracer import Span, Tracer
 
 
@@ -76,50 +70,12 @@ def write_chrome_trace(
             json.dump(payload, handle)
 
 
-# -- ndjson structured logs --------------------------------------------------
-
-
-def iter_span_records(
-    source: Tracer | list[Span], trace_id: str | None = None
-) -> Iterator[dict]:
-    """Depth-first span records with structural correlation ids."""
-    if isinstance(source, Tracer):
-        roots = source.roots
-        trace_id = trace_id if trace_id is not None else source.trace_id
-    else:
-        roots = list(source)
-        trace_id = trace_id if trace_id is not None else "trace"
-
-    def emit(span: Span, span_id: str, parent_id: str | None):
-        yield {
-            "trace_id": trace_id,
-            "span_id": span_id,
-            "parent_id": parent_id,
-            "name": span.name,
-            "kind": span.kind,
-            "status": span.status,
-            "start": span.start,
-            "end": span.end,
-            "duration_seconds": round(span.end - span.start, 9),
-            "attributes": dict(span.attributes),
-        }
-        for index, child in enumerate(span.children, start=1):
-            yield from emit(child, f"{span_id}.{index}", span_id)
-
-    for index, root in enumerate(roots, start=1):
-        yield from emit(root, str(index), None)
-
-
-def to_ndjson(source: Tracer | list[Span],
-              trace_id: str | None = None) -> str:
-    """One JSON object per span, newline-delimited, depth-first."""
-    return "\n".join(
-        json.dumps(record, sort_keys=True)
-        for record in iter_span_records(source, trace_id)
-    )
-
-
 # -- Prometheus text exposition ----------------------------------------------
+
+#: Stats paths whose next segment is a worker id, rendered as a label.
+_WORKER_KEYED = (("workers",), ("cluster", "shards"))
+
+_UNSAFE = re.compile(r"[^a-zA-Z0-9_]")
 
 
 def _escape_label(value: str) -> str:
@@ -138,47 +94,65 @@ def _format_value(value: float) -> str:
     return repr(number)
 
 
-def _render_labels(labels, extra: tuple[tuple[str, str], ...] = ()) -> str:
-    pairs = tuple(labels) + extra
-    if not pairs:
+def _render_labels(labels: tuple[tuple[str, str], ...]) -> str:
+    if not labels:
         return ""
-    body = ",".join(f'{key}="{_escape_label(value)}"' for key, value in pairs)
+    body = ",".join(f'{key}="{_escape_label(value)}"' for key, value in labels)
     return "{" + body + "}"
 
 
-def _render_metric(metric: Metric) -> Iterator[str]:
-    if metric.help:
-        yield f"# HELP {metric.name} {metric.help}"
-    yield f"# TYPE {metric.name} {metric.type}"
-    for labels, value in metric.samples:
-        if metric.type == "histogram":
-            cumulative = 0
-            bounds = list(value["bounds"]) + [math.inf]
-            for bound, count in zip(bounds, value["counts"]):
-                cumulative += count
-                le = "+Inf" if math.isinf(bound) else _format_value(bound)
-                yield (f"{metric.name}_bucket"
-                       f"{_render_labels(labels, (('le', le),))} "
-                       f"{cumulative}")
-            yield (f"{metric.name}_sum{_render_labels(labels)} "
-                   f"{_format_value(value['sum'])}")
-            yield (f"{metric.name}_count{_render_labels(labels)} "
-                   f"{value['count']}")
-        else:
-            yield (f"{metric.name}{_render_labels(labels)} "
-                   f"{_format_value(value)}")
+def to_prometheus(stats: Mapping) -> str:
+    """Render a ``/v1/stats`` JSON body as text exposition.
 
-
-def to_prometheus(
-    source: MetricsRegistry | Iterable[Metric],
-) -> str:
-    """Render a registry (or metric list) as text exposition format.
-
-    The output ends with a newline, as the format requires.
+    Every numeric leaf is one ``gauge`` sample named ``cedar_`` plus its
+    dotted path joined with ``_``; booleans render as 0/1, strings and
+    ``None`` are skipped. The segment after ``workers`` or
+    ``cluster.shards`` is a worker id: it leaves the name and becomes a
+    ``worker`` label (``workers.0.jobs.completed`` is
+    ``cedar_workers_jobs_completed{worker="0"}``). A
+    ``{"bounds", "counts"}`` pair (``latency.buckets``) renders as one
+    histogram: cumulative ``_bucket`` samples and a ``_count``. Two
+    leaves whose paths join to the same name render once, the first in
+    body order (``sql.analyzer.memo_hits`` and ``sql.analyzer_memo.hits``
+    count the same memo hits). Samples of one family are grouped under
+    one ``# TYPE`` line, and the output ends with a newline, as the
+    format requires.
     """
-    metrics = (source.collect() if isinstance(source, MetricsRegistry)
-               else list(source))
+    families: dict[str, tuple[str, list[str]]] = {}
+    seen: set[str] = set()
+
+    def emit(path: tuple[str, ...], kind: str, labels: tuple,
+             samples: list[tuple[str, tuple, float]]) -> None:
+        name = _UNSAFE.sub("_", "_".join(("cedar",) + path))
+        lines = families.setdefault(name, (kind, []))[1]
+        for suffix, extra, value in samples:
+            series = f"{name}{suffix}{_render_labels(labels + extra)}"
+            if series not in seen:
+                seen.add(series)
+                lines.append(f"{series} {_format_value(value)}")
+
+    def visit(node, path: tuple[str, ...], labels: tuple) -> None:
+        if isinstance(node, Mapping) and set(node) == {"bounds", "counts"}:
+            samples, cumulative = [], 0
+            for bound, count in zip([*node["bounds"], math.inf],
+                                    node["counts"]):
+                cumulative += count
+                samples.append(("_bucket", (("le", _format_value(bound)),),
+                                cumulative))
+            samples.append(("_count", (), cumulative))
+            emit(path, "histogram", labels, samples)
+        elif isinstance(node, Mapping):
+            for key, value in node.items():
+                if not labels and path in _WORKER_KEYED:
+                    visit(value, path, (("worker", str(key)),))
+                else:
+                    visit(value, path + (str(key),), labels)
+        elif isinstance(node, (bool, int, float)):
+            emit(path, "gauge", labels, [("", (), node)])
+
+    visit(stats, (), ())
     lines: list[str] = []
-    for metric in metrics:
-        lines.extend(_render_metric(metric))
+    for name, (kind, samples) in families.items():
+        lines.append(f"# TYPE {name} {kind}")
+        lines.extend(samples)
     return "\n".join(lines) + "\n"

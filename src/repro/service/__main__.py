@@ -12,10 +12,11 @@ starts, so a load balancer in front stops routing first.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 import threading
 
-from repro.obs.logging import FileSink, add_sink
+from repro.obs.logs import attach, detach
 
 from .http import ServiceApp, make_server
 from .service import ServiceConfig, VerificationService
@@ -54,8 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     arguments = build_parser().parse_args(argv)
-    if arguments.log_file:
-        add_sink(FileSink(arguments.log_file))
+    log_file = (attach(logging.FileHandler(arguments.log_file,
+                                           encoding="utf-8"))
+                if arguments.log_file else None)
     service = VerificationService(ServiceConfig(
         max_queue_depth=arguments.queue_depth,
         per_client_limit=arguments.per_client,
@@ -63,10 +65,13 @@ def main(argv: list[str] | None = None) -> int:
         batch_window=arguments.batch_window,
         workers=arguments.workers,
         cache_size=arguments.cache_size,
-    )).start()
+    ))
     app = ServiceApp(service, seed=arguments.seed)
     server = make_server(arguments.host, arguments.port, app,
                          verbose=arguments.verbose)
+    # Started once the door's log ring is attached, so the ring and
+    # --log-file hold the same lines from the first one on.
+    service.start()
     host, port = server.server_address[:2]
 
     def begin_drain(signum: int) -> None:
@@ -86,6 +91,8 @@ def main(argv: list[str] | None = None) -> int:
         print("draining accepted jobs …")
         server.server_close()
         service.shutdown(drain=True)
+        if log_file is not None:
+            detach(log_file)
     return 0
 
 

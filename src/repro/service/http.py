@@ -28,13 +28,11 @@ endpoints, mounted under the versioned ``/v1/`` prefix:
   persistent L2 tiers when configured), SQL-engine counters (plan
   cache, result cache, join strategies), ledger spend (including
   cumulative retry backoff), and the latency histogram.
-* ``GET /v1/metrics`` — the same numbers in Prometheus text exposition
-  format, ready for a scrape config.
-* ``GET /v1/telemetry`` — rolling-window rates (jobs, retries, cache
-  hit rates, per-method spend) from the service's
-  :class:`~repro.obs.telemetry.TelemetryWindow`.
+* ``GET /v1/metrics`` — the ``/v1/stats`` body rendered as Prometheus
+  text exposition (:func:`~repro.obs.export.to_prometheus`), ready for
+  a scrape config.
 * ``GET /v1/debug/logs?n=`` — the last ``n`` structured log records as
-  ndjson, straight out of the process ring buffer
+  ndjson, straight out of the door's ring buffer
   (docs/observability.md "Structured logs").
 
 Any other path — an unversioned ``/healthz``, a ``/v2/...`` — gets a
@@ -74,7 +72,7 @@ from repro.datasets import (
 )
 from repro.experiments import build_cedar
 from repro.obs.export import to_chrome_trace, to_prometheus
-from repro.obs.logging import RingBufferSink, add_sink
+from repro.obs.logs import LogRing, attach, detach
 
 from .queue import (
     REASON_CLIENT_LIMIT,
@@ -190,11 +188,6 @@ class ServiceApp:
                                         list[ScheduleEntry]]] = {}
         self._lock = threading.Lock()
         self._request_seq = itertools.count(1)
-        #: The last 512 structured log records, served by
-        #: ``GET /v1/debug/logs`` (process-global sink: records from
-        #: every component land here, not just the HTTP layer's).
-        self.log_buffer = RingBufferSink(512)
-        add_sink(self.log_buffer)
 
     @property
     def datasets(self) -> list[str]:
@@ -322,15 +315,17 @@ class ServiceServer:
     ``shutdown()``, from any other thread, stops accepting and returns
     once ``serve_forever()`` has — after every request open at that
     moment was answered, so a follower still reads its terminal line;
-    ``server_close()`` releases the socket.
+    ``server_close()`` releases the socket and detaches the log ring.
     """
 
     def __init__(self, app: ServiceApp, host: str, port: int,
                  verbose: bool = False) -> None:
         self.app = app
-        self.log_buffer = app.log_buffer
         self.socket = socket.create_server((host, port))
         self.server_address = self.socket.getsockname()
+        #: The last structured log records of every ``repro`` component
+        #: in this process, served by ``GET /v1/debug/logs``.
+        self.log_buffer = attach(LogRing())
         self._http = HttpServer(self, verbose)
         self._built: set[str] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -360,6 +355,7 @@ class ServiceServer:
 
     def server_close(self) -> None:
         self.socket.close()
+        detach(self.log_buffer)
 
     # -- routes, awaited by HttpServer ---------------------------------------
 
@@ -398,14 +394,6 @@ class ServiceServer:
 
     async def stats(self) -> tuple[int, dict]:
         return 200, self.app.service.stats().to_dict()
-
-    async def metrics_text(self) -> str:
-        """The service registry in Prometheus text exposition format."""
-        return to_prometheus(self.app.service.metrics)
-
-    async def telemetry_snapshot(self) -> tuple[int, dict]:
-        """The rolling telemetry window's current snapshot."""
-        return 200, self.app.service.telemetry.snapshot()
 
     async def job_summary(self, job_id: str) -> tuple[int, dict]:
         handle = self.app.service.job(job_id)
@@ -462,9 +450,9 @@ class HttpServer:
     replies — for :class:`ServiceServer` and the cluster router alike.
 
     A backend provides the coroutines ``submit``, ``health``,
-    ``ready``, ``stats``, ``metrics_text``, ``telemetry_snapshot``,
-    ``job_summary``, ``job_trace`` and ``job_events``, plus a
-    ``log_buffer``.
+    ``ready``, ``stats``, ``job_summary``, ``job_trace`` and
+    ``job_events``, plus a ``log_buffer``; ``/v1/metrics`` is its
+    ``stats`` body rendered by :func:`~repro.obs.export.to_prometheus`.
     """
 
     def __init__(self, backend, verbose: bool = False) -> None:
@@ -568,10 +556,9 @@ class HttpServer:
             reply = await backend.ready()
         elif parts == ["stats"]:
             reply = await backend.stats()
-        elif parts == ["telemetry"]:
-            reply = await backend.telemetry_snapshot()
         elif parts == ["metrics"]:
-            return await _send_text(writer, 200, await backend.metrics_text(),
+            _status, stats = await backend.stats()
+            return await _send_text(writer, 200, to_prometheus(stats),
                                     _PROMETHEUS_TEXT)
         elif parts == ["debug", "logs"]:
             count = _non_negative(query.get("n", "100"), int)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import logging
 import threading
 import time
 from dataclasses import dataclass, field
@@ -52,15 +53,6 @@ from repro.core.reports import claim_record
 from repro.llm.cache import LLMCache
 from repro.llm.ledger import CostLedger
 from repro.llm.resilience import RetryPolicy
-from repro.obs.logging import get_logger
-from repro.obs.metrics import (
-    Metric,
-    MetricsRegistry,
-    cache_metrics,
-    engine_metrics,
-    ledger_metrics,
-)
-from repro.obs.telemetry import TelemetryWindow, hit_rate
 from repro.obs.tracer import (
     NULL_TRACER,
     Span,
@@ -89,6 +81,8 @@ from .queue import (
     RejectionReason,
 )
 from .stats import LatencyHistogram, ServiceStats
+
+_log = logging.getLogger(__name__)
 
 #: Job lifecycle states.
 QUEUED = "queued"
@@ -126,8 +120,8 @@ class ServiceConfig:
     #: Persistent cache wiring (see :mod:`repro.cache`): with a
     #: ``CacheConfig(path=...)``, the service's shared LLM and SQL-result
     #: caches gain a restart-surviving L2 tier (its stats appear in
-    #: ``/stats`` and ``GET /v1/metrics`` under ``tier`` labels). None
-    #: keeps the pure in-memory behaviour.
+    #: ``/v1/stats`` under ``cache.tiers`` and ``sql.result_cache.tiers``).
+    #: None keeps the pure in-memory behaviour.
     cache_config: CacheConfig | None = None
 
     def __post_init__(self) -> None:
@@ -462,121 +456,6 @@ class VerificationService:
         self._max_batch = 0
         self._running_jobs = 0
         self._histogram = LatencyHistogram()
-        #: Pull-based metrics registry behind ``GET /metrics``: ledger,
-        #: cache, and engine stats are translated at scrape time, so the
-        #: hot paths pay nothing extra per event.
-        self.metrics = MetricsRegistry()
-        self.metrics.register_collector(lambda: ledger_metrics(self.ledger))
-        self.metrics.register_collector(self._own_metrics)
-        self.metrics.register_collector(
-            lambda: engine_metrics(self._engine_stats())
-        )
-        self._log = get_logger("service")
-        #: Rolling-window rates over the counters above — the adaptive
-        #: scheduler's input surface (``GET /v1/telemetry`` and the
-        #: ``cedar_telemetry_*`` gauges). Sampled after every batch.
-        self.telemetry = TelemetryWindow()
-        self._wire_telemetry()
-        self.metrics.register_collector(self.telemetry.metrics)
-
-    def _wire_telemetry(self) -> None:
-        window = self.telemetry
-        window.register_gauges(lambda: {
-            "queue_depth": len(self._queue),
-            "running_jobs": self._running_jobs,
-        })
-        window.register_counters("jobs", lambda: dict(self._counts))
-        window.register_counters("llm", self._llm_counters)
-        if self.cache is not None:
-            window.register_counters("llm_cache", lambda: {
-                "hits": self.cache.stats.hits,
-                "misses": self.cache.stats.misses,
-            })
-            window.register_derived(
-                "llm_cache_hit_rate",
-                hit_rate("llm_cache_hits", "llm_cache_misses"),
-            )
-        if self.sql_cache is not None:
-            window.register_counters("sql_cache", lambda: {
-                "hits": self.sql_cache.stats()["hits"],
-                "misses": self.sql_cache.stats()["misses"],
-            })
-            window.register_derived(
-                "sql_cache_hit_rate",
-                hit_rate("sql_cache_hits", "sql_cache_misses"),
-            )
-        window.register_counters(
-            "method_cost_usd",
-            lambda: self._method_totals("cost"), keyed_by="method",
-        )
-        window.register_counters(
-            "method_calls",
-            lambda: self._method_totals("calls"), keyed_by="method",
-        )
-
-    def _llm_counters(self) -> dict:
-        totals = self.ledger.totals()
-        return {
-            "calls": totals.calls,
-            "cost_usd": totals.cost,
-            "retries": self.ledger.retry_count,
-            "retry_backoff_seconds": self.ledger.retry_backoff_seconds,
-        }
-
-    def _method_totals(self, field_name: str) -> dict:
-        """Per-method ledger totals, ``method:`` tag prefix stripped."""
-        totals = self.ledger.totals_by_tag_prefix("method:")
-        return {
-            tag[len("method:"):]: getattr(entry, field_name)
-            for tag, entry in totals.items()
-        }
-
-    def _engine_stats(self) -> dict:
-        """Process engine stats with this service's result cache spliced
-        in (mirrors :meth:`stats`)."""
-        stats = dict(engine_stats())
-        stats["result_cache"] = (
-            self.sql_cache.stats() if self.sql_cache is not None else None
-        )
-        return stats
-
-    def _own_metrics(self) -> list[Metric]:
-        """Queue/job/batch/latency state owned by the service itself."""
-        with self._lock:
-            counts = dict(self._counts)
-            running = self._running_jobs
-            batches = self._batches
-            batched_jobs = self._batched_jobs
-        metrics = [
-            Metric.gauge("cedar_queue_depth", len(self._queue),
-                         "Jobs waiting for a dispatcher"),
-            Metric.gauge("cedar_running_jobs", running,
-                         "Jobs currently inside a batch"),
-            Metric.counter("cedar_batches_total", batches,
-                           "Verifier batches dispatched"),
-            Metric.counter("cedar_batched_jobs_total", batched_jobs,
-                           "Jobs that went through a batch"),
-        ]
-        for state, count in sorted(counts.items()):
-            metrics.append(Metric.counter(
-                "cedar_jobs_total", count,
-                "Job admissions by outcome", {"state": state},
-            ))
-        latency = self._histogram.snapshot()
-        metrics.append(Metric.histogram(
-            "cedar_job_latency_seconds",
-            latency["buckets"]["bounds"],
-            latency["buckets"]["counts"],
-            latency["sum_seconds"], latency["count"],
-            "Completed-job latency, submission to done",
-        ))
-        if self.cache is not None:
-            metrics.extend(cache_metrics(
-                "llm", self.cache.stats,
-                tiers=(self.cache.tier_stats()
-                       if self.cache_store is not None else None),
-            ))
-        return metrics
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -586,9 +465,10 @@ class VerificationService:
             if self._started:
                 return self
             self._started = True
-            self._log.info("service_started",
-                           dispatchers=self.config.dispatchers,
-                           workers=self.config.workers)
+            _log.info("service_started", extra={"fields": {
+                "dispatchers": self.config.dispatchers,
+                "workers": self.config.workers,
+            }})
             for index in range(self.config.dispatchers):
                 thread = threading.Thread(
                     target=self._dispatch_loop,
@@ -607,7 +487,8 @@ class VerificationService:
         """
         with self._lock:
             self._draining = True
-        self._log.info("drain_started", queue_depth=len(self._queue))
+        _log.info("drain_started",
+                  extra={"fields": {"queue_depth": len(self._queue)}})
 
     def shutdown(self, drain: bool = True,
                  timeout: float | None = None) -> None:
@@ -639,7 +520,7 @@ class VerificationService:
         self._queue.close()
         for thread in self._threads:
             thread.join(timeout)
-        self._log.info("service_stopped", drained=drain)
+        _log.info("service_stopped", extra={"fields": {"drained": drain}})
 
     def __enter__(self) -> "VerificationService":
         return self.start()
@@ -694,8 +575,9 @@ class VerificationService:
         with self._lock:
             if self._draining or self._stop.is_set():
                 self._counts["rejected"] += 1
-                self._log.warning("job_rejected", reason=REASON_DRAINING,
-                                  client_id=client_id)
+                _log.warning("job_rejected", extra={"fields": {
+                    "reason": REASON_DRAINING, "client_id": client_id,
+                }})
                 raise AdmissionError(RejectionReason(
                     REASON_DRAINING,
                     "service is draining and not accepting new jobs",
@@ -703,8 +585,10 @@ class VerificationService:
             inflight = self._inflight.get(client_id, 0)
             if inflight >= self.config.per_client_limit:
                 self._counts["rejected"] += 1
-                self._log.warning("job_rejected", reason=REASON_CLIENT_LIMIT,
-                                  client_id=client_id, inflight=inflight)
+                _log.warning("job_rejected", extra={"fields": {
+                    "reason": REASON_CLIENT_LIMIT, "client_id": client_id,
+                    "inflight": inflight,
+                }})
                 raise AdmissionError(RejectionReason(
                     REASON_CLIENT_LIMIT,
                     f"client {client_id!r} already has {inflight} jobs in "
@@ -722,8 +606,9 @@ class VerificationService:
                 or any(did in self._active_doc_ids for did in doc_ids)
             ):
                 self._counts["rejected"] += 1
-                self._log.warning("job_rejected", reason=REASON_CONFLICT,
-                                  client_id=client_id)
+                _log.warning("job_rejected", extra={"fields": {
+                    "reason": REASON_CONFLICT, "client_id": client_id,
+                }})
                 raise AdmissionError(RejectionReason(
                     REASON_CONFLICT,
                     "doc or claim ids overlap a job already in flight; "
@@ -756,13 +641,13 @@ class VerificationService:
             self._active_claim_ids.update(claim_ids)
             self._active_doc_ids.update(doc_ids)
             self._counts["submitted"] += 1
-        self._log.info(
-            "job_accepted", job_id=job.job_id, client_id=client_id,
-            priority=priority, documents=len(documents),
-            claims=len(claim_ids),
+        _log.info("job_accepted", extra={"fields": {
+            "job_id": job.job_id, "client_id": client_id,
+            "priority": priority, "documents": len(documents),
+            "claims": len(claim_ids),
             **({"upstream_trace": trace_context["trace_id"]}
                if trace_context else {}),
-        )
+        }})
         return JobHandle(job, self)
 
     def job(self, job_id: str) -> JobHandle | None:
@@ -878,10 +763,10 @@ class VerificationService:
                 doc_jobs[document.doc_id] = job
                 for claim in document.claims:
                     claim_jobs[claim.claim_id] = job
-        self._log.debug(
-            "batch_dispatched", batch_id=batch_id, jobs=len(runnable),
-            documents=len(documents),
-        )
+        _log.debug("batch_dispatched", extra={"fields": {
+            "batch_id": batch_id, "jobs": len(runnable),
+            "documents": len(documents),
+        }})
         # One tracer per batch: roots are routed to their owning jobs
         # afterwards, so concurrent dispatchers never mix span forests.
         # The clock is time.monotonic — the same epoch as the Job
@@ -907,8 +792,10 @@ class VerificationService:
             )
         except Exception as error:  # the whole batch is poisoned
             message = f"{type(error).__name__}: {error}"
-            self._log.error("batch_failed", batch_id=batch_id,
-                            jobs=len(runnable), error=message)
+            _log.error("batch_failed", extra={"fields": {
+                "batch_id": batch_id, "jobs": len(runnable),
+                "error": message,
+            }})
             for job in runnable:
                 self._finalize(job, CANCELLED if job.cancelled else FAILED,
                                error=message)
@@ -918,7 +805,6 @@ class VerificationService:
                 self._running_jobs -= len(runnable)
             if tracer.enabled:
                 self._file_spans(tracer, runnable, doc_jobs)
-            self.telemetry.sample()
         for job in runnable:
             if job.cancelled:
                 self._finalize(job, CANCELLED)
@@ -984,11 +870,13 @@ class VerificationService:
                        CANCELLED: "cancelled"}[state]
             self._counts[counter] += 1
         latency = job.finished_at - job.submitted_at
-        self._log.log(
-            "error" if state == FAILED else "info", "job_finished",
-            job_id=job.job_id, state=state,
-            latency_seconds=round(latency, 6),
-            **({"error": error} if error else {}),
+        _log.log(
+            logging.ERROR if state == FAILED else logging.INFO,
+            "job_finished", extra={"fields": {
+                "job_id": job.job_id, "state": state,
+                "latency_seconds": round(latency, 6),
+                **({"error": error} if error else {}),
+            }},
         )
         if state == COMPLETED:
             self._histogram.record(latency)
@@ -1014,6 +902,17 @@ class VerificationService:
             job.emit(JobCancelled(job_id=job.job_id), force=True)
 
     # -- introspection -------------------------------------------------------
+
+    def _cache_stats(self) -> dict | None:
+        """The response cache's counters, per tier when an L2 is open
+        (the shape ``sql.result_cache`` already has); None while the
+        cache is off or still empty."""
+        if not self.cache:
+            return None
+        stats = self.cache.stats.to_dict()
+        if self.cache_store is not None:
+            stats["tiers"] = self.cache.tier_stats()
+        return stats
 
     def stats(self) -> ServiceStats:
         with self._lock:
@@ -1043,7 +942,7 @@ class VerificationService:
             draining=draining,
             jobs=jobs,
             batches=batches,
-            cache=self.cache.stats.to_dict() if self.cache else None,
+            cache=self._cache_stats(),
             sql=sql,
             ledger={
                 "entries": len(self.ledger),

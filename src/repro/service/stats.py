@@ -71,9 +71,8 @@ class LatencyHistogram:
 
         ``buckets`` exposes the geometric bounds and per-bucket counts
         (the final count is the overflow bucket, whose upper edge is the
-        maximum value observed) so exporters — the Prometheus
-        ``/metrics`` endpoint in particular — can render the full
-        distribution instead of just two quantiles.
+        maximum value observed) so ``GET /v1/metrics`` can render the
+        full distribution as a histogram instead of just two quantiles.
         """
         with self._lock:
             count, total, maximum = self._count, self._sum, self._max
@@ -98,7 +97,7 @@ class ServiceStats:
     draining: bool
     jobs: dict          # submitted / completed / failed / cancelled / rejected
     batches: dict       # count / jobs / mean_size / max_size
-    cache: dict | None  # CacheStats.to_dict(), None when caching is off
+    cache: dict | None  # CacheStats.to_dict() (+ tiers with an L2); None: off
     sql: dict           # plan_cache / strategies / result_cache / executions
     ledger: dict        # entries / calls / cost_usd / tokens / retries
     latency: dict       # LatencyHistogram.snapshot()

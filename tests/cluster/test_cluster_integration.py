@@ -260,11 +260,12 @@ def test_stats_and_metrics_aggregate_all_shards(cluster):
     assert stats["jobs"]["submitted"] >= stats["jobs"]["completed"] >= 1
     status, text, _ = cluster.http("/v1/metrics")
     assert status == 200
-    assert 'cedar_cluster_jobs_routed_total{worker="0"}' in text
-    assert 'cedar_cluster_jobs_routed_total{worker="1"}' in text
+    assert 'cedar_cluster_shards_routed_total{worker="0"}' in text
+    assert 'cedar_cluster_shards_routed_total{worker="1"}' in text
     assert "cedar_cluster_workers 2" in text
-    # Shard registries arrive relabelled, one family for all shards.
-    assert 'worker="0"' in text and 'worker="1"' in text
+    # Every shard's stats render as one family, labelled by worker.
+    assert 'cedar_workers_jobs_completed{worker="0"}' in text
+    assert 'cedar_workers_jobs_completed{worker="1"}' in text
 
 
 # -- failure: kill a worker ---------------------------------------------------

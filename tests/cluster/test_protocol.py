@@ -1,4 +1,4 @@
-"""Wire framing: round-trips, truncation, limits, metric snapshots."""
+"""Wire framing: round-trips, truncation, limits."""
 
 import asyncio
 import io
@@ -10,12 +10,9 @@ from repro.cluster.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
     encode_frame,
-    metrics_from_wire,
-    metrics_to_wire,
     read_frame,
     read_frame_async,
 )
-from repro.obs.metrics import Metric
 
 
 def test_round_trip_single_frame():
@@ -123,38 +120,6 @@ def test_async_reader_raises_on_truncation():
 
     with pytest.raises(ProtocolError):
         asyncio.run(_read())
-
-
-def test_metrics_survive_the_wire_with_worker_label():
-    metrics = [
-        Metric.counter("cedar_jobs_total", 3, "jobs",
-                       {"state": "completed"}),
-        Metric.gauge("cedar_queue_depth", 2, "depth"),
-        Metric.histogram("cedar_latency_seconds", [0.1, 1.0],
-                         [1, 2, 0], 1.4, 3, "latency"),
-    ]
-    wire = metrics_to_wire(metrics)
-    rebuilt = metrics_from_wire(wire, {"worker": "1"})
-    assert [m.name for m in rebuilt] == [m.name for m in metrics]
-    assert [m.type for m in rebuilt] == [m.type for m in metrics]
-    for metric in rebuilt:
-        for labels, _value in metric.samples:
-            assert ("worker", "1") in labels
-    # Original labels survive alongside the added one.
-    (labels, value), = rebuilt[0].samples
-    assert ("state", "completed") in labels
-    assert value == 3
-    # Histogram values survive structurally.
-    (_, histogram_value), = rebuilt[2].samples
-    assert histogram_value["counts"] == [1, 2, 0]
-    assert histogram_value["count"] == 3
-
-
-def test_metrics_wire_is_json_safe():
-    import json
-
-    metrics = [Metric.counter("cedar_x_total", 1)]
-    assert json.loads(json.dumps(metrics_to_wire(metrics)))
 
 
 def test_encode_rejects_oversized_message():

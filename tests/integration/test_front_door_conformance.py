@@ -11,6 +11,7 @@ follow a job that is still running.
 import asyncio
 import http.client
 import json
+import re
 import socket
 import threading
 import time
@@ -157,6 +158,7 @@ ROWS = [
     pytest.param(get("/v1/jobs/{job}/events?wait=1&timeout=-1"), 400,
                  id="timeout-negative"),
     pytest.param(get("/v1/debug/logs?n=-1"), 400, id="logs-n-negative"),
+    pytest.param(get("/v1/telemetry"), 404, id="telemetry-gone"),
     pytest.param(get("/v1/jobs/no-such-job"), 404, id="unknown-job"),
     pytest.param(get("/v1/jobs/no-such-job/events"), 404,
                  id="unknown-job-events"),
@@ -239,3 +241,64 @@ def test_a_follower_connected_before_the_drain_reads_its_end(kind):
         door.close()
     assert events[0] == "job_queued"
     assert events[-1] == "job_done", events
+
+
+def fetch(door, path: str) -> bytes:
+    connection = http.client.HTTPConnection(*door.address, timeout=60)
+    try:
+        connection.request("GET", path)
+        response = connection.getresponse()
+        assert response.status == 200, path
+        return response.read()
+    finally:
+        connection.close()
+
+
+def stats_leaves(node, path=()):
+    """(sample name, value) for every numeric leaf of a ``/v1/stats``
+    body, named by the documented rule (docs/observability.md)."""
+    if isinstance(node, dict):
+        if set(node) == {"bounds", "counts"}:
+            return                      # the histogram, checked apart
+        for key, value in node.items():
+            yield from stats_leaves(value, path + (str(key),))
+    elif isinstance(node, (bool, int, float)):
+        labels = ""
+        for prefix in (("workers",), ("cluster", "shards")):
+            if path[:len(prefix)] == prefix:
+                labels = f'{{worker="{path[len(prefix)]}"}}'
+                path = prefix + path[len(prefix) + 1:]
+        name = re.sub(r"[^a-zA-Z0-9_]", "_", "_".join(("cedar",) + path))
+        yield name + labels, float(node)
+
+
+def test_metrics_are_the_stats_body_on_an_idle_door(door):
+    for _ in range(300):
+        before = json.loads(fetch(door, "/v1/stats"))
+        text = fetch(door, "/v1/metrics").decode()
+        after = json.loads(fetch(door, "/v1/stats"))
+        jobs = after["jobs"]
+        if before == after and jobs["submitted"] == (
+                jobs["completed"] + jobs["failed"] + jobs["cancelled"]):
+            break
+        time.sleep(0.1)
+    else:
+        pytest.fail("the door never went idle")
+    histograms = re.findall(r"^# TYPE (\S+) histogram$", text, re.M)
+    assert histograms                   # latency.buckets, at least
+    samples = [line.rsplit(" ", 1) for line in text.splitlines()
+               if not line.startswith("#")]
+    assert len(samples) == len({series for series, _ in samples})
+    plain = {series: float(value) for series, value in samples
+             if not series.startswith(tuple(histograms))}
+    leaves = list(stats_leaves(after))
+    for series, value in leaves:
+        assert plain[series] == value, series
+    assert set(plain) == {series for series, _ in leaves}
+    # Leaves sharing a name share its one sample; only these may.
+    shared = {series for series, _ in leaves
+              if [name for name, _ in leaves].count(series) > 1}
+    assert {series.split("{")[0] for series in shared} <= {
+        "cedar_sql_analyzer_memo_hits",
+        "cedar_workers_sql_analyzer_memo_hits",
+    }

@@ -1,15 +1,13 @@
-"""Unit tests for the Chrome-trace, ndjson, and Prometheus exporters."""
+"""Unit tests for the Chrome-trace and Prometheus exporters."""
 
 import io
 import json
 
 from repro.obs.export import (
     to_chrome_trace,
-    to_ndjson,
     to_prometheus,
     write_chrome_trace,
 )
-from repro.obs.metrics import Metric, MetricsRegistry
 from repro.obs.tracer import Tracer
 
 
@@ -73,77 +71,79 @@ class TestChromeTrace:
         assert json.loads(path.read_text())["traceEvents"]
 
 
-class TestNdjson:
-    def test_one_record_per_span_with_correlation_ids(self):
-        lines = to_ndjson(small_tracer()).splitlines()
-        records = [json.loads(line) for line in lines]
-        assert len(records) == 4
-        assert all(r["trace_id"] == "t-1" for r in records)
-        by_id = {r["span_id"]: r for r in records}
-        assert by_id["1"]["parent_id"] is None
-        assert by_id["1.1"]["parent_id"] == "1"
-        assert by_id["1.1.1"]["parent_id"] == "1.1"
-        assert by_id["2"]["name"] == "doc-2"
-        assert by_id["1.1.1"]["duration_seconds"] == 0.1
-
-    def test_trace_id_override(self):
-        record = json.loads(
-            to_ndjson(small_tracer(), trace_id="other").splitlines()[0]
-        )
-        assert record["trace_id"] == "other"
-
-
 class TestPrometheus:
-    def test_counter_gauge_and_help_type_lines(self):
-        registry = MetricsRegistry()
-        registry.counter("cedar_jobs_total", "Jobs processed").inc(3)
-        registry.gauge("cedar_queue_depth", "Queue depth").set(2)
-        text = to_prometheus(registry)
-        assert "# HELP cedar_jobs_total Jobs processed" in text
-        assert "# TYPE cedar_jobs_total counter" in text
-        assert "cedar_jobs_total 3" in text
-        assert "# TYPE cedar_queue_depth gauge" in text
-        assert "cedar_queue_depth 2" in text
+    def test_type_lines_and_values(self):
+        text = to_prometheus({"queue_depth": 2, "draining": True,
+                              "jobs": {"completed": 3}})
+        assert text.splitlines() == [
+            "# TYPE cedar_queue_depth gauge",
+            "cedar_queue_depth 2",
+            "# TYPE cedar_draining gauge",
+            "cedar_draining 1",
+            "# TYPE cedar_jobs_completed gauge",
+            "cedar_jobs_completed 3",
+        ]
         assert text.endswith("\n")
 
-    def test_histogram_renders_cumulative_buckets(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram(
-            "cedar_latency_seconds", bounds=[0.1, 1.0]
-        )
-        for value in (0.05, 0.5, 99.0):
-            histogram.observe(value)
-        lines = to_prometheus(registry).splitlines()
-        buckets = [line for line in lines if "_bucket" in line]
-        assert buckets == [
-            'cedar_latency_seconds_bucket{le="0.1"} 1',
-            'cedar_latency_seconds_bucket{le="1"} 2',
-            'cedar_latency_seconds_bucket{le="+Inf"} 3',
+    def test_strings_and_none_are_skipped(self):
+        text = to_prometheus({"cache": None, "name": "x",
+                              "ledger": {"cost_usd": 0.25}})
+        assert text == ("# TYPE cedar_ledger_cost_usd gauge\n"
+                        "cedar_ledger_cost_usd 0.25\n")
+
+    def test_worker_segments_become_one_labelled_family(self):
+        text = to_prometheus({
+            "jobs": {"completed": 5},
+            "cluster": {"shards": {"0": {"restarts": 1},
+                                   "1": {"restarts": 0}}},
+            "workers": {"0": {"jobs": {"completed": 2}},
+                        "1": {"jobs": {"completed": 3}}},
+        })
+        assert text.splitlines() == [
+            "# TYPE cedar_jobs_completed gauge",
+            "cedar_jobs_completed 5",
+            "# TYPE cedar_cluster_shards_restarts gauge",
+            'cedar_cluster_shards_restarts{worker="0"} 1',
+            'cedar_cluster_shards_restarts{worker="1"} 0',
+            "# TYPE cedar_workers_jobs_completed gauge",
+            'cedar_workers_jobs_completed{worker="0"} 2',
+            'cedar_workers_jobs_completed{worker="1"} 3',
         ]
-        assert "cedar_latency_seconds_count 3" in lines
-        assert any(line.startswith("cedar_latency_seconds_sum ")
-                   for line in lines)
+
+    def test_histogram_renders_cumulative_buckets(self):
+        lines = to_prometheus({"latency": {
+            "count": 3,
+            "buckets": {"bounds": [0.1, 1.0], "counts": [1, 1, 1]},
+        }}).splitlines()
+        assert lines == [
+            "# TYPE cedar_latency_count gauge",
+            "cedar_latency_count 3",
+            "# TYPE cedar_latency_buckets histogram",
+            'cedar_latency_buckets_bucket{le="0.1"} 1',
+            'cedar_latency_buckets_bucket{le="1"} 2',
+            'cedar_latency_buckets_bucket{le="+Inf"} 3',
+            "cedar_latency_buckets_count 3",
+        ]
 
     def test_labels_are_escaped(self):
-        text = to_prometheus([
-            Metric.counter("cedar_x_total", 1,
-                           labels={"q": 'say "hi"\nback\\slash'}),
-        ])
-        assert r'q="say \"hi\"\nback\\slash"' in text
+        text = to_prometheus({"workers": {'say "hi"\nback\\slash': {
+            "queue_depth": 1,
+        }}})
+        assert r'worker="say \"hi\"\nback\\slash"' in text
 
     def test_valid_exposition_shape(self):
         # Every non-comment line is `name{labels} value` with a numeric
         # value — the contract a Prometheus scraper relies on.
-        registry = MetricsRegistry()
-        registry.counter("cedar_a_total").inc()
-        registry.histogram("cedar_b_seconds", bounds=[1.0]).observe(0.5)
-        registry.register_collector(
-            lambda: [Metric.gauge("cedar_c", 1.5, labels={"k": "v"})]
-        )
-        for line in to_prometheus(registry).splitlines():
+        text = to_prometheus({
+            "a": 1, "b": {"c-d": 2.5}, "e": False,
+            "workers": {"0": {"latency": {"buckets": {
+                "bounds": [1.0], "counts": [0, 1]}}}},
+        })
+        for line in text.splitlines():
             if line.startswith("#"):
-                assert line.startswith(("# HELP ", "# TYPE "))
+                assert line.startswith("# TYPE ")
                 continue
             name_part, value_part = line.rsplit(" ", 1)
             assert name_part.startswith("cedar_")
+            assert "-" not in name_part.split("{")[0]
             float(value_part)  # must parse

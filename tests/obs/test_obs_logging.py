@@ -1,191 +1,174 @@
-"""Structured logging: schema, sinks, correlation ids, isolation."""
+"""Structured logs: record shape, handlers, correlation ids, isolation.
+
+Records are made by stdlib loggers under ``repro``; what is pinned here
+is what an operator reads — the JSON line — not how it is produced.
+"""
 
 import io
 import json
+import logging
 
-import pytest
-
-from repro.obs.logging import (
-    FIELD_ORDER,
-    FileSink,
-    LogRecord,
-    Logger,
-    RingBufferSink,
-    add_sink,
-    configure_logging,
-    get_logger,
-    remove_sink,
-    reset_logging,
-)
+from repro import VerifierConfig, verify
+from repro.llm import CostLedger, RetryPolicy
+from repro.obs.logs import FIELD_ORDER, LogRing, attach, detach
 from repro.obs.tracer import Tracer, set_default_tracer
 
-
-@pytest.fixture(autouse=True)
-def _clean_logging_state():
-    reset_logging()
-    yield
-    reset_logging()
+log = logging.getLogger("repro.test")
 
 
-# -- LogRecord schema ---------------------------------------------------------
+def lines(ring, n=None):
+    return [json.loads(line) for line in ring.to_ndjson(n).splitlines()]
 
 
-def test_record_round_trips_through_json():
-    record = LogRecord(
-        ts=12.3456789, level="warning", component="svc",
-        event="thing_happened", trace_id="trace-000001",
-        span="document:0", job_id="job-7",
-        fields={"zeta": 1, "alpha": "x"},
-    )
-    rebuilt = LogRecord.from_json(record.to_json())
-    assert rebuilt.to_dict() == record.to_dict()
-    assert rebuilt.level == "warning"
-    assert rebuilt.job_id == "job-7"
-    assert rebuilt.fields == {"zeta": 1, "alpha": "x"}
+# -- the record shape ---------------------------------------------------------
 
 
 def test_record_key_order_is_canonical_then_sorted_extras():
-    record = LogRecord(
-        ts=1.0, level="info", component="c", event="e",
-        trace_id="t", span="s", job_id="j",
-        fields={"zzz": 1, "aaa": 2, "mmm": 3},
-    )
-    keys = list(record.to_dict())
+    ring = attach(LogRing())
+    tracer = Tracer(trace_id="t")
+    previous = set_default_tracer(tracer)
+    try:
+        with tracer.span("s", "document"):
+            log.info("e", extra={"fields": {
+                "zzz": 1, "aaa": 2, "mmm": 3, "job_id": "j",
+            }})
+    finally:
+        set_default_tracer(previous)
+    raw = ring.to_ndjson().strip()
+    keys = list(json.loads(raw))
     assert keys == list(FIELD_ORDER) + ["aaa", "mmm", "zzz"]
-    # json.dumps preserves that insertion order on the wire too.
-    assert list(json.loads(record.to_json())) == keys
+    record = json.loads(raw)
+    assert record["level"] == "info"
+    assert record["component"] == "test"     # the logger name under repro
+    assert record["event"] == "e"
 
 
 def test_none_correlation_ids_are_omitted():
-    record = LogRecord(ts=1.0, level="info", component="c", event="e")
-    rendered = record.to_dict()
-    assert "trace_id" not in rendered
-    assert "span" not in rendered
-    assert "job_id" not in rendered
-    assert LogRecord.from_dict(rendered).trace_id is None
+    ring = attach(LogRing())
+    log.info("e")
+    (record,) = lines(ring)
+    assert list(record) == ["ts", "level", "component", "event"]
 
 
-def test_unknown_level_rejected():
-    with pytest.raises(ValueError):
-        LogRecord(ts=0.0, level="fatal", component="c", event="e")
-
-
-# -- sinks --------------------------------------------------------------------
+# -- handlers -----------------------------------------------------------------
 
 
 def test_ring_buffer_keeps_only_the_last_capacity_records():
-    sink = RingBufferSink(capacity=3)
-    add_sink(sink)
-    log = get_logger("test")
+    ring = attach(LogRing(capacity=3))
     for index in range(5):
-        log.info("tick", n=index)
-    assert len(sink) == 3
-    assert [r.fields["n"] for r in sink.tail()] == [2, 3, 4]
-    assert [r.fields["n"] for r in sink.tail(2)] == [3, 4]
-    lines = sink.to_ndjson(2).strip().splitlines()
-    assert [json.loads(line)["n"] for line in lines] == [3, 4]
+        log.info("tick", extra={"fields": {"n": index}})
+    assert len(ring.records) == 3
+    assert [r["n"] for r in lines(ring)] == [2, 3, 4]
+    assert [r["n"] for r in lines(ring, 2)] == [3, 4]
+    assert lines(ring, 0) == []
 
 
 def test_file_sink_appends_ndjson(tmp_path):
     path = tmp_path / "svc.log"
-    sink = FileSink(str(path))
-    add_sink(sink)
-    log = get_logger("test")
-    log.info("first", n=1)
-    log.error("second", n=2)
-    sink.close()
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 2
-    parsed = [LogRecord.from_json(line) for line in lines]
-    assert [r.event for r in parsed] == ["first", "second"]
-    assert parsed[1].level == "error"
+    handler = attach(logging.FileHandler(path, encoding="utf-8"))
+    log.info("first", extra={"fields": {"n": 1}})
+    log.error("second", extra={"fields": {"n": 2}})
+    detach(handler)
+    parsed = [json.loads(line)
+              for line in path.read_text().strip().splitlines()]
+    assert [r["event"] for r in parsed] == ["first", "second"]
+    assert parsed[1]["level"] == "error"
 
 
-def test_broken_sink_never_raises_into_the_caller():
-    class Broken:
-        def emit(self, record):
-            raise RuntimeError("sink down")
-
-    healthy = RingBufferSink()
-    add_sink(Broken())
-    add_sink(healthy)
-    get_logger("test").info("survives")
-    assert [r.event for r in healthy.tail()] == ["survives"]
+def test_broken_sink_never_raises_into_the_caller(capsys):
+    stream = io.StringIO()
+    attach(logging.StreamHandler(stream))
+    stream.close()                   # every write now fails
+    healthy = attach(LogRing())
+    log.info("survives")
+    assert [r["event"] for r in lines(healthy)] == ["survives"]
+    capsys.readouterr()              # stdlib reports the failure there
 
 
 def test_level_threshold_filters_and_no_sinks_is_a_noop():
-    get_logger("test").info("dropped_without_sinks")  # must not raise
-    sink = RingBufferSink()
-    add_sink(sink)
-    configure_logging(level="warning")
-    log = get_logger("test")
+    log.info("dropped_without_handlers")  # must not raise
+    ring = attach(LogRing())
+    logging.getLogger("repro").setLevel(logging.WARNING)
     log.debug("too_low")
     log.info("still_too_low")
     log.warning("kept")
     log.error("also_kept")
-    assert [r.event for r in sink.tail()] == ["kept", "also_kept"]
-    remove_sink(sink)
+    assert [r["event"] for r in lines(ring)] == ["kept", "also_kept"]
+    detach(ring)
     log.error("after_removal")
-    assert len(sink) == 2
+    assert len(ring.records) == 2
+
+
+def test_detach_restores_the_repro_logger():
+    logger = logging.getLogger("repro")
+    before = (list(logger.handlers), logger.level)
+    ring = attach(LogRing())
+    assert logger.level == logging.DEBUG    # the ring serves debug lines
+    detach(ring)
+    assert (list(logger.handlers), logger.level) == before
 
 
 # -- correlation ids ----------------------------------------------------------
 
 
 def test_records_carry_ambient_trace_and_span():
-    sink = RingBufferSink()
-    add_sink(sink)
+    ring = attach(LogRing())
     tracer = Tracer(trace_id="trace-test")
     previous = set_default_tracer(tracer)
     try:
         with tracer.span("document:0", "document"):
             with tracer.span("claim:1", "claim"):
-                get_logger("test").info("inside")
-        get_logger("test").info("outside")
+                log.info("inside")
+        log.info("outside")
     finally:
         set_default_tracer(previous)
-    inside, outside = sink.tail()
-    assert inside.trace_id == "trace-test"
-    assert inside.span == "claim:1"          # innermost open span's name
-    assert outside.trace_id == "trace-test"
-    assert outside.span is None              # nothing open any more
+    inside, outside = lines(ring)
+    assert inside["trace_id"] == "trace-test"
+    assert inside["span"] == "claim:1"        # innermost open span's name
+    assert outside["trace_id"] == "trace-test"
+    assert "span" not in outside              # nothing open any more
 
 
 def test_explicit_trace_id_wins_over_ambient():
-    sink = RingBufferSink()
-    add_sink(sink)
-    log = get_logger("test")
-    log.info("no_tracer_minted_id", trace_id="trace-000042")
+    ring = attach(LogRing())
+    log.info("no_tracer_minted_id",
+             extra={"fields": {"trace_id": "trace-000042"}})
     tracer = Tracer(trace_id="trace-ambient")
     previous = set_default_tracer(tracer)
     try:
-        log.info("explicit_beats_ambient", trace_id="trace-000043")
+        log.info("explicit_beats_ambient",
+                 extra={"fields": {"trace_id": "trace-000043"}})
     finally:
         set_default_tracer(previous)
-    minted, explicit = sink.tail()
-    assert minted.trace_id == "trace-000042"
-    assert minted.fields == {}                # not duplicated in extras
-    assert explicit.trace_id == "trace-000043"
+    minted, explicit = lines(ring)
+    assert minted["trace_id"] == "trace-000042"
+    assert list(minted) == ["ts", "level", "component", "event",
+                            "trace_id"]       # not duplicated in extras
+    assert explicit["trace_id"] == "trace-000043"
 
 
-def test_bound_job_id_lands_in_the_dedicated_field():
-    sink = RingBufferSink()
-    add_sink(sink)
-    log = get_logger("test").bind(job_id="job-42", shard=3)
-    log.info("bound")
-    log.info("overridden", job_id="job-43")
-    first, second = sink.tail()
-    assert first.job_id == "job-42"
-    assert first.fields == {"shard": 3}       # job_id not duplicated
-    assert second.job_id == "job-43"
+def test_job_id_lands_in_the_dedicated_field():
+    ring = attach(LogRing())
+    log.info("job", extra={"fields": {"job_id": 42, "shard": 3}})
+    (record,) = lines(ring)
+    assert record["job_id"] == "42"
+    assert list(record)[-2:] == ["job_id", "shard"]
 
 
-def test_injected_clock_stamps_records():
-    sink = RingBufferSink()
-    add_sink(sink)
-    ticks = iter([100.5, 101.25])
-    configure_logging(clock=lambda: next(ticks))
-    log = Logger("test")
-    log.info("a")
-    log.info("b")
-    assert [r.ts for r in sink.tail()] == [100.5, 101.25]
+# -- a library run logs nowhere -----------------------------------------------
+
+
+def test_a_retried_library_run_writes_nothing_to_stderr(capsys,
+                                                        monkeypatch,
+                                                        retried_once):
+    # No handler anywhere (the test runner's own are lifted off the
+    # root logger): only the package's NullHandler stands between the
+    # llm_retry warning and stdlib's last-resort handler.
+    monkeypatch.setattr(logging.getLogger(), "handlers", [])
+    ledger = CostLedger()
+    document, schedule = retried_once(ledger)
+    verify([document], schedule=schedule,
+           config=VerifierConfig(ledger=ledger,
+                                 retry=RetryPolicy(base_delay=0.0)))
+    assert ledger.retry_count == 1
+    assert capsys.readouterr().err == ""

@@ -1,4 +1,4 @@
-"""Service-level observability: per-job traces, /metrics, retry totals.
+"""Service-level observability: per-job traces, /v1/metrics, logs.
 
 The inline-drain tests use a never-started service (submissions queue
 up; ``shutdown(drain=True)`` runs them on the calling thread), the same
@@ -7,6 +7,11 @@ real server on a free port and scrape the new endpoints over sockets.
 """
 
 import json
+import logging
+import os
+import signal
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -17,10 +22,14 @@ from repro.cache import CacheConfig
 from repro.core import ScheduleEntry, VerifierConfig
 from repro.datasets import build_aggchecker
 from repro.experiments import build_cedar
-from repro.llm import CostLedger
+from repro.llm import CostLedger, RetryPolicy
 from repro.obs.export import to_prometheus
+from repro.obs.logs import LogRing, attach
 from repro.service import ServiceConfig, VerificationService, clone_document
 from repro.service.http import ServiceApp, make_server
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))), "src")
 
 
 def make_bundle():
@@ -91,40 +100,99 @@ class TestServiceMetrics:
         assert "retry_backoff_seconds" in ledger
         assert ledger["retry_backoff_seconds"] >= 0.0
 
-    def test_registry_snapshot_covers_the_stack(self):
+    def test_metrics_cover_the_stack(self):
         service, _ = drain_one_job()
-        snapshot = service.metrics.snapshot()
-        assert snapshot["cedar_llm_calls_total"] > 0
-        assert snapshot["cedar_jobs_total"]["state=completed"] == 1
-        assert snapshot["cedar_batches_total"] == 1
-        assert "cedar_queue_depth" in snapshot
-        assert snapshot["cedar_job_latency_seconds"]["count"] == 1
+        samples = dict(
+            line.rsplit(" ", 1)
+            for line in to_prometheus(service.stats().to_dict()).splitlines()
+            if not line.startswith("#")
+        )
+        assert float(samples["cedar_ledger_calls"]) > 0
+        assert samples["cedar_jobs_completed"] == "1"
+        assert samples["cedar_batches_count"] == "1"
+        assert "cedar_queue_depth" in samples
+        assert "cedar_sql_plan_cache_hits" in samples
+        assert samples["cedar_latency_buckets_count"] == "1"
 
-    def test_prometheus_rendering_of_live_registry(self):
+    def test_prometheus_rendering_of_live_stats(self):
         service, _ = drain_one_job()
-        text = to_prometheus(service.metrics)
+        text = to_prometheus(service.stats().to_dict())
         assert text.endswith("\n")
-        assert "# TYPE cedar_jobs_total counter" in text
-        assert 'cedar_jobs_total{state="completed"} 1' in text
-        assert "cedar_job_latency_seconds_bucket" in text
-        assert 'cedar_cache_hits_total{cache="llm"}' in text
-        # No persistent tier configured: no tier-labelled samples.
-        assert 'tier="l2"' not in text
+        assert "# TYPE cedar_jobs_completed gauge" in text
+        assert "cedar_jobs_completed 1" in text
+        assert "# TYPE cedar_latency_buckets histogram" in text
+        assert 'cedar_latency_buckets_bucket{le="+Inf"} 1' in text
+        assert "cedar_cache_hits " in text
+        # No persistent tier configured: no tier samples.
+        assert "_tiers_" not in text
 
-    def test_tier_labelled_cache_metrics_when_persistent(self, tmp_path):
+    def test_tier_metrics_when_persistent(self, tmp_path):
         service, _ = drain_one_job(
             cache_config=CacheConfig(path=tmp_path / "l2.sqlite"),
         )
-        text = to_prometheus(service.metrics)
-        lines = text.splitlines()
-        for cache_name in ("llm", "sql_result"):
+        text = to_prometheus(service.stats().to_dict())
+        for prefix in ("cedar_cache", "cedar_sql_result_cache"):
             for tier in ("l1", "l2"):
-                assert any(
-                    line.startswith("cedar_cache_hits_total")
-                    and f'cache="{cache_name}"' in line
-                    and f'tier="{tier}"' in line
-                    for line in lines
-                ), f"missing {cache_name}/{tier} tier sample"
+                assert f"{prefix}_tiers_{tier}_hits " in text, (prefix, tier)
+
+
+class TestLogs:
+    def test_trace_and_span_filled_inside_a_traced_batch(self,
+                                                         retried_once):
+        ring = attach(LogRing())
+        ledger = CostLedger()
+        service = VerificationService(ServiceConfig(
+            ledger=ledger, use_samples=False,
+            retry=RetryPolicy(base_delay=0.0),
+        ))
+        service.submit(*retried_once(ledger))
+        service.shutdown(drain=True)
+        records = [json.loads(line)
+                   for line in ring.to_ndjson().splitlines()]
+        by_event = {record["event"]: record for record in records}
+        retry = by_event["llm_retry"]
+        assert retry["component"] == "llm.resilience"
+        assert retry["trace_id"] == "batch-1"
+        assert retry["span"]                  # the open span, by name
+        accepted = by_event["job_accepted"]   # logged before any batch
+        assert "trace_id" not in accepted and "span" not in accepted
+        assert accepted["job_id"] == by_event["job_finished"]["job_id"]
+
+    def test_server_close_detaches_the_log_ring(self):
+        logger = logging.getLogger("repro")
+        before = (list(logger.handlers), logger.level)
+        service = VerificationService(ServiceConfig(use_samples=False))
+        server = make_server(port=0, app=ServiceApp(service=service))
+        assert server.log_buffer in logger.handlers
+        server.server_close()
+        service.shutdown(drain=False)
+        assert (list(logger.handlers), logger.level) == before
+
+    def test_log_file_lines_equal_the_ring(self, tmp_path):
+        path = tmp_path / "service.log"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "--port", "0",
+             "--workers", "1", "--log-file", str(path)],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        try:
+            banner = process.stdout.readline()
+            url = banner.split()[4]
+            status, body = post_json(f"{url}/v1/verify",
+                                     {"dataset": "tabfact", "document": 0})
+            assert status == 202
+            get_raw(f"{url}{body['events_url']}?wait=1&timeout=60")
+            _, _, ring = get_raw(f"{url}/v1/debug/logs?n=1000")
+            events = [json.loads(line)["event"]
+                      for line in ring.splitlines()]
+            assert events[0] == "service_started"
+            assert "job_finished" in events
+            assert path.read_text(encoding="utf-8") == ring
+        finally:
+            process.send_signal(signal.SIGTERM)
+            process.communicate(timeout=60)
+        assert process.returncode == 0
 
 
 @pytest.fixture(scope="module")

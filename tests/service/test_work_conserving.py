@@ -3,8 +3,8 @@
 * the CLI inherits ``ServiceConfig``'s batch window (0: no idle linger);
 * an idle dispatcher blocks in one indefinite ``pop()`` — no poll tick —
   and ``shutdown()`` wakes it by closing the queue;
-* per-batch bookkeeping (``telemetry.sample()``, ``stats()``, the
-  metrics scrape) reads running totals, never the ledger's history.
+* bookkeeping reads (``stats()`` and the ``/v1/metrics`` rendering of
+  it) read running totals, never the ledger's history.
 """
 
 import time
@@ -68,9 +68,8 @@ def test_bookkeeping_reads_do_not_rescan_the_ledger():
     ledger.entries = CountingList(ledger.entries)
     ledger.events = CountingList(ledger.events)
 
-    service.telemetry.sample()
     stats = service.stats()
-    exposition = to_prometheus(service.metrics)
+    exposition = to_prometheus(stats.to_dict())
 
     # Nothing was appended since the lists were wrapped, so nothing of
     # them may be walked — at job 5,000 as at job 1.
@@ -78,4 +77,4 @@ def test_bookkeeping_reads_do_not_rescan_the_ledger():
     assert ledger.events.touched == 0
     assert stats.ledger["calls"] == 5000
     assert stats.ledger["retry_backoff_seconds"] == 25.0
-    assert "cedar_llm_calls_total 5000" in exposition
+    assert "cedar_ledger_calls 5000" in exposition
