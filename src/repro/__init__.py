@@ -7,8 +7,8 @@ The package mirrors the paper's architecture (see README.md):
   scheduler;
 * :mod:`repro.sqlengine` — the relational engine claims are verified
   against;
-* :mod:`repro.cache` — the tiered cache substrate (in-memory L1,
-  persistent sqlite L2, warm-start method-profile store);
+* :mod:`repro.cache` — the one cache class (an in-memory LRU with an
+  optional persistent sqlite tier);
 * :mod:`repro.llm` — the LLM client layer (pricing, cost ledger, offline
   simulation, OpenAI adapter);
 * :mod:`repro.agents` — the ReAct agent framework and its tools;
@@ -31,7 +31,7 @@ and one call verifies a batch of documents::
 
 import logging
 
-from repro.cache import CacheConfig, CacheStats, open_cache
+from repro.cache import CacheStats
 from repro.core import (
     AgentMethod,
     Claim,
@@ -67,7 +67,6 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "AgentMethod",
-    "CacheConfig",
     "CacheStats",
     "Claim",
     "ClaimReport",
@@ -90,7 +89,6 @@ __all__ = [
     "VerifierConfig",
     "__version__",
     "load_csv",
-    "open_cache",
     "optimal_schedule",
     "profile_methods",
     "verify",

@@ -1,53 +1,25 @@
-"""Unified pluggable caching: one protocol, two tiers, one stats shape.
+"""One cache class, one key, one optional file.
 
-See :mod:`repro.cache.api` for the design. The short version:
+* :class:`TieredCache` — every cache in the repo: an in-process LRU,
+  optionally backed by the persistent tier (see :mod:`.tiered`);
+* :class:`SqliteCacheBackend` — that tier: one sqlite file shared by a
+  process's ``llm`` and ``sql_result`` caches, and by every shard
+  pointed at the same path (see :mod:`.persistent`);
+* :func:`stable_key` — how a cache key becomes an L2 key;
+* :class:`CacheStats` — the one stats shape every cache reports.
 
-* :class:`CacheBackend` — the protocol every tier speaks
-  (``get``/``put``/``evict``/``stats``, namespace-scoped keys);
-* :class:`MemoryCacheBackend` (L1) and :class:`SqliteCacheBackend`
-  (persistent L2) — the two shipped backends;
-* :class:`TieredCache` — composes them behind each public cache facade;
-* :class:`CacheConfig` / :func:`open_cache` — declarative wiring,
-  threaded through ``VerifierConfig`` and ``ServiceConfig``;
-* :class:`ProfileStore` / :func:`warm_profiles` — the opt-in warm-start
-  store feeding the Algorithm-10 scheduler from real traffic.
+A verifier or service gets its file from one setting, ``cache_db``
+(``VerifierConfig``, ``ServiceConfig``, ``RouterConfig`` and the
+``--cache-db`` flag).
 """
 
-from .api import (
-    DEFAULT_MAX_BYTES,
-    DEFAULT_PERSIST_NAMESPACES,
-    CacheBackend,
-    CacheConfig,
-    CacheStats,
-    Codec,
-    stable_key,
-)
-from .memory import MemoryCacheBackend
-from .persistent import SqliteCacheBackend
-from .profiles import (
-    MethodObservation,
-    ProfileStore,
-    record_run_profiles,
-    warm_profiles,
-)
-from .store import CacheStore, open_cache
-from .tiered import TieredCache
+from .persistent import DEFAULT_MAX_BYTES, SqliteCacheBackend
+from .tiered import CacheStats, TieredCache, stable_key
 
 __all__ = [
     "DEFAULT_MAX_BYTES",
-    "DEFAULT_PERSIST_NAMESPACES",
-    "CacheBackend",
-    "CacheConfig",
     "CacheStats",
-    "CacheStore",
-    "Codec",
-    "MemoryCacheBackend",
-    "MethodObservation",
-    "ProfileStore",
     "SqliteCacheBackend",
     "TieredCache",
-    "open_cache",
-    "record_run_profiles",
     "stable_key",
-    "warm_profiles",
 ]

@@ -1,23 +1,24 @@
-"""The persistent L2 backend: an sqlite file that survives restarts.
+"""The persistent L2 tier: one sqlite file that survives restarts.
 
-One file holds every persisted namespace (plus the method-profile
-observations of :mod:`repro.cache.profiles`), so a restarted worker — or
-a future shard worker pointed at the same path — warms up from the whole
-fleet's traffic. WAL journalling keeps concurrent readers cheap; one
-process-level lock serialises this process's statements.
+One file holds every persisted namespace (``llm`` and ``sql_result``),
+so a restarted process — or every shard of ``repro.cluster`` pointed at
+the same path — warms up from the whole fleet's traffic. WAL
+journalling keeps concurrent readers cheap; one process-level lock
+serialises this process's statements.
 
 Failure policy: **a cache must never take the service down.** A corrupt
 file is quarantined (renamed ``<path>.corrupt``) at open and a fresh
 store is created in its place; an sqlite error mid-flight disables the
-backend for the rest of the process, turning every subsequent ``get``
-into a miss and every ``put`` into a no-op. Both paths are exercised by
+backend for the rest of the process, turning every later ``get`` into a
+miss and every ``put`` into a no-op. Both paths are exercised by
 ``tests/integration/test_engine_cache_determinism.py``.
 
-Values arrive already text-encoded (see :class:`~repro.cache.api.Codec`)
-and are budgeted by encoded size: when the file's payload exceeds
-``max_bytes``, oldest-created entries are dropped first. ``ttl_seconds``
-expires entries lazily on read; expirations are counted separately from
-evictions so the stats distinguish "aged out" from "squeezed out".
+Values arrive text-encoded and are budgeted by encoded size: when the
+stored values exceed ``max_bytes``, the oldest-written entries go
+first. The running total lives in the file itself (``cache_bytes``),
+kept by triggers inside each writer's own transaction, so the budget
+check costs O(1) per put and stays right when several processes share
+the file.
 
 This module is the one place in the repo allowed to import ``sqlite3``
 (enforced by cedarlint rule CDL031).
@@ -29,11 +30,13 @@ import os
 import sqlite3
 import threading
 import time
-from typing import Callable, Iterable
 
-from .api import DEFAULT_MAX_BYTES, CacheStats
+from .tiered import CacheStats
 
-_COUNTER_NAMES = ("hits", "misses", "evictions", "expirations")
+#: Byte budget of the values one L2 file holds.
+DEFAULT_MAX_BYTES = 64 * 1024 * 1024
+
+_COUNTER_NAMES = ("hits", "misses", "evictions")
 
 _SCHEMA = (
     """
@@ -42,41 +45,43 @@ _SCHEMA = (
         key        TEXT NOT NULL,
         value      TEXT NOT NULL,
         created_at REAL NOT NULL,
-        expires_at REAL,
         size_bytes INTEGER NOT NULL,
         PRIMARY KEY (namespace, key)
     )
     """,
-    """
-    CREATE TABLE IF NOT EXISTS method_profiles (
-        method          TEXT NOT NULL,
-        recorded_at     REAL NOT NULL,
-        trials          INTEGER NOT NULL,
-        successes       INTEGER NOT NULL,
-        cost            REAL NOT NULL,
-        latency_seconds REAL NOT NULL
-    )
-    """,
     "CREATE INDEX IF NOT EXISTS cache_age ON cache (created_at)",
+    "CREATE TABLE IF NOT EXISTS cache_bytes (total INTEGER NOT NULL)",
+    """
+    CREATE TRIGGER IF NOT EXISTS cache_bytes_add AFTER INSERT ON cache
+    BEGIN UPDATE cache_bytes SET total = total + NEW.size_bytes; END
+    """,
+    """
+    CREATE TRIGGER IF NOT EXISTS cache_bytes_drop AFTER DELETE ON cache
+    BEGIN UPDATE cache_bytes SET total = total - OLD.size_bytes; END
+    """,
+    # Seed the total once (a file written before the triggers existed
+    # is summed here); after that only the triggers move it.
+    """
+    INSERT INTO cache_bytes SELECT COALESCE(SUM(size_bytes), 0) FROM cache
+    WHERE NOT EXISTS (SELECT 1 FROM cache_bytes)
+    """,
 )
 
 
 class SqliteCacheBackend:
-    """A :class:`~repro.cache.api.CacheBackend` over one sqlite file."""
+    """Namespace-scoped text get/put over one sqlite file."""
 
     def __init__(
         self,
         path: str | os.PathLike,
         *,
-        ttl_seconds: float | None = None,
         max_bytes: int = DEFAULT_MAX_BYTES,
-        clock: Callable[[], float] = time.time,
     ) -> None:
+        if max_bytes <= 0:
+            raise ValueError("max_bytes must be positive")
         self.path = str(path)
-        self.ttl_seconds = ttl_seconds
         self.max_bytes = max_bytes
-        self._clock = clock
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._counters: dict[str, dict[str, int]] = {}
         self._conn: sqlite3.Connection | None = None
         try:
@@ -99,6 +104,9 @@ class SqliteCacheBackend:
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute("PRAGMA busy_timeout=5000")
+            # INSERT OR REPLACE deletes the row it replaces; only with
+            # recursive triggers does that delete reach cache_bytes_drop.
+            conn.execute("PRAGMA recursive_triggers=ON")
             for statement in _SCHEMA:
                 conn.execute(statement)
             conn.commit()
@@ -135,7 +143,7 @@ class SqliteCacheBackend:
         with self._lock:
             self._disable()
 
-    # -- the backend protocol ------------------------------------------------
+    # -- get / put -----------------------------------------------------------
 
     def _counter(self, namespace: str) -> dict[str, int]:
         counter = self._counters.get(namespace)
@@ -146,52 +154,31 @@ class SqliteCacheBackend:
 
     def get(self, namespace: str, key: str) -> str | None:
         with self._lock:
-            counter = self._counter(namespace)
-            if self._conn is None:
-                counter["misses"] += 1
-                return None
-            try:
-                row = self._conn.execute(
-                    "SELECT value, expires_at FROM cache "
-                    "WHERE namespace = ? AND key = ?",
-                    (namespace, key),
-                ).fetchone()
-                if row is None:
-                    counter["misses"] += 1
-                    return None
-                value, expires_at = row
-                if expires_at is not None and expires_at <= self._clock():
-                    self._conn.execute(
-                        "DELETE FROM cache WHERE namespace = ? AND key = ?",
+            value = None
+            if self._conn is not None:
+                try:
+                    row = self._conn.execute(
+                        "SELECT value FROM cache "
+                        "WHERE namespace = ? AND key = ?",
                         (namespace, key),
-                    )
-                    self._conn.commit()
-                    counter["expirations"] += 1
-                    counter["misses"] += 1
-                    return None
-                counter["hits"] += 1
-                return value
-            except sqlite3.Error:
-                self._disable()
-                counter["misses"] += 1
-                return None
+                    ).fetchone()
+                    value = row[0] if row is not None else None
+                except sqlite3.Error:
+                    self._disable()
+            self._counter(namespace)["misses" if value is None else "hits"] += 1
+            return value
 
     def put(self, namespace: str, key: str, value: str) -> None:
+        size = len(value.encode("utf-8"))
         with self._lock:
             if self._conn is None:
                 return
-            now = self._clock()
-            expires_at = (
-                now + self.ttl_seconds if self.ttl_seconds is not None
-                else None
-            )
-            size = len(value.encode("utf-8"))
             try:
                 self._conn.execute(
                     "INSERT OR REPLACE INTO cache "
-                    "(namespace, key, value, created_at, expires_at, "
-                    "size_bytes) VALUES (?, ?, ?, ?, ?, ?)",
-                    (namespace, key, value, now, expires_at, size),
+                    "(namespace, key, value, created_at, size_bytes) "
+                    "VALUES (?, ?, ?, ?, ?)",
+                    (namespace, key, value, time.time(), size),
                 )
                 self._evict_over_budget()
                 self._conn.commit()
@@ -199,9 +186,11 @@ class SqliteCacheBackend:
                 self._disable()
 
     def _evict_over_budget(self) -> None:
-        total = self._conn.execute(
-            "SELECT COALESCE(SUM(size_bytes), 0) FROM cache"
-        ).fetchone()[0]
+        # Runs inside the put's transaction, after its INSERT took the
+        # write lock: no other writer can move the total meanwhile.
+        (total,) = self._conn.execute(
+            "SELECT total FROM cache_bytes"
+        ).fetchone()
         while total > self.max_bytes:
             row = self._conn.execute(
                 "SELECT namespace, key, size_bytes FROM cache "
@@ -217,20 +206,7 @@ class SqliteCacheBackend:
             total -= size
             self._counter(namespace)["evictions"] += 1
 
-    def evict(self, namespace: str | None = None) -> None:
-        with self._lock:
-            if self._conn is None:
-                return
-            try:
-                if namespace is None:
-                    self._conn.execute("DELETE FROM cache")
-                else:
-                    self._conn.execute(
-                        "DELETE FROM cache WHERE namespace = ?", (namespace,)
-                    )
-                self._conn.commit()
-            except sqlite3.Error:
-                self._disable()
+    # -- stats ---------------------------------------------------------------
 
     def _entry_count(self, namespace: str | None) -> int:
         if self._conn is None:
@@ -251,66 +227,17 @@ class SqliteCacheBackend:
             return 0
 
     def stats(self, namespace: str | None = None) -> CacheStats:
-        """Traffic counters plus the live entry count. ``max_size`` is 0:
-        this tier is budgeted in bytes, not entries."""
+        """Traffic counters (one namespace, or all) plus the live entry
+        count. ``max_size`` is 0: this tier is budgeted in bytes."""
         with self._lock:
-            if namespace is not None:
-                counters = dict(self._counter(namespace))
-            else:
-                counters = dict.fromkeys(_COUNTER_NAMES, 0)
-                for counter in self._counters.values():
-                    for name in _COUNTER_NAMES:
-                        counters[name] += counter[name]
+            counters = dict.fromkeys(_COUNTER_NAMES, 0)
+            for name, counter in self._counters.items():
+                if namespace is None or name == namespace:
+                    for field in _COUNTER_NAMES:
+                        counters[field] += counter[field]
             return CacheStats(
                 hits=counters["hits"],
                 misses=counters["misses"],
                 evictions=counters["evictions"],
-                expirations=counters["expirations"],
                 size=self._entry_count(namespace),
             )
-
-    def reset_stats(self, namespace: str | None = None) -> None:
-        with self._lock:
-            if namespace is None:
-                self._counters.clear()
-            else:
-                self._counters.pop(namespace, None)
-
-    def namespaces(self) -> list[str]:
-        """Namespaces present in the file (for ``/stats`` renderings)."""
-        with self._lock:
-            if self._conn is None:
-                return []
-            try:
-                rows = self._conn.execute(
-                    "SELECT DISTINCT namespace FROM cache ORDER BY namespace"
-                ).fetchall()
-            except sqlite3.Error:
-                self._disable()
-                return []
-            return [row[0] for row in rows]
-
-    # -- shared-file helpers (profile store) ---------------------------------
-
-    def run(self, sql: str, params: Iterable = ()) -> list[tuple]:
-        """Execute one statement on the shared file, error-safe.
-
-        Used by :class:`~repro.cache.profiles.ProfileStore`, which lives
-        in the same file. Returns fetched rows (empty for writes); any
-        sqlite error disables the backend and returns nothing, matching
-        the never-crash policy of the cache side.
-        """
-        with self._lock:
-            if self._conn is None:
-                return []
-            try:
-                cursor = self._conn.execute(sql, tuple(params))
-                rows = cursor.fetchall()
-                self._conn.commit()
-                return rows
-            except sqlite3.Error:
-                self._disable()
-                return []
-
-    def now(self) -> float:
-        return self._clock()

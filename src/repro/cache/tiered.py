@@ -1,36 +1,103 @@
-"""The tier composer: L1 in front, optional persistent L2 behind.
+"""One cache class: an in-process LRU, optionally backed by one file.
 
-Every public cache facade (``LLMCache``, ``PlanCache``,
-``QueryResultCache``, the analyzer memo) owns one :class:`TieredCache`.
-Lookups probe the in-process L1 first; on an L1 miss with a persistent
-tier attached, the L2 is probed by *stable* key, a hit is decoded and
-promoted into L1, and the caller never learns which tier answered —
-except through the stats.
+Every cache in the repo is a :class:`TieredCache` — the LLM response
+cache, the plan and query-result caches, the analyzer memo and the
+prompt-schema memo. The facades (``LLMCache``, ``PlanCache``,
+``QueryResultCache``) only add a namespace and, where the values
+persist, a codec.
 
-Facade-level counters (hits/misses/bypasses) describe what the caller
-experienced; :meth:`tier_stats` exposes each tier's own accounting for
-the metrics collectors (an L2 hit counts as a facade hit *and* an L1
-miss — the promotion is visible, not hidden).
+* **L1** is an ``OrderedDict`` LRU of live objects behind one lock, with
+  one set of counters.
+* **L2** (optional) is a shared
+  :class:`~repro.cache.persistent.SqliteCacheBackend`. On an L1 miss the
+  cache probes it under ``stable_key(namespace, *key)``, decodes a hit
+  through the codec and promotes it into L1; a put writes both tiers.
 
-L2 participation is per call: callers pass ``stable_key=`` only when
-they can derive a process-independent key (see
-:func:`repro.cache.api.stable_key`). Without one, the entry stays
-L1-only — which is how the plan cache and analyzer memo opt out
-wholesale.
+One key serves both tiers: keys are tuples whose parts mean the same in
+every process and render as JSON. The SQL caches key on
+:meth:`~repro.sqlengine.table.Database.content_fingerprint`, the LLM
+cache on ``(model, prompt, temperature, repr(seed))``.
+
+Determinism contract: a hit from either tier equals what the original
+computation produced, so cold-cache and warm-cache runs render
+byte-identical reports (``tests/integration/
+test_engine_cache_determinism.py``).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import threading
-from typing import Hashable
+from collections import OrderedDict
+from collections.abc import Hashable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
-from .api import CacheStats, Codec
-from .memory import MemoryCacheBackend
-from .persistent import SqliteCacheBackend
+if TYPE_CHECKING:  # pragma: no cover - persistent imports CacheStats
+    from .persistent import SqliteCacheBackend
+
+
+@dataclass(frozen=True)
+class CacheStats:
+    """Counters describing one cache's traffic (every cache, one shape)."""
+
+    hits: int = 0
+    misses: int = 0
+    bypasses: int = 0
+    evictions: int = 0
+    size: int = 0
+    max_size: int = 0
+
+    @property
+    def lookups(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        """Hits over cacheable lookups (bypasses excluded)."""
+        return self.hits / self.lookups if self.lookups else 0.0
+
+    def to_dict(self) -> dict:
+        """JSON-friendly rendering (reports, ``/v1/stats``)."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "lookups": self.lookups,
+            "bypasses": self.bypasses,
+            "evictions": self.evictions,
+            "size": self.size,
+            "max_size": self.max_size,
+            "hit_rate": round(self.hit_rate, 4),
+        }
+
+
+def stable_key(namespace: str, *parts: object) -> str:
+    """A process-independent cache key: sha256 over the JSON'd parts.
+
+    Every part must render deterministically — strings, numbers, bools,
+    None, or nested lists thereof; anything else raises ``TypeError``.
+    """
+    payload = json.dumps(
+        [namespace, *parts], separators=(",", ":"), ensure_ascii=False,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class TieredCache:
-    """One namespace's cache: a private L1 plus a shared, optional L2."""
+    """One namespace's cache: an LRU of live values plus an optional L2.
+
+    Caches never store None: ``get`` returns None on a miss. ``stats()``
+    is what callers experienced (a hit from either tier is a hit);
+    :meth:`tier_stats` splits it per tier, so an L2 hit shows as an L1
+    miss there.
+
+    An L2 needs a ``codec`` with ``encode(value) -> str`` and
+    ``decode(text) -> value`` whose round trip is exact in every field
+    the rest of the system can observe: the determinism contract rides
+    on it. The shipped codecs are plain ``json`` over dataclass fields,
+    whose float rendering round-trips exactly.
+    """
 
     def __init__(
         self,
@@ -38,106 +105,120 @@ class TieredCache:
         max_entries: int,
         *,
         l2: SqliteCacheBackend | None = None,
-        codec: Codec | None = None,
+        codec: Any = None,
     ) -> None:
+        if max_entries < 1:
+            raise ValueError("max_entries must be at least 1")
         if l2 is not None and codec is None:
             raise ValueError("a persistent tier requires a codec")
         self.namespace = namespace
         self.max_size = max_entries
-        self._l1 = MemoryCacheBackend(max_entries)
         self._l2 = l2
         self._codec = codec
         self._lock = threading.Lock()
-        self._hits = 0
+        self._entries: OrderedDict[Hashable, object] = OrderedDict()
+        self._l1_hits = 0
+        self._l2_hits = 0
         self._misses = 0
         self._bypasses = 0
-        self._l2_promotions = 0
+        self._evictions = 0
 
     @property
     def has_l2(self) -> bool:
-        return self._l2 is not None and self._l2.enabled
+        return self._l2 is not None
 
-    def get(
-        self, key: Hashable, stable_key: str | None = None
-    ) -> object | None:
-        value = self._l1.get(self.namespace, key)
-        if value is not None:
-            with self._lock:
-                self._hits += 1
-            return value
-        if self._l2 is not None and stable_key is not None:
-            encoded = self._l2.get(self.namespace, stable_key)
-            if encoded is not None:
-                try:
-                    value = self._codec.decode(encoded)
-                except (ValueError, KeyError, TypeError):
-                    # Undecodable payload (foreign writer, schema drift):
-                    # a miss, never a crash.
-                    value = None
-                if value is not None:
-                    self._l1.put(self.namespace, key, value)
-                    with self._lock:
-                        self._hits += 1
-                        self._l2_promotions += 1
-                    return value
+    def get(self, key: Hashable) -> object | None:
         with self._lock:
-            self._misses += 1
-        return None
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                self._l1_hits += 1
+                return value
+        value = self._l2_get(key)
+        with self._lock:
+            if value is None:
+                self._misses += 1
+                return None
+            self._l2_hits += 1
+        self._insert(key, value)            # promote
+        return value
 
-    def put(
-        self, key: Hashable, value: object, stable_key: str | None = None
-    ) -> None:
-        self._l1.put(self.namespace, key, value)
-        if self._l2 is not None and stable_key is not None:
-            try:
-                encoded = self._codec.encode(value)
-            except (ValueError, TypeError):
-                return
-            self._l2.put(self.namespace, stable_key, encoded)
+    def put(self, key: Hashable, value: object) -> None:
+        self._insert(key, value)
+        if self._l2 is None:
+            return
+        try:
+            encoded = self._codec.encode(value)
+        except (ValueError, TypeError):
+            return
+        self._l2.put(self.namespace, self._l2_key(key), encoded)
+
+    def _insert(self, key: Hashable, value: object) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            if len(self._entries) > self.max_size:
+                self._entries.popitem(last=False)
+                self._evictions += 1
+
+    def _l2_key(self, key: Hashable) -> str:
+        return stable_key(self.namespace, *key)  # type: ignore[misc]
+
+    def _l2_get(self, key: Hashable) -> object | None:
+        if self._l2 is None:
+            return None
+        encoded = self._l2.get(self.namespace, self._l2_key(key))
+        if encoded is None:
+            return None
+        try:
+            return self._codec.decode(encoded)
+        except (ValueError, KeyError, TypeError):
+            # Undecodable payload (foreign writer, schema drift): a miss,
+            # never a crash.
+            return None
 
     def note_bypass(self) -> None:
         with self._lock:
             self._bypasses += 1
 
     def clear(self) -> None:
-        """Drop L1 entries. The persistent tier is shared state and is
-        left alone — evict it through the owning store explicitly."""
-        self._l1.evict(self.namespace)
+        """Drop L1 entries; counters survive. The L2 file is shared state
+        and is left alone."""
+        with self._lock:
+            self._entries.clear()
 
     def stats(self) -> CacheStats:
         """What the caller experienced: hits from any tier, L1 pressure."""
-        l1 = self._l1.stats(self.namespace)
-        expirations = (
-            self._l2.stats(self.namespace).expirations
-            if self._l2 is not None else 0
-        )
         with self._lock:
             return CacheStats(
-                hits=self._hits,
+                hits=self._l1_hits + self._l2_hits,
                 misses=self._misses,
                 bypasses=self._bypasses,
-                evictions=l1.evictions,
-                expirations=expirations,
-                size=l1.size,
+                evictions=self._evictions,
+                size=len(self._entries),
                 max_size=self.max_size,
             )
 
     def tier_stats(self) -> dict:
-        """Per-tier accounting for metrics: ``{"l1": ..., "l2": ...}``."""
-        tiers = {"l1": self._l1.stats(self.namespace).to_dict()}
+        """Per-tier accounting for ``/v1/stats``: ``{"l1": ..., "l2": ...}``."""
+        with self._lock:
+            l1 = CacheStats(
+                hits=self._l1_hits,
+                misses=self._l2_hits + self._misses,
+                evictions=self._evictions,
+                size=len(self._entries),
+                max_size=self.max_size,
+            )
+        tiers = {"l1": l1.to_dict()}
         if self._l2 is not None:
             tiers["l2"] = self._l2.stats(self.namespace).to_dict()
         return tiers
 
     def reset_stats(self) -> None:
         with self._lock:
-            self._hits = 0
-            self._misses = 0
-            self._bypasses = 0
-            self._l2_promotions = 0
-        self._l1.reset_stats(self.namespace)
-        if self._l2 is not None:
-            self._l2.reset_stats(self.namespace)
+            self._l1_hits = self._l2_hits = self._misses = 0
+            self._bypasses = self._evictions = 0
 
     def __len__(self) -> int:
-        return self._l1.stats(self.namespace).size
+        with self._lock:
+            return len(self._entries)

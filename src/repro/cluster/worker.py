@@ -11,8 +11,8 @@ so a routed job executes byte-identically to a directly-submitted one.
 Shard-local vs shared state: the LLM and SQL caches, verifiers, ledger,
 and stats live in this process (shared-nothing between shards); an
 optional ``--cache-db`` adds the one deliberately *shared* tier, the
-sqlite L2 from PR 6, which is multi-process safe and keyed by content
-fingerprints — the same fingerprints the router shards on.
+sqlite L2 file, which is multi-process safe and keyed by database
+content fingerprints — the same fingerprints the router shards on.
 
 Ops (see :mod:`repro.cluster.protocol` for framing):
 
@@ -53,7 +53,6 @@ import sys
 import threading
 from typing import Callable
 
-from repro.cache import CacheConfig
 from repro.datasets import DatasetBundle, build_aggchecker, build_tabfact
 from repro.llm import LatencySimulatingClient
 from repro.obs.logs import attach
@@ -336,8 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         workers=arguments.workers,
         cache_size=arguments.cache_size,
         tracing=not arguments.no_tracing,
-        cache_config=(CacheConfig(path=arguments.cache_db)
-                      if arguments.cache_db else None),
+        cache_db=arguments.cache_db or None,
     )).start()
     app = ServiceApp(
         service,

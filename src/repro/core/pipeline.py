@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import time
 
-from repro.cache import CacheConfig, CacheStore, record_run_profiles
+from repro.cache import SqliteCacheBackend
 from repro.llm.base import LLMClient
 from repro.llm.cache import CachingLLMClient, LLMCache
 from repro.llm.ledger import CostLedger
@@ -76,16 +76,16 @@ class VerifierConfig:
     #: determinism guard asserts reports are byte-identical both ways
     #: when no query is rejected.
     analyze_sql: bool = True
-    #: Persistent cache wiring (see :mod:`repro.cache`). With a
-    #: ``CacheConfig(path=...)`` the LLM response and SQL result caches
-    #: gain an L2 tier that survives restarts, and the LLM cache is
-    #: enabled even when ``cache_size`` was left at 0 (a persistent tier
-    #: without a cache in front of it would never be consulted).
-    #: ``profiles=True`` additionally records ledger-derived per-method
-    #: observations after every run, for
-    #: :func:`repro.cache.warm_profiles`. None (the default) changes
-    #: nothing: pure in-memory caching, byte-identical to before.
-    cache_config: CacheConfig | None = None
+    #: Path of the persistent cache file (see :mod:`repro.cache`). With
+    #: one, the LLM response and SQL result caches gain an L2 tier that
+    #: survives restarts, and the LLM cache is enabled even when
+    #: ``cache_size`` was left at 0 (a persistent tier without a cache in
+    #: front of it would never be consulted). None (the default) keeps
+    #: pure in-memory caching.
+    cache_db: str | None = None
+    _cache_backend: SqliteCacheBackend | None = field(
+        default=None, init=False, repr=False, compare=False,
+    )
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -98,20 +98,21 @@ class VerifierConfig:
     def make_ledger(self) -> CostLedger:
         return self.ledger if self.ledger is not None else CostLedger()
 
-    def open_cache_store(self) -> CacheStore | None:
-        """The opened store behind ``cache_config`` (memoised), or None."""
-        if self.cache_config is None:
-            return None
-        return self.cache_config.open()
+    def open_cache_db(self) -> SqliteCacheBackend | None:
+        """The file behind ``cache_db``, opened once and shared by both
+        caches this config makes; None without a path."""
+        if self.cache_db is not None and self._cache_backend is None:
+            self._cache_backend = SqliteCacheBackend(self.cache_db)
+        return self._cache_backend
 
     def make_cache(self) -> LLMCache | None:
         if self.cache is not None:
             return self.cache
-        store = self.open_cache_store()
+        l2 = self.open_cache_db()
         if self.cache_size > 0:
-            return LLMCache(self.cache_size, store=store)
-        if store is not None and store.l2_for("llm") is not None:
-            return LLMCache(store=store)
+            return LLMCache(self.cache_size, l2=l2)
+        if l2 is not None:
+            return LLMCache(l2=l2)
         return None
 
     def make_sql_cache(self) -> QueryResultCache | None:
@@ -119,7 +120,7 @@ class VerifierConfig:
             return self.sql_cache
         if self.sql_cache_size > 0:
             return QueryResultCache(
-                self.sql_cache_size, store=self.open_cache_store(),
+                self.sql_cache_size, l2=self.open_cache_db(),
             )
         return None
 
@@ -248,24 +249,11 @@ class MultiStageVerifier:
             self.tracer = self.config.tracer
         else:
             self.tracer = current_tracer()
-        # Warm-start profile store (opt-in via CacheConfig.profiles):
-        # checkpoint the ledger now so only this run's spend is recorded.
-        store = self.config.open_cache_store()
-        profile_store = store.profile_store() if store is not None else None
-        checkpoint = (
-            self.ledger.checkpoint() if profile_store is not None else 0
-        )
         try:
             self._execute(documents, self._instrument(schedule), run)
         finally:
             self.observer = previous
             self.tracer = previous_tracer
-        if profile_store is not None:
-            # Recording only *writes* observations; it never feeds back
-            # into this run, so reports stay byte-identical either way.
-            record_run_profiles(
-                profile_store, run, self.ledger, since=checkpoint,
-            )
         return run
 
     def verify_document(

@@ -51,7 +51,7 @@ def _cache_stats(cache: LLMCache | CacheStats | None) -> CacheStats | None:
     """Accept either a live cache or a stats snapshot."""
     if cache is None:
         return None
-    return cache.stats if isinstance(cache, LLMCache) else cache
+    return cache.stats() if isinstance(cache, LLMCache) else cache
 
 
 def document_spans(

@@ -1,4 +1,4 @@
-"""Thread-safe LLM response cache with LRU eviction (now tiered).
+"""Thread-safe LLM response cache with LRU eviction.
 
 Identical temperature-0 calls are deterministic — for the offline
 simulation by construction (the RNG seed is a pure function of model,
@@ -13,20 +13,18 @@ one draw, silently breaking Theorems 6.1-6.2 (and the repro's simulated
 retries, which must advance the per-claim RNG). Bypasses are counted so
 the stats stay honest about how much traffic was cacheable at all.
 
-:class:`LLMCache` is a facade over :class:`repro.cache.TieredCache`:
-pure in-memory by default, and backed by the persistent L2 tier when
-constructed with an opened :class:`repro.cache.CacheStore` — responses
-then survive restarts under the ``"llm"`` namespace, serialised through
-:data:`CHAT_RESPONSE_CODEC` (an exact JSON round trip, so warm runs stay
-byte-identical to cold ones). :class:`CacheStats` lives in
-:mod:`repro.cache.api` now and is re-exported here for compatibility.
+:class:`LLMCache` is a :class:`repro.cache.TieredCache` under the
+``"llm"`` namespace: pure in-memory by default, and backed by the
+persistent L2 file when constructed with ``l2=`` — responses then
+survive restarts, serialised through :data:`CHAT_RESPONSE_CODEC` (an
+exact JSON round trip, so warm runs stay byte-identical to cold ones).
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.cache import CacheStats, CacheStore, TieredCache, stable_key
+from repro.cache import CacheStats, SqliteCacheBackend, TieredCache
 from repro.obs.tracer import current_tracer
 
 from .base import ChatResponse, ChatUsage, DelegatingLLMClient, LLMClient
@@ -43,8 +41,8 @@ __all__ = [
 #: Default number of responses an :class:`LLMCache` retains.
 DEFAULT_CACHE_SIZE = 1024
 
-#: Cache key: (model, prompt, temperature, client seed or None).
-CacheKey = tuple[str, str, float, object]
+#: Cache key: (model, prompt, temperature, repr of the client seed).
+CacheKey = tuple[str, str, float, str]
 
 
 class _ChatResponseCodec:
@@ -82,64 +80,23 @@ class _ChatResponseCodec:
 CHAT_RESPONSE_CODEC = _ChatResponseCodec()
 
 
-class LLMCache:
+class LLMCache(TieredCache):
     """An LRU map from prompts to :class:`ChatResponse` objects.
 
     Safe for concurrent use. Intended to be shared — across the methods
     of one verifier, and across repeated runs over the same documents
-    (where the hit rate is highest). Pass ``store`` (an opened
-    :class:`~repro.cache.CacheStore` persisting the ``"llm"`` namespace)
-    to add a restart-surviving L2 tier behind the in-memory L1.
+    (where the hit rate is highest). Pass ``l2`` (an opened
+    :class:`~repro.cache.SqliteCacheBackend`) to add a restart-surviving
+    tier behind the in-memory one.
     """
 
     def __init__(
         self,
         max_size: int = DEFAULT_CACHE_SIZE,
         *,
-        store: CacheStore | None = None,
+        l2: SqliteCacheBackend | None = None,
     ) -> None:
-        if max_size < 1:
-            raise ValueError("max_size must be at least 1")
-        self.max_size = max_size
-        l2 = store.l2_for("llm") if store is not None else None
-        self._tier = TieredCache(
-            "llm", max_size, l2=l2, codec=CHAT_RESPONSE_CODEC,
-        )
-
-    def _stable_key(self, key: CacheKey) -> str | None:
-        if not self._tier.has_l2:
-            return None
-        model, prompt, temperature, seed = key
-        # The seed is config-derived (stable across restarts) for the
-        # simulated clients and None for hosted ones; repr() folds both
-        # into one deterministic string.
-        return stable_key("llm", model, prompt, temperature, repr(seed))
-
-    def get(self, key: CacheKey) -> ChatResponse | None:
-        """Look up a response, refreshing its recency on a hit."""
-        return self._tier.get(key, self._stable_key(key))
-
-    def put(self, key: CacheKey, response: ChatResponse) -> None:
-        """Insert a response, evicting the least recently used on overflow."""
-        self._tier.put(key, response, self._stable_key(key))
-
-    def note_bypass(self) -> None:
-        """Count a call that skipped the cache (temperature > 0)."""
-        self._tier.note_bypass()
-
-    def clear(self) -> None:
-        self._tier.clear()
-
-    @property
-    def stats(self) -> CacheStats:
-        return self._tier.stats()
-
-    def tier_stats(self) -> dict:
-        """Per-tier stats (``{"l1": ..., "l2": ...}``) for ``/v1/stats``."""
-        return self._tier.tier_stats()
-
-    def __len__(self) -> int:
-        return len(self._tier)
+        super().__init__("llm", max_size, l2=l2, codec=CHAT_RESPONSE_CODEC)
 
 
 class CachingLLMClient(DelegatingLLMClient):
@@ -186,10 +143,12 @@ class CachingLLMClient(DelegatingLLMClient):
     def _key(self, prompt: str, temperature: float) -> CacheKey:
         # The simulated client's seed is part of its identity: two clients
         # with different seeds answer the same prompt differently. Hosted
-        # clients have no seed; None keeps them in one namespace.
+        # clients have no seed. The seed is config-derived (stable across
+        # restarts) and repr() renders int and None alike as one
+        # deterministic string, so the key also names the L2 entry.
         return (
             self.model_name,
             prompt,
             temperature,
-            getattr(self.inner, "seed", None),
+            repr(getattr(self.inner, "seed", None)),
         )

@@ -39,6 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
+from repro.cache import SqliteCacheBackend, TieredCache
 from repro.core import (
     ParallelVerifier,
     ScheduleEntry,
@@ -46,7 +47,6 @@ from repro.core import (
     VerificationRun,
     VerifierConfig,
 )
-from repro.cache import CacheConfig
 from repro.core.claims import Claim, Document
 from repro.core.pipeline import ClaimReport
 from repro.core.reports import claim_record
@@ -117,12 +117,12 @@ class ServiceConfig:
     #: by ``GET /jobs/<id>/trace``. Tracing never changes verdicts or
     #: spend; disable it to shave the last few percent off hot batches.
     tracing: bool = True
-    #: Persistent cache wiring (see :mod:`repro.cache`): with a
-    #: ``CacheConfig(path=...)``, the service's shared LLM and SQL-result
-    #: caches gain a restart-surviving L2 tier (its stats appear in
-    #: ``/v1/stats`` under ``cache.tiers`` and ``sql.result_cache.tiers``).
-    #: None keeps the pure in-memory behaviour.
-    cache_config: CacheConfig | None = None
+    #: Path of the persistent cache file (see :mod:`repro.cache`): with
+    #: one, the service's shared LLM and SQL-result caches gain a
+    #: restart-surviving L2 tier (its stats appear in ``/v1/stats`` under
+    #: ``cache.tiers`` and ``sql.result_cache.tiers``). None keeps the
+    #: pure in-memory behaviour.
+    cache_db: str | None = None
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
@@ -170,6 +170,15 @@ def clone_document(document: Document, tag: str) -> Document:
         domain=document.domain,
         title=document.title,
     )
+
+
+def _render_cache(cache: TieredCache) -> dict:
+    """A cache's ``/v1/stats`` rendering, split per tier when it has an
+    L2 (``cache.tiers``, ``sql.result_cache.tiers``)."""
+    rendered = cache.stats().to_dict()
+    if cache.has_l2:
+        rendered["tiers"] = cache.tier_stats()
+    return rendered
 
 
 class Job:
@@ -415,26 +424,25 @@ class VerificationService:
             self.config.ledger
             if self.config.ledger is not None else CostLedger()
         )
-        #: The opened persistent store (None without a cache_config) —
-        #: one sqlite file shared by both caches below.
-        self.cache_store = (
-            self.config.cache_config.open()
-            if self.config.cache_config is not None else None
+        #: The opened persistent tier (None without a cache_db) — one
+        #: sqlite file shared by both caches below.
+        self.l2 = (
+            SqliteCacheBackend(self.config.cache_db)
+            if self.config.cache_db is not None else None
         )
         #: One response cache shared by every verifier the service owns,
         #: so requests warm each other's entries (the cross-request half
         #: of the PR 1 cache).
         self.cache = (
-            LLMCache(self.config.cache_size, store=self.cache_store)
+            LLMCache(self.config.cache_size, l2=self.l2)
             if self.config.cache_size > 0 else None
         )
         #: One query-result cache shared the same way: jobs that verify
         #: against the same database re-use each other's SQL results
-        #: (keys carry the database fingerprint, so mutation invalidates).
+        #: (keys carry the database content fingerprint, so mutation
+        #: invalidates).
         self.sql_cache = (
-            QueryResultCache(
-                self.config.sql_cache_size, store=self.cache_store,
-            )
+            QueryResultCache(self.config.sql_cache_size, l2=self.l2)
             if self.config.sql_cache_size > 0 else None
         )
         self._queue = BoundedJobQueue(self.config.max_queue_depth)
@@ -904,15 +912,11 @@ class VerificationService:
     # -- introspection -------------------------------------------------------
 
     def _cache_stats(self) -> dict | None:
-        """The response cache's counters, per tier when an L2 is open
-        (the shape ``sql.result_cache`` already has); None while the
-        cache is off or still empty."""
+        """The response cache's counters; None while the cache is off or
+        still empty."""
         if not self.cache:
             return None
-        stats = self.cache.stats.to_dict()
-        if self.cache_store is not None:
-            stats["tiers"] = self.cache.tier_stats()
-        return stats
+        return _render_cache(self.cache)
 
     def stats(self) -> ServiceStats:
         with self._lock:
@@ -932,7 +936,8 @@ class VerificationService:
         # strategy counters still expose process-wide hit/miss tallies).
         sql = dict(engine_stats())
         sql["result_cache"] = (
-            self.sql_cache.stats() if self.sql_cache is not None else None
+            _render_cache(self.sql_cache)
+            if self.sql_cache is not None else None
         )
         sql["executions"] = self.ledger.sql_executions
         sql["seconds"] = round(self.ledger.sql_seconds, 6)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from . import ast_nodes as ast
 from .errors import ParseError, TokenizeError
 from .parser import parse_select
-from repro.cache import TieredCache
+from repro.cache import CacheStats, TieredCache
 
 from .planner import normalize_sql, shared_plan_cache
 from .table import Database
@@ -131,16 +131,15 @@ def record_rejection() -> None:
 
 # -- entry points -------------------------------------------------------------
 
-#: Memoized analyses. L1-only (no stable key is ever passed): analyses
-#: hold live AST references and re-deriving one is cheap, so persisting
-#: them buys nothing. The unified stats surface as ``analyzer_memo`` in
-#: ``engine_stats()``.
+#: Memoized analyses. L1-only: analyses hold live AST references and
+#: re-deriving one is cheap, so persisting them buys nothing. The stats
+#: surface as ``analyzer_memo`` in ``engine_stats()``.
 _ANALYSIS_CACHE = TieredCache("sql_analysis", 512)
 
 
-def analysis_memo_stats() -> dict:
-    """Unified :class:`repro.cache.CacheStats` rendering of the memo."""
-    return _ANALYSIS_CACHE.stats().to_dict()
+def analysis_memo_stats() -> CacheStats:
+    """The memo's :class:`repro.cache.CacheStats`."""
+    return _ANALYSIS_CACHE.stats()
 
 
 def analyze_sql(sql: str, database: Database) -> QueryAnalysis:
@@ -148,11 +147,11 @@ def analyze_sql(sql: str, database: Database) -> QueryAnalysis:
 
     Parsing goes through the shared plan cache, so an analyzed query that
     is subsequently executed reuses the same statement object. Analyses
-    are memoized on ``(database fingerprint, normalized SQL)`` — the
-    fingerprint changes whenever the database gains a table, so
+    are memoized on ``(database content fingerprint, normalized SQL)`` —
+    the fingerprint changes whenever the database gains a table, so
     schema-dependent verdicts never go stale.
     """
-    key = (database.fingerprint(), normalize_sql(sql))
+    key = (database.content_fingerprint(), normalize_sql(sql))
     cached = _ANALYSIS_CACHE.get(key)
     if cached is not None:
         ANALYZER_COUNTERS.bump("memo_hits")

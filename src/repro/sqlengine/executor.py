@@ -10,8 +10,8 @@ Two execution modes share one code base:
   are compiled to closures once per (statement, schema), conjunctive
   single-table predicates are pushed below joins, equi-joins run as hash
   joins, and ``col = literal`` scans use lazy per-table indexes. Finished
-  results can be cached per (database fingerprint, normalized SQL) in a
-  :class:`~repro.sqlengine.planner.QueryResultCache`.
+  results can be cached per (database content fingerprint, normalized
+  SQL) in a :class:`~repro.sqlengine.planner.QueryResultCache`.
 
 The optimized mode is required to be *byte-identical* to naive: same
 rows, same row order, same errors. Everything that cannot be proven
@@ -195,17 +195,14 @@ class Engine:
                 self.plan_cache.put(key, statement)
         if self.result_cache is None:
             return self.execute_statement(statement, [])
-        # ``database=`` lets the cache derive a content-based stable key
-        # for its persistent tier; the L1 key stays the cheap
-        # process-local fingerprint pair.
-        cache_key = (self.database.fingerprint(), key)
-        cached = self.result_cache.get(cache_key, database=self.database)
+        cache_key = (self.database.content_fingerprint(), key)
+        cached = self.result_cache.get(cache_key)
         if cached is not None:
             STRATEGY_COUNTERS.bump("result_cache_hits")
             return cached
         STRATEGY_COUNTERS.bump("result_cache_misses")
         result = self.execute_statement(statement, [])
-        self.result_cache.put(cache_key, result, database=self.database)
+        self.result_cache.put(cache_key, result)
         return result
 
     def execute_scalar(self, sql: str) -> SqlValue:
@@ -227,7 +224,7 @@ class Engine:
         """
         if self.naive or self.result_cache is None:
             return self.execute_statement(statement, outer_scopes)
-        fingerprint = self.database.fingerprint()
+        fingerprint = self.database.content_fingerprint()
         meta = self._subquery_meta.get(id(statement))  # cedarlint: disable=CDL013
         if meta is None or meta[0] is not statement or meta[1] != fingerprint:
             cacheable = subquery_is_cacheable(statement, self.database)
@@ -240,13 +237,13 @@ class Engine:
             STRATEGY_COUNTERS.bump("subquery_cache_bypasses")
             return self.execute_statement(statement, outer_scopes)
         cache_key = (fingerprint, meta[3])
-        cached = self.result_cache.get(cache_key, database=self.database)
+        cached = self.result_cache.get(cache_key)
         if cached is not None:
             STRATEGY_COUNTERS.bump("subquery_cache_hits")
             return cached
         STRATEGY_COUNTERS.bump("subquery_cache_misses")
         result = self.execute_statement(statement, outer_scopes)
-        self.result_cache.put(cache_key, result, database=self.database)
+        self.result_cache.put(cache_key, result)
         return result
 
     def execute_statement(

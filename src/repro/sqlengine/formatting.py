@@ -14,7 +14,7 @@ from .ast_nodes import quote_identifier, quote_string
 from .table import Database, Table
 from .values import to_text
 
-#: Rendered prompt schemas kept, one per (database state, preview
+#: Rendered prompt schemas kept, one per (database content, preview
 #: length). Every attempt on a document embeds the same few KB of text.
 SCHEMA_MEMO_SIZE = 128
 
@@ -61,9 +61,10 @@ def prompt_schema_text(database: Database, sample_rows: int = 3) -> str:
     The sample prompt in the paper shows the schema *with* example rows,
     which is what lets the model infer value formats. Renders every table
     as CREATE TABLE plus a short row preview. Memoized on
-    :meth:`Database.fingerprint`, so ``add`` invalidates the rendering.
+    :meth:`Database.content_fingerprint`, so ``add`` invalidates the
+    rendering.
     """
-    key = (database.fingerprint(), sample_rows)
+    key = (database.content_fingerprint(), sample_rows)
     text = _SCHEMA_MEMO.get(key)
     if text is None:
         text = _render_prompt_schema(database, sample_rows)

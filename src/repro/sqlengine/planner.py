@@ -4,32 +4,29 @@ This module is the bookkeeping half of the compile-and-cache engine:
 
 * :func:`normalize_sql` — canonical text for cache keys (whitespace
   collapsed *outside* string/identifier quotes only).
-* :class:`PlanCache` — thread-safe LRU from normalized SQL to the parsed
-  statement, so the tokenizer/parser run once per distinct query. A
-  module-level default (:func:`shared_plan_cache`) is shared by every
-  engine unless a caller supplies its own. L1-only on purpose: plans are
-  live AST objects and a re-parse is cheaper than a faithful
-  serialisation.
-* :class:`QueryResultCache` — thread-safe LRU from
-  ``(database fingerprint, normalized SQL)`` to a finished
-  :class:`~repro.sqlengine.executor.QueryResult`. Fingerprints come from
-  :meth:`Database.fingerprint`, so mutating a database invalidates its
-  entries by key change rather than by explicit purge. With an opened
-  :class:`repro.cache.CacheStore` it gains a persistent L2 tier keyed on
-  :meth:`Database.content_fingerprint` — a content hash that *is* stable
-  across processes — so results survive restarts.
+* :class:`PlanCache` — normalized SQL to the parsed statement, so the
+  tokenizer/parser run once per distinct query. A module-level default
+  (:func:`shared_plan_cache`) is shared by every engine unless a caller
+  supplies its own. L1-only on purpose: plans are live AST objects and
+  a re-parse is cheaper than a faithful serialisation.
+* :class:`QueryResultCache` — ``(Database.content_fingerprint(),
+  normalized SQL)`` to a finished
+  :class:`~repro.sqlengine.executor.QueryResult`. The fingerprint is a
+  content hash, so mutating a database invalidates its entries by key
+  change, equal databases share entries, and the key means the same in
+  every process — which is what lets the optional L2 file serve results
+  across restarts.
 * :class:`StrategyCounters` — process-wide counters for which execution
   strategies fired (hash vs nested-loop joins, pushed predicates, indexed
   scans, compiled vs interpreted expressions, result-cache traffic).
   Surfaced in ``/stats`` and in report renderings via
   :func:`engine_stats`.
 
-Both caches are facades over :class:`repro.cache.TieredCache` — the
-unified cache layer that replaced this module's private ``_LruCache``
-skeleton. Statement ASTs are frozen dataclasses, so sharing one parse
-across threads and engines is safe. Cached results are defensively
-copied on both insert and hit — ``QueryResult.rows`` is a mutable list
-and callers are allowed to mangle what they get back.
+Both caches are :class:`repro.cache.TieredCache` namespaces. Statement
+ASTs are frozen dataclasses, so sharing one parse across threads and
+engines is safe. Cached results are defensively copied on both insert
+and hit — ``QueryResult.rows`` is a mutable list and callers are
+allowed to mangle what they get back.
 """
 
 from __future__ import annotations
@@ -39,12 +36,10 @@ import threading
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from repro.cache import CacheStore, TieredCache, stable_key
+from repro.cache import SqliteCacheBackend, TieredCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (executor imports us)
-    from .ast_nodes import SelectStatement
     from .executor import QueryResult
-    from .table import Database
 
 DEFAULT_PLAN_CACHE_SIZE = 512
 DEFAULT_RESULT_CACHE_SIZE = 1024
@@ -123,108 +118,46 @@ class _QueryResultCodec:
 QUERY_RESULT_CODEC = _QueryResultCodec()
 
 
-class PlanCache:
-    """Normalized SQL text → parsed :class:`SelectStatement`.
+class PlanCache(TieredCache):
+    """Normalized SQL text → parsed
+    :class:`~repro.sqlengine.ast_nodes.SelectStatement`.
 
     Only successful parses are cached; malformed SQL re-raises its parse
     error on every attempt, exactly like the uncached engine.
     """
 
     def __init__(self, max_size: int = DEFAULT_PLAN_CACHE_SIZE) -> None:
-        if max_size <= 0:
-            raise ValueError("cache size must be positive")
-        self.max_size = max_size
-        self._tier = TieredCache("sql_plan", max_size)
-
-    def get(self, key: str) -> "SelectStatement | None":
-        return self._tier.get(key)  # type: ignore[return-value]
-
-    def put(self, key: str, value: "SelectStatement") -> None:
-        self._tier.put(key, value)
-
-    def clear(self) -> None:
-        self._tier.clear()
-
-    def reset_stats(self) -> None:
-        self._tier.reset_stats()
-
-    def __len__(self) -> int:
-        return len(self._tier)
-
-    def stats(self) -> dict:
-        return self._tier.stats().to_dict()
+        super().__init__("sql_plan", max_size)
 
 
-class QueryResultCache:
-    """(database fingerprint, normalized SQL) → :class:`QueryResult`.
+class QueryResultCache(TieredCache):
+    """(database content fingerprint, normalized SQL) → :class:`QueryResult`.
 
     Correlated subqueries never reach this cache: the engine consults it
     only where no outer row scope exists. Entries are copied in and out,
-    so cached rows can never be mutated by a caller.
-
-    The L1 key keeps the process-local ``Database.fingerprint()`` pair
-    (cheap, and mutation-safe by key change). When a ``store`` with a
-    persistent tier is attached, lookups that pass ``database=`` also
-    probe L2 under a content-derived stable key, so a fresh process —
-    whose fingerprints restart from scratch — still hits results a
-    previous run computed over identical data.
+    so cached rows can never be mutated by a caller. Pass ``l2`` (an
+    opened :class:`~repro.cache.SqliteCacheBackend`) to keep results
+    across restarts.
     """
 
     def __init__(
         self,
         max_size: int = DEFAULT_RESULT_CACHE_SIZE,
         *,
-        store: CacheStore | None = None,
+        l2: SqliteCacheBackend | None = None,
     ) -> None:
-        if max_size <= 0:
-            raise ValueError("cache size must be positive")
-        self.max_size = max_size
-        l2 = store.l2_for("sql_result") if store is not None else None
-        self._tier = TieredCache(
+        super().__init__(
             "sql_result", max_size, l2=l2, codec=QUERY_RESULT_CODEC,
         )
 
-    def _stable_key(
-        self, key: tuple, database: "Database | None"
-    ) -> str | None:
-        if database is None or not self._tier.has_l2:
-            return None
-        return stable_key(
-            "sql_result", database.content_fingerprint(), key[1],
-        )
-
-    def get(
-        self, key: tuple, database: "Database | None" = None
-    ) -> "QueryResult | None":
-        result = self._tier.get(key, self._stable_key(key, database))
+    def get(self, key: tuple) -> "QueryResult | None":
+        result = super().get(key)
         if result is None:
             return None
-        return result.copy()  # type: ignore[union-attr]
+        return result.copy()  # type: ignore[attr-defined]
 
-    def put(
-        self, key: tuple, value: "QueryResult",
-        database: "Database | None" = None,
-    ) -> None:
-        self._tier.put(key, value.copy(), self._stable_key(key, database))
-
-    def clear(self) -> None:
-        self._tier.clear()
-
-    def reset_stats(self) -> None:
-        self._tier.reset_stats()
-
-    def __len__(self) -> int:
-        return len(self._tier)
-
-    def stats(self) -> dict:
-        rendered = self._tier.stats().to_dict()
-        if self._tier.has_l2:
-            rendered["tiers"] = self._tier.tier_stats()
-        return rendered
-
-    def tier_stats(self) -> dict:
-        """Per-tier stats (``{"l1": ..., "l2": ...}``) for metrics."""
-        return self._tier.tier_stats()
+    def put(self, key: tuple, value: "QueryResult") -> None:
+        super().put(key, value.copy())
 
 
 _STRATEGY_NAMES = (
@@ -283,10 +216,10 @@ def engine_stats() -> dict:
     from .analyzer import ANALYZER_COUNTERS, analysis_memo_stats
 
     return {
-        "plan_cache": _SHARED_PLAN_CACHE.stats(),
+        "plan_cache": _SHARED_PLAN_CACHE.stats().to_dict(),
         "strategies": STRATEGY_COUNTERS.snapshot(),
         "analyzer": ANALYZER_COUNTERS.snapshot(),
-        "analyzer_memo": analysis_memo_stats(),
+        "analyzer_memo": analysis_memo_stats().to_dict(),
     }
 
 

@@ -17,15 +17,14 @@ views that used to be recomputed on every prompt render or tool call:
 inferred column types, first-seen-order distinct values, nullability,
 and lazy equality indexes used by the optimized executor for
 ``col = literal`` scans. Databases are mutable (``add`` replaces tables)
-and therefore carry a ``fingerprint()`` — a (creation token, mutation
-version) pair — that the query-result cache keys on so stale results can
-never be served.
+and carry a ``content_fingerprint()`` — a hash of every table, stable
+across processes — that every SQL-layer cache keys on, so stale results
+can never be served and equal databases share entries.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from collections.abc import Iterable, Sequence
 from copy import deepcopy
@@ -217,12 +216,13 @@ class Table:
     def content_fingerprint(self) -> str:
         """A sha256 over name, columns, and rows (memoized).
 
-        Unlike :meth:`Database.fingerprint`, this depends only on the
-        stored data: two processes that build identical tables compute
-        identical fingerprints, which is what lets the persistent
-        query-result cache serve across restarts. JSON's float rendering
-        round-trips exactly, so the hash distinguishes every distinct
-        ``SqlValue``. Tables are immutable, so one hash per table.
+        This depends only on the stored data: two processes that build
+        identical tables compute identical fingerprints, which is what
+        lets the persistent query-result cache serve across restarts.
+        JSON renders ``1``, ``1.0``, ``true``, ``"1"`` and ``null``
+        apart and its float rendering round-trips exactly, so the hash
+        distinguishes every distinct ``SqlValue``. Tables are immutable,
+        so one hash per table.
         """
         if self._content_fingerprint is None:
             payload = json.dumps(
@@ -236,77 +236,48 @@ class Table:
         return self._content_fingerprint
 
 
-#: Process-unique creation tokens for Database fingerprints. ``id()`` is
-#: unsuitable (addresses are recycled, which would let a dead database's
-#: cached results leak into a new one); a monotone counter is not.
-_DATABASE_TOKENS = itertools.count(1)
-
-
 @dataclass
 class Database:
     """A named set of tables with case-insensitive lookup."""
 
     name: str = "db"
     _tables: dict[str, Table] = field(default_factory=dict)
-    _token: int = field(
-        default_factory=lambda: next(_DATABASE_TOKENS),
-        repr=False,
-        compare=False,
-    )
-    _version: int = field(default=0, repr=False, compare=False)
     _content_fp: str | None = field(default=None, repr=False, compare=False)
-    _content_fp_version: int = field(
-        default=-1, repr=False, compare=False,
-    )
 
     def add(self, table: Table) -> None:
         """Register a table, replacing any same-named table."""
         self._tables[table.name.lower()] = table
-        self._version += 1
-
-    def fingerprint(self) -> tuple[int, int]:
-        """A (token, version) pair identifying this exact database state.
-
-        The token is unique per constructed Database; the version bumps on
-        every ``add``. Query-result cache entries key on the fingerprint,
-        so mutating the database silently invalidates them.
-        """
-        return (self._token, self._version)
+        self._content_fp = None
 
     def content_fingerprint(self) -> str:
         """A content hash of every table, stable across processes.
 
-        This is the persistent cache's key ingredient: where
-        :meth:`fingerprint` identifies *this object's* state (its token
-        restarts with the process), the content fingerprint is equal for
-        any two databases holding identical data — including one rebuilt
-        by a seeded generator in a fresh process. Memoized per
-        ``_version``, so mutation invalidates it exactly like the cheap
-        fingerprint. The database *name* is deliberately excluded: query
-        results depend only on the data.
+        The one key ingredient of every SQL-layer cache: equal for any
+        two databases holding identical data — including one rebuilt by
+        a seeded generator in a fresh process — and different as soon as
+        ``add`` changes a table. Memoized until the next ``add``. The
+        database *name* is deliberately excluded: query results depend
+        only on the data.
         """
-        if self._content_fp is None or self._content_fp_version != (
-            self._version
-        ):
+        if self._content_fp is None:
             hasher = hashlib.sha256()
             for key in sorted(self._tables):
                 hasher.update(
                     self._tables[key].content_fingerprint().encode("ascii")
                 )
             self._content_fp = hasher.hexdigest()
-            self._content_fp_version = self._version
         return self._content_fp
 
     def __deepcopy__(self, memo: dict) -> "Database":
-        # A copy must get its own token: it starts identical but mutates
-        # independently, and sharing (token, version) coordinates would let
-        # the two databases poison each other's cached query results.
+        # Copies the data only: per-object attachments (the engine that
+        # ``engine_for`` caches on a database) stay with the original.
+        # Equal content, so the memoised fingerprint carries over.
         clone = Database(self.name)
         memo[id(self)] = clone  # cedarlint: disable=CDL013 (deepcopy protocol)
         clone._tables = {
             key: deepcopy(table, memo) for key, table in self._tables.items()
         }
-        clone._version = self._version
+        clone._content_fp = self._content_fp
         return clone
 
     def table(self, name: str) -> Table:

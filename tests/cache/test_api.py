@@ -1,20 +1,13 @@
-"""The unified cache API: stats shape, stable keys, config, codecs."""
+"""The cache API: stats shape, stable keys, the cache_db setting, codecs."""
 
 import pytest
 
-from repro.cache import (
-    DEFAULT_PERSIST_NAMESPACES,
-    CacheBackend,
-    CacheConfig,
-    CacheStats,
-    MemoryCacheBackend,
-    SqliteCacheBackend,
-    open_cache,
-    stable_key,
-)
+from repro.cache import CacheStats, SqliteCacheBackend, TieredCache, stable_key
+from repro.core import VerifierConfig
 from repro.llm import ChatResponse, ChatUsage
 from repro.llm.cache import CHAT_RESPONSE_CODEC
-from repro.sqlengine import QueryResult
+from repro.service import ServiceConfig
+from repro.sqlengine import QueryResult, shared_plan_cache
 from repro.sqlengine.planner import QUERY_RESULT_CODEC
 
 
@@ -27,24 +20,11 @@ class TestCacheStats:
     def test_empty_hit_rate_is_zero(self):
         assert CacheStats().hit_rate == 0.0
 
-    def test_subtraction_isolates_a_window(self):
-        earlier = CacheStats(hits=2, misses=1, size=5, max_size=8)
-        later = CacheStats(hits=7, misses=2, size=6, max_size=8)
-        window = later - earlier
-        assert (window.hits, window.misses) == (5, 1)
-        # Size describes the cache now, not the window's traffic.
-        assert (window.size, window.max_size) == (6, 8)
-
-    def test_addition_aggregates_two_caches(self):
-        total = CacheStats(hits=1, size=2) + CacheStats(hits=2, size=3)
-        assert total.hits == 3
-        assert total.size == 5
-
     def test_to_dict_shape(self):
         rendered = CacheStats(hits=1, misses=3).to_dict()
         assert set(rendered) == {
             "hits", "misses", "lookups", "bypasses", "evictions",
-            "expirations", "size", "max_size", "hit_rate",
+            "size", "max_size", "hit_rate",
         }
         assert rendered["hit_rate"] == 0.25
 
@@ -65,43 +45,38 @@ class TestStableKey:
 
 
 class TestCacheConfig:
-    def test_defaults_have_no_persistent_tier(self):
-        store = CacheConfig().open()
-        assert store.backend is None
-        assert not store.persistent
-        assert store.l2_for("llm") is None
-        assert store.profile_store() is None
-        assert store.stats() == {}
+    """The one cache setting: a ``cache_db`` path per config."""
 
-    def test_open_is_memoised(self):
-        config = CacheConfig()
-        assert config.open() is config.open()
+    def test_defaults_have_no_persistent_tier(self):
+        config = VerifierConfig(cache_size=8)
+        assert config.cache_db is None
+        assert ServiceConfig().cache_db is None
+        assert config.open_cache_db() is None
+        assert not config.make_cache().has_l2
+        assert not config.make_sql_cache().has_l2
+
+    def test_open_is_memoised(self, tmp_path):
+        config = VerifierConfig(cache_db=str(tmp_path / "l2.sqlite"))
+        backend = config.open_cache_db()
+        assert backend is config.open_cache_db()
+        assert backend.enabled
+        backend.close()
 
     def test_path_enables_default_namespaces_only(self, tmp_path):
-        store = open_cache(tmp_path / "l2.sqlite")
-        assert store.persistent
-        for namespace in DEFAULT_PERSIST_NAMESPACES:
-            assert store.l2_for(namespace) is store.backend
-        assert store.l2_for("sql_plan") is None
-        assert store.profile_store() is None  # profiles are opt-in
-        store.close()
+        # Only the LLM responses and SQL results persist; plans and
+        # analyses are live objects and stay in memory.
+        config = VerifierConfig(cache_db=str(tmp_path / "l2.sqlite"))
+        llm, sql = config.make_cache(), config.make_sql_cache()
+        assert (llm.namespace, sql.namespace) == ("llm", "sql_result")
+        assert llm.has_l2 and sql.has_l2
+        assert not shared_plan_cache().has_l2
+        config.open_cache_db().close()
 
-    def test_profiles_opt_in(self, tmp_path):
-        store = open_cache(tmp_path / "l2.sqlite", profiles=True)
-        assert store.profile_store() is not None
-        store.close()
-
-    def test_validation(self):
+    def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
-            CacheConfig(max_bytes=0)
+            SqliteCacheBackend(tmp_path / "l2.sqlite", max_bytes=0)
         with pytest.raises(ValueError):
-            CacheConfig(ttl_seconds=0)
-
-    def test_backends_satisfy_the_protocol(self, tmp_path):
-        assert isinstance(MemoryCacheBackend(4), CacheBackend)
-        backend = SqliteCacheBackend(tmp_path / "l2.sqlite")
-        assert isinstance(backend, CacheBackend)
-        backend.close()
+            TieredCache("ns", 0)
 
 
 class TestCodecs:

@@ -549,3 +549,30 @@ def test_wait_timeout_is_a_whole_stream_deadline_on_the_service():
         server.server_close()
         service.shutdown(drain=False)
         thread.join(timeout=5.0)
+
+
+# -- one shared L2 file across a restart --------------------------------------
+
+
+def test_a_fresh_cluster_on_the_same_cache_db_serves_from_it(tmp_path):
+    """The restart arm: two shards share one ``--cache-db`` file; a fresh
+    cluster on that file answers the same document with fewer LLM calls
+    and the same verdicts."""
+    cache_db = str(tmp_path / "l2.sqlite")
+    runs = []
+    for _ in range(2):
+        harness = ClusterHarness(workers=2, cache_db=cache_db)
+        try:
+            status, body = harness.submit(
+                dataset="aggchecker", document=0, client_id="restart",
+            )
+            assert status == 202, body
+            runs.append(harness.events(body["job_id"]))
+        finally:
+            harness.close()
+    cold, warm = (
+        next(event for event in events if event["event"] == "job_done")
+        for events in runs
+    )
+    assert warm["spend"]["llm_calls"] < cold["spend"]["llm_calls"]
+    assert _verdict_view(runs[1]) == _verdict_view(runs[0])

@@ -201,13 +201,13 @@ class TestCacheAccounting:
 
         reset_claims(bundle.documents)
         verifier.verify_documents(bundle.documents, schedule)
-        cold = verifier.cache.stats
+        cold = verifier.cache.stats()
         cold_calls = ledger.totals().calls
         assert cold.hits == 0 and cold.misses > 0
 
         reset_claims(bundle.documents)
         verifier.verify_documents(bundle.documents, schedule)
-        warm = verifier.cache.stats
+        warm = verifier.cache.stats()
         # tries=1 keeps every call at temperature 0, so the warm round is
         # answered entirely from cache: no new ledger entries at all.
         assert warm.hits == cold.misses
@@ -223,7 +223,7 @@ class TestCacheAccounting:
         assert second is first
         assert len(inner.calls) == 1
         assert len(ledger) == 1          # the hit billed nothing
-        assert client.cache.stats.hits == 1
+        assert client.cache.stats().hits == 1
 
     def test_positive_temperature_bypasses_cache(self):
         inner = ScriptedLLM(["a", "b"])
@@ -232,7 +232,7 @@ class TestCacheAccounting:
         client.complete("prompt", 0.5)
         # Assumption 1: retries must be independent draws, never replays.
         assert len(inner.calls) == 2
-        assert client.cache.stats.bypasses == 2
+        assert client.cache.stats().bypasses == 2
         assert len(client.cache) == 0
 
     def test_clients_with_different_seeds_do_not_collide(self):
@@ -247,7 +247,7 @@ class TestCacheAccounting:
         client = CachingLLMClient(inner, LLMCache(2))
         for prompt in ("p1", "p2", "p3"):
             client.complete(prompt, 0.0)
-        stats = client.cache.stats
+        stats = client.cache.stats()
         assert stats.evictions == 1
         assert stats.size == 2
 

@@ -7,12 +7,11 @@ suite runs ``repro.verify()`` end to end with the caches on and off
 under a fixed seed and compares the rendered reports byte for byte —
 if any optimization leaks into verdicts, queries, or spend, the diff
 shows up here. The L2 scenarios simulate kill-and-restart by reopening
-a fresh ``CacheConfig`` on the same sqlite path, and prove the
-corruption policy (garbage file → quarantine, never a crash).
+a fresh ``VerifierConfig(cache_db=...)`` on the same sqlite path, and
+prove the corruption policy (garbage file → quarantine, never a crash).
 """
 
 import repro
-from repro.cache import CacheConfig
 from repro.core import ScheduleEntry, VerifierConfig, to_json, to_markdown
 from repro.datasets import build_tabfact
 from repro.experiments import build_cedar
@@ -27,20 +26,18 @@ def _verify(sql_cache_size: int, workers: int = 1,
         ScheduleEntry(system.method_by_name("one_shot[gpt-3.5-turbo]"), 2),
         ScheduleEntry(system.method_by_name("agent[gpt-4o]"), 1),
     ]
-    # A fresh CacheConfig per arm means a fresh sqlite connection to the
+    # A fresh config per arm means a fresh sqlite connection to the
     # same file — exactly what a process restart looks like to L2.
-    cache_config = (
-        CacheConfig(path=cache_path) if cache_path is not None else None
-    )
+    cache_db = str(cache_path) if cache_path is not None else None
     config = VerifierConfig(
         ledger=system.ledger,
         workers=workers,
         sql_cache_size=sql_cache_size,
         cache_size=cache_size,
-        cache_config=cache_config,
+        cache_db=cache_db,
     )
     run = repro.verify(bundle.documents, schedule=entries, config=config)
-    store = config.open_cache_store()
+    store = config.open_cache_db()
     # The ledger's sql_seconds is wall-clock (and legitimately differs
     # between arms — that is the point of the caches), so reports are
     # rendered without the spend section for the byte comparison.
@@ -48,11 +45,11 @@ def _verify(sql_cache_size: int, workers: int = 1,
     rendered = [to_markdown(doc, run) for doc in bundle.documents]
     verdicts = [claim.correct for claim in bundle.claims]
     ledger = system.ledger
-    l2_stats = store.backend.stats() if store is not None else None
+    l2_stats = store.stats() if store is not None else None
     if store is not None:
         store.close()
     cache = run.verifier.cache
-    bypasses = cache.stats.bypasses if cache is not None else None
+    bypasses = cache.stats().bypasses if cache is not None else None
     return (reports, rendered, verdicts,
             (ledger.totals().calls, ledger.totals().cost), l2_stats,
             bypasses)
@@ -119,31 +116,3 @@ class TestPersistentTierDeterminism:
         # The poisoned file was moved aside and a fresh store written.
         assert (tmp_path / "l2.sqlite.corrupt").exists()
         assert run[4].size > 0
-
-    def test_profile_store_opt_in_keeps_reports_identical(self, tmp_path):
-        """Recording method profiles must never perturb the run itself."""
-        bundle = build_tabfact(table_count=5, total_claims=15)
-        system = build_cedar(bundle, seed=9)
-        entries = [
-            ScheduleEntry(system.method_by_name("one_shot[gpt-3.5-turbo]"),
-                          2),
-            ScheduleEntry(system.method_by_name("agent[gpt-4o]"), 1),
-        ]
-        config = VerifierConfig(
-            ledger=system.ledger,
-            sql_cache_size=256,
-            cache_config=CacheConfig(path=tmp_path / "l2.sqlite",
-                                     profiles=True),
-        )
-        run = repro.verify(bundle.documents, schedule=entries, config=config)
-        reports = [to_json(doc, run) for doc in bundle.documents]
-        baseline = _verify(sql_cache_size=256)
-        assert reports == baseline[0]
-        store = config.open_cache_store()
-        observed = store.profile_store().observations()
-        assert observed                                  # something recorded
-        for obs in observed.values():
-            assert obs.trials > 0
-            assert 0.0 <= obs.accuracy <= 1.0
-            assert obs.cost >= 0.0
-        store.close()

@@ -18,7 +18,6 @@ import urllib.request
 
 import pytest
 
-from repro.cache import CacheConfig
 from repro.core import ScheduleEntry, VerifierConfig
 from repro.datasets import build_aggchecker
 from repro.experiments import build_cedar
@@ -128,7 +127,7 @@ class TestServiceMetrics:
 
     def test_tier_metrics_when_persistent(self, tmp_path):
         service, _ = drain_one_job(
-            cache_config=CacheConfig(path=tmp_path / "l2.sqlite"),
+            cache_db=str(tmp_path / "l2.sqlite"),
         )
         text = to_prometheus(service.stats().to_dict())
         for prefix in ("cedar_cache", "cedar_sql_result_cache"):

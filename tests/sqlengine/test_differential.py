@@ -127,10 +127,10 @@ def test_correlated_subquery_bypasses_result_cache():
     # evaluated once per outer row, never consults it.
     assert len(cache) == 1
     stats = cache.stats()
-    assert stats["misses"] == 1
-    assert stats["hits"] == 0
+    assert stats.misses == 1
+    assert stats.hits == 0
     engine.execute(CORRELATED)
-    assert cache.stats()["hits"] == 1
+    assert cache.stats().hits == 1
 
 
 def test_unknown_column_error_matches_naive():

@@ -62,7 +62,7 @@ def test_normalize_keeps_keyword_case():
     assert normalize_sql("select a from t") == "select a from t"
 
 
-# -- LRU cache skeleton (now repro.cache.TieredCache behind the facades) ------
+# -- LRU (repro.cache.TieredCache, which PlanCache names) ---------------------
 
 def test_lru_eviction_order():
     cache = PlanCache(2)
@@ -73,7 +73,7 @@ def test_lru_eviction_order():
     assert cache.get("b") is None
     assert cache.get("a") == 1
     assert cache.get("c") == 3
-    assert cache.stats()["evictions"] == 1
+    assert cache.stats().evictions == 1
 
 
 def test_lru_stats_track_hits_and_misses():
@@ -82,10 +82,10 @@ def test_lru_stats_track_hits_and_misses():
     cache.get("k")
     cache.get("absent")
     stats = cache.stats()
-    assert stats["hits"] == 1
-    assert stats["misses"] == 1
-    assert stats["size"] == 1
-    assert stats["hit_rate"] == 0.5
+    assert stats.hits == 1
+    assert stats.misses == 1
+    assert stats.size == 1
+    assert stats.hit_rate == 0.5
 
 
 def test_lru_rejects_nonpositive_size():
@@ -101,9 +101,9 @@ def test_plan_cache_shared_across_engines():
     first = Engine(db, plan_cache=plan_cache, result_cache=None)
     second = Engine(db, plan_cache=plan_cache, result_cache=None)
     first.execute("SELECT COUNT(*) FROM t")
-    before = plan_cache.stats()["hits"]
+    before = plan_cache.stats().hits
     second.execute("SELECT  COUNT(*)  FROM t")   # normalizes to same key
-    assert plan_cache.stats()["hits"] == before + 1
+    assert plan_cache.stats().hits == before + 1
 
 
 def test_plan_cache_skips_failed_parses():
@@ -134,7 +134,7 @@ def test_result_cache_hit_returns_equal_rows():
     first = engine.execute("SELECT score FROM t ORDER BY name")
     second = engine.execute("SELECT score FROM t ORDER BY name")
     assert first.rows == second.rows
-    assert engine.result_cache.stats()["hits"] == 1
+    assert engine.result_cache.stats().hits == 1
 
 
 def test_result_cache_copies_are_isolated():
@@ -155,23 +155,28 @@ def test_result_cache_invalidated_by_database_mutation():
     assert (before, after) == (4, 1)
 
 
-def test_deepcopied_database_gets_a_fresh_fingerprint():
+def test_deepcopied_database_shares_entries_until_mutated():
     db = _database()
     clone = copy.deepcopy(db)
-    assert clone.fingerprint() != db.fingerprint()
+    assert clone.content_fingerprint() == db.content_fingerprint()
     cache = QueryResultCache(8)
     Engine(db, result_cache=cache).execute("SELECT COUNT(*) FROM t")
-    # The clone's first execution must miss: its entries are its own.
-    misses = cache.stats()["misses"]
+    # Equal content, one entry: the clone's first execution hits.
     Engine(clone, result_cache=cache).execute("SELECT COUNT(*) FROM t")
-    assert cache.stats()["misses"] == misses + 1
+    assert cache.stats().hits == 1
+    # Mutating the clone moves only the clone's key.
+    clone.add(Table("t", ["name", "score"], [("only", 9)]))
+    assert clone.content_fingerprint() != db.content_fingerprint()
+    count = Engine(clone, result_cache=cache).execute("SELECT COUNT(*) FROM t")
+    assert count.first_cell() == 1
+    assert cache.stats().misses == 2
 
 
-def test_fingerprint_version_bumps_on_add():
+def test_content_fingerprint_changes_on_add():
     db = _database()
-    token, version = db.fingerprint()
+    before = db.content_fingerprint()
     db.add(Table("u", ["x"], [(1,)]))
-    assert db.fingerprint() == (token, version + 1)
+    assert db.content_fingerprint() != before
 
 
 # -- engine_for ---------------------------------------------------------------

@@ -176,6 +176,16 @@ def test_the_launcher_call_shapes():
     assert kinds[0] == "job_queued" and kinds[-1] == "job_done", kinds
 
 
+def test_the_cache_probe_call_shape():
+    """``probes.py`` times an L1-only cache under these exact calls."""
+    from repro.cache import TieredCache
+
+    cache = TieredCache("bench-probe", 1024)
+    prompt = "Claim: revenue grew 12% in 2021."
+    cache.put(("gpt-4o", prompt), prompt)
+    assert cache.get(("gpt-4o", prompt)) == prompt
+
+
 def test_the_frame_probe_round_trips_an_event_frame():
     from repro.cluster.protocol import encode_frame, read_frame
 
