@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-shard-inflight", type=int, default=64,
                         help="open jobs per shard before queue_full")
     parser.add_argument("--shard-threads", type=int, default=4,
-                        help="verifier threads inside each worker")
+                        help="blocking model calls each worker's "
+                             "dispatcher overlaps")
     parser.add_argument("--cache-db", default=None,
                         help="shared persistent L2 sqlite path (optional)")
     parser.add_argument("--latency-scale", type=float, default=0.0,

@@ -106,7 +106,7 @@ class ClusterConfig:
     per_client_limit: int = 8        # open jobs per client, cluster-wide
     max_shard_inflight: int = 64     # open jobs per shard (router-side)
     replicas: int = DEFAULT_REPLICAS
-    shard_threads: int = 4           # verifier threads inside each worker
+    shard_threads: int = 4           # blocking calls a shard overlaps
     shard_queue_depth: int = 64
     shard_max_batch: int = 8
     shard_cache_size: int = 1024

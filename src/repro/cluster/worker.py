@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--profile", default="default",
                         choices=sorted(DATASET_PROFILES))
     parser.add_argument("--workers", type=int, default=4,
-                        help="claim threads per dispatcher")
+                        help="blocking model calls a dispatcher overlaps")
     parser.add_argument("--queue-depth", type=int, default=64)
     parser.add_argument("--max-batch", type=int, default=8)
     parser.add_argument("--cache-size", type=int, default=1024)

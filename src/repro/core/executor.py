@@ -14,6 +14,13 @@ exploits exactly those two axes:
   deadlock the workers the claim tasks need), which the verifier keeps
   from its first parallel run until :meth:`ParallelVerifier.close`.
 
+Threads only pay where a model call can wait: under the GIL, calls that
+are pure computation overlap nothing and the hand-offs cost time. So a
+stage fans out only when its client is
+:attr:`~repro.llm.base.LLMClient.blocking`; a stage whose client never
+blocks runs its claims on the document thread, and a run in which no
+stage blocks is the sequential run, with no pool at all.
+
 Correctness contract: with a fixed seed and caching disabled, a parallel
 run produces the *identical* per-claim verdicts and the identical ledger
 entries as a sequential run. Three mechanisms make that hold:
@@ -50,11 +57,14 @@ from .pipeline import (
 
 
 class ParallelVerifier(MultiStageVerifier):
-    """Algorithm 1 over a thread pool; sequential when ``workers == 1``.
+    """Algorithm 1 over a thread pool; sequential when ``workers == 1``
+    or when no stage's client is :attr:`~repro.llm.base.LLMClient.blocking`.
 
     The claims pool is created on the first run that needs it and lives
     until :meth:`close`, so a long-lived verifier (one per service
     dispatcher) pays for its ``workers`` threads once, not per batch.
+    ``workers`` is how many blocking model calls a document overlaps;
+    stages whose client never blocks run their claims inline.
     Pool threads keep no state between tasks: every task enters and
     leaves its own ledger/tracer capture. One thread at a time may call
     :meth:`verify_documents` on a verifier.
@@ -75,7 +85,9 @@ class ParallelVerifier(MultiStageVerifier):
         schedule: list[ScheduleEntry],
         run: VerificationRun,
     ) -> None:
-        if self.config.workers <= 1 or not documents:
+        if self.config.workers <= 1 or not documents or not any(
+            entry.method.client.blocking for entry in schedule
+        ):
             super()._execute(documents, schedule, run)
             return
         workers = self.config.workers
@@ -135,7 +147,7 @@ class ParallelVerifier(MultiStageVerifier):
         run: VerificationRun,
     ) -> list[Claim]:
         pool = self._claims_pool
-        if pool is None or len(claims) <= 1:
+        if pool is None or len(claims) <= 1 or not method.client.blocking:
             return super()._run_batch_independent(
                 method, claims, sample, database, run
             )
@@ -185,8 +197,9 @@ def verify(
     one here overrides it for every document (the common case when many
     articles reference a single dataset). The ``config`` selects the
     execution strategy: ``workers=1`` (default) runs the classic
-    sequential Algorithm 1, ``workers>1`` fans out over threads, and the
-    cache/retry settings apply to either. An ``observer``
+    sequential Algorithm 1, ``workers>1`` fans the stages whose model
+    client blocks out over threads (see :class:`ParallelVerifier`), and
+    the cache/retry settings apply to either. An ``observer``
     (:class:`~repro.core.pipeline.VerificationObserver`) receives
     streaming progress callbacks — stage starts and per-claim verdicts —
     as the run advances; ``repro.service`` uses this hook to stream

@@ -42,10 +42,12 @@ class VerifierConfig:
     One config object serves both executors: ``MultiStageVerifier``
     ignores ``workers`` (it is the ``workers=1`` special case), while
     ``ParallelVerifier`` fans documents and post-harvest claims out over
-    a thread pool of that size. ``cache_size > 0`` memoises temperature-0
-    completions (retries at temperature > 0 always bypass the cache —
-    Assumption 1 needs them to be independent draws), and ``retry`` wraps
-    every model call in transient-failure retry with backoff. A ``cache``
+    a thread pool of that size for the stages whose model client blocks
+    (``workers`` is how many blocking calls it overlaps).
+    ``cache_size > 0`` memoises temperature-0 completions (retries at
+    temperature > 0 always bypass the cache — Assumption 1 needs them
+    to be independent draws), and ``retry`` wraps every model call in
+    transient-failure retry with backoff. A ``cache``
     *instance* wins over ``cache_size`` — the service layer passes one
     shared :class:`~repro.llm.cache.LLMCache` to every verifier it owns so
     requests warm each other's entries.

@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also print an agent trace when one exists")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=1,
-                        help="verifier threads (1 = sequential Algorithm 1)")
+                        help="blocking model calls overlapped "
+                             "(1 = sequential Algorithm 1)")
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="write a Chrome trace-event JSON of the run "
                              "(load it in https://ui.perfetto.dev)")
@@ -139,7 +140,8 @@ def _run_demo(bundle: DatasetBundle, arguments) -> None:
         config=VerifierConfig(workers=arguments.workers),
     )
     if arguments.workers > 1:
-        print(f"executor:  {arguments.workers} worker threads")
+        print(f"executor:  up to {arguments.workers} overlapped "
+              "blocking model calls")
     print(f"\n[1/3] profiling {len(profiling_docs)} labeled documents …")
     profiles = profile_system(system, profiling_docs)
     for name, profile in profiles.items():

@@ -50,6 +50,13 @@ class LLMClient(ABC):
     implementation bills identically.
     """
 
+    #: Whether a :meth:`complete` call can wait on something other than
+    #: this process's CPU (a network round trip, a sleep). Only then can
+    #: concurrent calls overlap under the GIL, so the parallel executor
+    #: fans claims out over threads only for stages whose client blocks.
+    #: Unknown clients are assumed to.
+    blocking: bool = True
+
     def __init__(self, model_name: str, ledger: CostLedger | None = None):
         self.spec: ModelSpec = model_spec(model_name)
         self.ledger = ledger if ledger is not None else CostLedger()
@@ -131,6 +138,11 @@ class DelegatingLLMClient(LLMClient):
     def _generate(self, prompt: str, temperature: float) -> str:
         return self.inner._generate(prompt, temperature)
 
+    @property
+    def blocking(self) -> bool:
+        # Explicit: __getattr__ never sees a name the base class defines.
+        return self.inner.blocking
+
     def unwrap(self) -> LLMClient:
         """The innermost concrete client under any stack of wrappers."""
         client: LLMClient = self.inner
@@ -155,6 +167,8 @@ class LatencySimulatingClient(DelegatingLLMClient):
     they skip the network.
     """
 
+    blocking = True  # it sleeps
+
     def __init__(self, inner: LLMClient, scale: float) -> None:
         super().__init__(inner)
         self.scale = scale
@@ -171,6 +185,8 @@ class ScriptedLLM(LLMClient):
     Responses are served in order; the last one repeats once the script is
     exhausted (so retry loops in code under test terminate deterministically).
     """
+
+    blocking = False
 
     def __init__(
         self,

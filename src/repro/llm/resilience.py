@@ -129,6 +129,8 @@ class ResilientLLMClient(DelegatingLLMClient):
     ledger as a :class:`~repro.llm.ledger.RetryEvent`.
     """
 
+    blocking = True  # its backoff sleeps
+
     def __init__(self, inner: LLMClient, policy: RetryPolicy | None = None):
         super().__init__(inner)
         self.policy = policy if policy is not None else RetryPolicy()

@@ -153,6 +153,8 @@ AgentPolicy = Callable[
 class SimulatedLLM(LLMClient):
     """An :class:`LLMClient` backed by the claim world instead of an API."""
 
+    blocking = False  # pure computation: every call is CPU under the GIL
+
     def __init__(
         self,
         model_name: str,

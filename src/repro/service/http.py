@@ -83,7 +83,7 @@ from .queue import (
     AdmissionError,
     retry_after_seconds,
 )
-from .service import JobHandle, VerificationService, clone_document
+from .service import QUEUED, JobHandle, VerificationService, clone_document
 
 #: The datasets served by default — also the cluster workers' default
 #: profile, so the router and its shards agree on document identity.
@@ -263,9 +263,11 @@ class ServiceApp:
                     self.service.queue_depth
                 )
             return status, body
+        # The state the job was admitted in: submit only ever admits
+        # into the queue, and a dispatcher may already have popped it.
         return 202, {
             "job_id": handle.job_id,
-            "state": handle.state,
+            "state": QUEUED,
             "claims": len(document.claims),
             "events_url": f"/{API_VERSION}/jobs/{handle.job_id}/events",
         }

@@ -34,6 +34,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import logging
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -93,6 +94,12 @@ CANCELLED = "cancelled"
 
 _TERMINAL_STATES = frozenset({COMPLETED, FAILED, CANCELLED})
 
+#: The interpreter's GIL switch interval in a serving process, seconds
+#: (CPython's default is 0.005). A dispatcher running non-blocking stages
+#: never waits, so the event loop writing a job's events gets the GIL
+#: only when the interval forces a switch.
+SWITCH_INTERVAL_SECONDS = 0.001
+
 
 @dataclass
 class ServiceConfig:
@@ -103,7 +110,7 @@ class ServiceConfig:
     max_batch_jobs: int = 8         # jobs coalesced into one batch
     batch_window: float = 0.0       # seconds to linger for coalescible jobs
     dispatchers: int = 1            # batch-runner threads
-    workers: int = 4                # claim-pool width per dispatcher
+    workers: int = 4                # blocking calls a dispatcher overlaps
     cache_size: int = 1024          # shared response cache; 0 disables
     sql_cache_size: int = 2048      # shared query-result cache; 0 disables
     #: Algorithm 1's few-shot sample harvesting. Note the re-pass it
@@ -468,11 +475,19 @@ class VerificationService:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "VerificationService":
-        """Launch the dispatcher threads (idempotent)."""
+        """Launch the dispatcher threads (idempotent).
+
+        Also sets the interpreter's switch interval to
+        :data:`SWITCH_INTERVAL_SECONDS`, so a thread waiting for the GIL
+        behind a busy dispatcher (the event loop streaming verdicts)
+        gets it within 1 ms. The setting is process-wide and stays after
+        :meth:`shutdown`.
+        """
         with self._lock:
             if self._started:
                 return self
             self._started = True
+            sys.setswitchinterval(SWITCH_INTERVAL_SECONDS)
             _log.info("service_started", extra={"fields": {
                 "dispatchers": self.config.dispatchers,
                 "workers": self.config.workers,
@@ -690,11 +705,12 @@ class VerificationService:
         """Run batches on one verifier until the queue has nothing more.
 
         The verifier, and with it the ``workers`` claim threads of its
-        pool, belongs to the calling thread for as long as it
-        dispatches. Verifiers hold no per-database state, so batches
-        share nothing mutable but the thread-safe ledger and caches, and
-        the service runs at most ``dispatchers × workers`` claim threads
-        however many databases it serves.
+        pool (built only once a stage's client blocks), belongs to the
+        calling thread for as long as it dispatches. Verifiers hold no
+        per-database state, so batches share nothing mutable but the
+        thread-safe ledger and caches, and the service runs at most
+        ``dispatchers × workers`` claim threads however many databases
+        it serves.
         """
         verifier = ParallelVerifier(config=VerifierConfig(
             workers=self.config.workers,

@@ -18,6 +18,7 @@ from repro.datasets import build_aggchecker
 from repro.llm import (
     CachingLLMClient,
     CostLedger,
+    LatencySimulatingClient,
     LLMCache,
     LLMClient,
     ResilientLLMClient,
@@ -38,15 +39,23 @@ def reset_claims(documents):
             claim.query = None
 
 
-def build_system(bundle, seed=0, config=None):
-    """Two one-shot methods over the bundle's world, sharing one ledger."""
+def blocking_client(client):
+    """``client`` behind a wrapper that sleeps 0 s: blocking by type, so
+    a parallel verifier fans its claims out over the pool."""
+    return LatencySimulatingClient(client, 0.0)
+
+
+def build_system(bundle, seed=0, config=None, blocking=False):
+    """Two one-shot methods over the bundle's world, sharing one ledger;
+    ``blocking`` puts each model behind :func:`blocking_client`."""
     config = config if config is not None else VerifierConfig()
     ledger = config.make_ledger()
+    wrap = blocking_client if blocking else (lambda client: client)
     methods = [
-        OneShotMethod(SimulatedLLM("gpt-3.5-turbo", bundle.world, ledger,
-                                   seed=seed)),
-        OneShotMethod(SimulatedLLM("gpt-4o", bundle.world, ledger,
-                                   seed=seed + 1)),
+        OneShotMethod(wrap(SimulatedLLM("gpt-3.5-turbo", bundle.world,
+                                        ledger, seed=seed))),
+        OneShotMethod(wrap(SimulatedLLM("gpt-4o", bundle.world, ledger,
+                                        seed=seed + 1))),
     ]
     schedule = [ScheduleEntry(methods[0], 2), ScheduleEntry(methods[1], 1)]
     return ledger, schedule
@@ -64,10 +73,45 @@ def snapshot(bundle, run):
     }
 
 
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The names of the threads started while the test runs."""
+    names = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        names.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return names
+
+
+def parallel_run(bundle, blocking):
+    """Six documents through a four-worker verifier, closed afterwards:
+    its snapshot, reports, ledger entries and timeless span tree."""
+    ledger, schedule = build_system(bundle, blocking=blocking)
+    parallel = ParallelVerifier(
+        config=VerifierConfig(workers=4, ledger=ledger)
+    )
+    tracer = Tracer(trace_id="t")
+    reset_claims(bundle.documents)
+    try:
+        run = parallel.verify_documents(bundle.documents, schedule,
+                                        tracer=tracer)
+    finally:
+        parallel.close()
+    return (snapshot(bundle, run), run.reports, ledger.entries,
+            tracer.tree(include_times=False))
+
+
 class TestSequentialParallelEquivalence:
     """The acceptance contract: fixed seed, no cache -> identical runs."""
 
-    def test_parallel_reproduces_sequential_run(self):
+    @pytest.mark.parametrize("blocking", [True, False],
+                             ids=["pool", "inline"])
+    def test_parallel_reproduces_sequential_run(self, blocking,
+                                                started_threads):
         bundle = build_aggchecker(document_count=6, total_claims=30)
 
         ledger_seq, schedule = build_system(bundle)
@@ -78,17 +122,23 @@ class TestSequentialParallelEquivalence:
         run_seq = sequential.verify_documents(bundle.documents, schedule)
         seq_state = snapshot(bundle, run_seq)
 
-        ledger_par, schedule = build_system(bundle)
-        parallel = ParallelVerifier(
-            config=VerifierConfig(workers=4, ledger=ledger_par)
-        )
-        reset_claims(bundle.documents)
-        run_par = parallel.verify_documents(bundle.documents, schedule)
-
-        assert snapshot(bundle, run_par) == seq_state
+        pool = parallel_run(bundle, blocking=True)
+        claim_pool = [name for name in started_threads
+                      if name.startswith("cedar-claim")]
+        assert 0 < len(claim_pool) <= 4
+        assert pool[0] == seq_state
         # Not just equal totals: the merge-on-join protocol reproduces the
         # sequential entry sequence byte for byte.
-        assert ledger_par.entries == ledger_seq.entries
+        assert pool[2] == ledger_seq.entries
+        if blocking:
+            return
+        # Clients that never block run every claim on the calling
+        # thread: no pool is built, and nothing observable changes.
+        started_threads.clear()
+        inline = parallel_run(bundle, blocking=False)
+        assert not [name for name in started_threads
+                    if name.startswith(("cedar-claim", "cedar-doc"))]
+        assert inline == pool
 
     def test_lone_document_runs_on_the_calling_thread(self):
         """One document has nothing to fan out: no document pool is
@@ -103,7 +153,7 @@ class TestSequentialParallelEquivalence:
         ).verify_documents(bundle.documents, schedule, tracer=tracer_seq)
         seq_state = snapshot(bundle, run_seq)
 
-        ledger_par, schedule = build_system(bundle)
+        ledger_par, schedule = build_system(bundle, blocking=True)
         parallel = ParallelVerifier(
             config=VerifierConfig(workers=4, ledger=ledger_par)
         )
@@ -155,7 +205,8 @@ class TestSequentialParallelEquivalence:
                 seq_state = snapshot(bundle, run_seq)
 
                 _, schedule = build_system(
-                    bundle, config=VerifierConfig(ledger=ledger_par)
+                    bundle, config=VerifierConfig(ledger=ledger_par),
+                    blocking=True,
                 )
                 tracer_par = Tracer(trace_id="t")
                 checkpoint = len(ledger_par.entries)
@@ -191,9 +242,9 @@ class TestCacheAccounting:
     def test_warm_rerun_hits_cache(self):
         bundle = build_aggchecker(document_count=3, total_claims=12)
         ledger = CostLedger()
-        method = OneShotMethod(
+        method = OneShotMethod(blocking_client(
             SimulatedLLM("gpt-4o", bundle.world, ledger, seed=0)
-        )
+        ))
         verifier = ParallelVerifier(
             config=VerifierConfig(workers=2, cache_size=512, ledger=ledger)
         )
@@ -459,8 +510,9 @@ class TestVerifyFacade:
                 return super().translate(*args, **kwargs)
 
         config = VerifierConfig(workers=4)
-        method = Recording(SimulatedLLM("gpt-4o", bundle.world,
-                                        config.make_ledger()))
+        method = Recording(blocking_client(
+            SimulatedLLM("gpt-4o", bundle.world, config.make_ledger())
+        ))
         reset_claims(bundle.documents)
         run = verify(bundle.documents, schedule=[ScheduleEntry(method, 2)],
                      config=config)

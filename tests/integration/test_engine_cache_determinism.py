@@ -15,13 +15,19 @@ import repro
 from repro.core import ScheduleEntry, VerifierConfig, to_json, to_markdown
 from repro.datasets import build_tabfact
 from repro.experiments import build_cedar
+from repro.llm import LatencySimulatingClient
 
 
 def _verify(sql_cache_size: int, workers: int = 1,
-            cache_path=None, cache_size: int = 0):
-    """One full verification arm: fresh bundle, fixed seed."""
+            cache_path=None, cache_size: int = 0, blocking: bool = False):
+    """One full verification arm: fresh bundle, fixed seed. ``blocking``
+    puts each model behind a 0 s sleep, so with ``workers > 1`` its
+    claims run on the pool rather than inline."""
     bundle = build_tabfact(table_count=5, total_claims=15)
     system = build_cedar(bundle, seed=9)
+    if blocking:
+        for method in system.methods:
+            method.client = LatencySimulatingClient(method.client, 0.0)
     entries = [
         ScheduleEntry(system.method_by_name("one_shot[gpt-3.5-turbo]"), 2),
         ScheduleEntry(system.method_by_name("agent[gpt-4o]"), 1),
@@ -71,7 +77,7 @@ class TestCacheDeterminism:
         assert first[2] == second[2]
 
     def test_parallel_cached_matches_sequential_uncached(self):
-        parallel = _verify(sql_cache_size=256, workers=4)
+        parallel = _verify(sql_cache_size=256, workers=4, blocking=True)
         sequential = _verify(sql_cache_size=0, workers=1)
         assert parallel[0] == sequential[0]
         assert parallel[2] == sequential[2]

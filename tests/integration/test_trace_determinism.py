@@ -16,24 +16,30 @@ from repro.core.reports import document_spans, span_waterfall, to_json, \
     to_markdown
 from repro.datasets import build_aggchecker
 from repro.experiments import build_cedar
+from repro.llm import LatencySimulatingClient
 from repro.obs.tracer import Tracer
 
 SEED = 3
 
 
-def run_verification(workers, tracer=None):
+def run_verification(workers, tracer=None, blocking=False):
     """One full verification of a fresh bundle; returns bundle and run.
 
     The SQL result cache is disabled: spans deliberately carry no
     cache-status attributes, and running cache-less keeps even the
     execution *counts* identical between arms (a warm shared cache
-    would elide executions in whichever arm ran second).
+    would elide executions in whichever arm ran second). ``blocking``
+    puts each model behind a 0 s sleep, so with ``workers > 1`` its
+    claims run on the pool rather than inline.
     """
     bundle = build_aggchecker(document_count=4, total_claims=24)
     system = build_cedar(
         bundle, seed=SEED,
         config=VerifierConfig(workers=workers, sql_cache_size=0),
     )
+    if blocking:
+        for method in system.methods:
+            method.client = LatencySimulatingClient(method.client, 0.0)
     schedule = [ScheduleEntry(method, 2) for method in system.methods]
     run = system.verifier.verify_documents(
         bundle.documents, schedule, tracer=tracer
@@ -51,7 +57,8 @@ class TestParallelEqualsSequential:
         _, _, seq_run = run_verification(workers=1, tracer=sequential)
 
         parallel = Tracer(trace_id="par")
-        bundle, _, par_run = run_verification(workers=4, tracer=parallel)
+        bundle, _, par_run = run_verification(workers=4, tracer=parallel,
+                                              blocking=True)
 
         assert sequential.span_count() > 100  # real coverage, not a stub
         assert sequential.span_count() == parallel.span_count()

@@ -129,6 +129,27 @@ class TestHttpSmoke:
             replay = [json.loads(line) for line in response if line.strip()]
         assert replay == events
 
+    def test_accepted_reply_reports_the_admission_state(self, server):
+        """A dispatcher may pop a job before its 202 is written; the
+        reply still names the state the job was admitted in."""
+        job_ids = []
+        for index in range(50):
+            status, body = post_json(f"{server}/v1/verify", {
+                "dataset": "tiny", "document": index % 2,
+                "client_id": f"burst-{index}",
+            })
+            assert status == 202
+            assert body["state"] == "queued", index
+            job_ids.append(body["job_id"])
+        for job_id in job_ids:
+            with urllib.request.urlopen(
+                f"{server}/v1/jobs/{job_id}/events?wait=1&timeout=30",
+                timeout=40,
+            ) as response:
+                events = [json.loads(line) for line in response
+                          if line.strip()]
+            assert events[-1]["event"] == "job_done"
+
     def test_stats_route(self, server):
         status, body = get_json(f"{server}/v1/stats")
         assert status == 200

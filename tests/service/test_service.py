@@ -25,7 +25,7 @@ import pytest
 from repro.core import ParallelVerifier, ScheduleEntry, VerifierConfig, verify
 from repro.datasets import build_aggchecker
 from repro.experiments import build_cedar
-from repro.llm import CostLedger
+from repro.llm import CostLedger, LatencySimulatingClient
 from repro.service import (
     AdmissionError,
     ClaimVerdict,
@@ -67,6 +67,14 @@ def make_service(bundle, seed=0, **config_kwargs):
                          config=VerifierConfig(ledger=ledger))
     schedule = [ScheduleEntry(method, 1) for method in system.methods[:3]]
     return service, schedule
+
+
+def block(schedule):
+    """Put each stage's model behind a 0 s sleep: blocking by type, so
+    the dispatcher's verifier fans its claims out over the pool."""
+    for entry in schedule:
+        entry.method.client = LatencySimulatingClient(entry.method.client,
+                                                      0.0)
 
 
 def baseline_verdicts(bundle, seed=0):
@@ -447,6 +455,7 @@ class TestVerifierLifetime:
             bundle, dispatchers=2, workers=2, max_queue_depth=64,
             per_client_limit=64,
         )
+        block(schedule)
         service.start()
         handles = []
         for index in range(50):
@@ -471,6 +480,7 @@ class TestVerifierLifetime:
         before = claim_threads()
         bundle = make_bundle()
         service, schedule = make_service(bundle, workers=2)
+        block(schedule)
         handle = service.submit(clone_document(bundle.documents[0], "i"),
                                 schedule)
         service.shutdown(drain=True)

@@ -176,6 +176,21 @@ def test_the_launcher_call_shapes():
     assert kinds[0] == "job_queued" and kinds[-1] == "job_done", kinds
 
 
+def test_each_workload_keeps_its_side_of_the_claims_pool():
+    """``open-llm`` stacks ``latency_wrapper(0.01)`` over the simulated
+    model, whose stages must keep fanning out over the claims pool; the
+    other three workloads serve the bare model, whose claims run inline.
+    A refactor flipping either would silently move a frozen workload to
+    the other executor path."""
+    from repro.cluster.worker import latency_wrapper
+    from repro.datasets import build_aggchecker
+    from repro.llm import SimulatedLLM
+
+    world = build_aggchecker(document_count=1, total_claims=2).world
+    assert latency_wrapper(0.01)(SimulatedLLM("gpt-4o", world)).blocking
+    assert not SimulatedLLM("gpt-4o", world).blocking
+
+
 def test_the_cache_probe_call_shape():
     """``probes.py`` times an L1-only cache under these exact calls."""
     from repro.cache import TieredCache
