@@ -108,7 +108,6 @@ class ClusterConfig:
     replicas: int = DEFAULT_REPLICAS
     shard_threads: int = 4           # blocking calls a shard overlaps
     shard_queue_depth: int = 64
-    shard_max_batch: int = 8
     shard_cache_size: int = 1024
     cache_db: str | None = None      # shared persistent L2 (optional)
     latency_scale: float = 0.0       # simulated model latency (bench)
@@ -257,7 +256,6 @@ class ClusterRouter:
             "--profile", config.profile,
             "--workers", str(config.shard_threads),
             "--queue-depth", str(config.shard_queue_depth),
-            "--max-batch", str(config.shard_max_batch),
             "--cache-size", str(config.shard_cache_size),
         ]
         if config.cache_db:

@@ -2,7 +2,7 @@
 
 ``python -m repro.cluster.worker --socket PATH --worker-id N`` runs
 exactly the single-process service — same admission queue, same
-micro-batcher, same shard-local L1 caches and ``/v1/stats`` counters — but
+dispatcher, same shard-local L1 caches and ``/v1/stats`` counters — but
 fronted by the length-prefixed JSON protocol on a Unix socket instead
 of HTTP. The router is its only client; every op maps onto the same
 :class:`~repro.service.http.ServiceApp` routes the HTTP front end uses,
@@ -306,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=4,
                         help="blocking model calls a dispatcher overlaps")
     parser.add_argument("--queue-depth", type=int, default=64)
-    parser.add_argument("--max-batch", type=int, default=8)
     parser.add_argument("--cache-size", type=int, default=1024)
     parser.add_argument("--cache-db", default=None,
                         help="shared persistent L2 sqlite path (optional)")
@@ -331,7 +330,6 @@ def main(argv: list[str] | None = None) -> int:
         # shard-local cap would double-count clients that hash onto
         # few shards, so it is effectively disabled here.
         per_client_limit=1_000_000,
-        max_batch_jobs=arguments.max_batch,
         workers=arguments.workers,
         cache_size=arguments.cache_size,
         tracing=not arguments.no_tracing,

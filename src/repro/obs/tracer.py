@@ -379,8 +379,8 @@ class Tracer:
     ) -> list[Span]:
         """Remove and return finished root spans (all, or those matching).
 
-        The service uses this to peel each batch's document spans off a
-        shared tracer and file them under the owning job.
+        The service uses this to file a job tracer's queue-wait and
+        document spans under the job.
         """
         with self._lock:
             if predicate is None:

@@ -1,11 +1,11 @@
-"""Embeddable verification service (queueing, batching, streaming).
+"""Embeddable verification service (queueing, dispatch, streaming).
 
 The package turns the concurrent executor into a long-lived service:
 
-* :class:`VerificationService` — bounded-queue admission control,
-  cross-request micro-batching onto shared verifiers (one response
-  cache and ledger for the whole service), streaming job events,
-  cancellation, and drain-on-shutdown.
+* :class:`VerificationService` — bounded-queue admission control, one
+  verifier run per job on long-lived per-dispatcher verifiers (one
+  response cache and ledger for the whole service), streaming job
+  events, cancellation, and drain-on-shutdown.
 * :mod:`repro.service.http` — the asyncio HTTP front end
   (``python -m repro.service``) exposing submit / events / stats, the
   same HTTP code the cluster router serves through.

@@ -37,12 +37,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bounded queue depth (admission limit)")
     parser.add_argument("--per-client", type=int, default=8,
                         help="in-flight job cap per client_id")
-    parser.add_argument("--batch-window", type=float,
-                        default=ServiceConfig.batch_window,
-                        help="seconds to linger before coalescing queued "
-                             "jobs (0: run at once, batch what is waiting)")
+    # Inert: parsed only because bench/serve.py still reads these two
+    # dests; ROADMAP 5(d) removes them.
+    parser.add_argument("--batch-window", type=float, default=0.0,
+                        help=argparse.SUPPRESS)
     parser.add_argument("--max-batch", type=int, default=8,
-                        help="jobs coalesced into one batch")
+                        help=argparse.SUPPRESS)
     parser.add_argument("--cache-size", type=int, default=1024,
                         help="shared response cache entries (0 disables)")
     parser.add_argument("--seed", type=int, default=0)
@@ -61,8 +61,6 @@ def main(argv: list[str] | None = None) -> int:
     service = VerificationService(ServiceConfig(
         max_queue_depth=arguments.queue_depth,
         per_client_limit=arguments.per_client,
-        max_batch_jobs=arguments.max_batch,
-        batch_window=arguments.batch_window,
         workers=arguments.workers,
         cache_size=arguments.cache_size,
     ))

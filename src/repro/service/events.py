@@ -68,12 +68,10 @@ class ClaimAccepted(JobEvent):
 
 @dataclass(frozen=True)
 class JobStarted(JobEvent):
-    """The job left the queue and its batch began executing."""
+    """The job left the queue and began executing."""
 
     kind: ClassVar[str] = "job_started"
     job_id: str
-    batch_id: int = 0
-    batch_jobs: int = 1          # jobs coalesced into the same batch
     ts: float = field(default_factory=_now)
 
 
@@ -126,7 +124,7 @@ class JobDone(JobEvent):
 
 @dataclass(frozen=True)
 class JobFailed(JobEvent):
-    """Terminal: the job's batch raised; no verdicts are trustworthy."""
+    """Terminal: the job's run raised; no verdicts are trustworthy."""
 
     kind: ClassVar[str] = "job_failed"
     terminal: ClassVar[bool] = True

@@ -24,7 +24,7 @@ endpoints, mounted under the versioned ``/v1/`` prefix:
 * ``GET /v1/readyz`` — readiness: 200 while submissions are accepted,
   503 once draining; the 503 carries a ``Retry-After`` hint. Rejected
   submissions (429/503) carry the same queue-depth-derived header.
-* ``GET /v1/stats`` — queue depth, batch sizes, cache hit rate (L1 and
+* ``GET /v1/stats`` — queue depth, cache hit rate (L1 and
   persistent L2 tiers when configured), SQL-engine counters (plan
   cache, result cache, join strategies), ledger spend (including
   cumulative retry backoff), and the latency histogram.
@@ -44,9 +44,8 @@ answered in order, chunked ndjson with one chunk per burst of events)
 that awaits route methods on a backend: :class:`ServiceServer`, which
 :func:`make_server` returns, over a :class:`ServiceApp`, or the
 :class:`~repro.cluster.router.ClusterRouter`. Every request against a
-dataset shares one service-wide response cache and ledger, and jobs
-arriving close together coalesce into one verifier batch — the
-``batches.mean_size`` stat shows it happening.
+dataset shares one service-wide response cache and ledger; each job is
+one verifier run.
 """
 
 from __future__ import annotations
@@ -162,8 +161,7 @@ class ServiceApp:
     Dataset bundles (and the verification methods over them) are built
     lazily on first use and share the service's ledger, so ``/v1/stats``
     accounts for every request's spend in one place. All jobs against a
-    dataset use one fixed single-try schedule — identical schedules are
-    what makes cross-request batching possible.
+    dataset use one fixed single-try schedule.
     """
 
     def __init__(

@@ -19,7 +19,6 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 #: Admission-rejection codes (the machine-readable half of the reason).
 REASON_QUEUE_FULL = "queue_full"
@@ -123,30 +122,6 @@ class BoundedJobQueue:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
-
-    def pop_matching(
-        self, predicate: Callable[[object], bool], limit: int
-    ) -> list[object]:
-        """Pop up to ``limit`` queued items satisfying ``predicate``.
-
-        Non-blocking; returns matches in priority order and leaves the
-        rest of the queue untouched. This is the micro-batcher's coalesce
-        step: having popped one job, it sweeps the queue for others with
-        the same batch key.
-        """
-        if limit <= 0:
-            return []
-        taken: list[object] = []
-        kept: list[tuple[int, int, object]] = []
-        with self._cond:
-            for entry in sorted(self._heap):
-                if len(taken) < limit and predicate(entry[2]):
-                    taken.append(entry[2])
-                else:
-                    kept.append(entry)
-            heapq.heapify(kept)
-            self._heap = kept
-        return taken
 
     def remove(self, item: object) -> bool:
         """Remove a specific queued item (identity match); False if absent.

@@ -8,25 +8,25 @@ into something that can sit under concurrent traffic:
   when full, per-client in-flight caps stop one caller from starving the
   rest, and claim-id conflicts with in-flight jobs are refused rather
   than silently corrupting shared state.
-* **Micro-batching** — a dispatcher coalesces the jobs already queued
-  whose batch key (database identity, schedule stages) matches into one
-  ``verify_documents`` call on the dispatcher's long-lived verifier, so
-  the response cache, claims pool, and ledger are amortised across
-  requests instead of re-paid per call. It never waits for company: batches grow while a
-  batch is running, and an idle service answers immediately.
+* **One run per job** — a dispatcher pops the next job and verifies it
+  with one ``verify_documents`` call on the dispatcher's long-lived
+  verifier, so the response cache, claims pool, and ledger are shared
+  across requests instead of re-paid per call, and a job that fails
+  fails alone. An idle service answers a job at once.
 * **Streaming** — every job exposes an event iterator (accepted → stage
   started → verdict → done) fed by the executor's
   :class:`~repro.core.pipeline.VerificationObserver` hooks, so callers
-  see per-claim verdicts while the batch is still running.
+  see per-claim verdicts while the job is still running.
 * **Cancellation and drain** — a queued job cancels instantly; a running
   job stops emitting events and its remaining documents are skipped.
   ``shutdown(drain=True)`` refuses new work, flushes everything already
   accepted, and joins the dispatchers.
 
 Submitted documents must carry doc ids and claim ids that are unique
-among in-flight jobs (the observer maps, reports map, and ledger tags
-key on them); use :func:`clone_document` to derive a uniquely-tagged
-copy when submitting the same document many times.
+among in-flight jobs (verdicts are written onto the claims themselves,
+and a job's spend is summed from ledger tags keyed on doc ids); use
+:func:`clone_document` to derive a uniquely-tagged copy when submitting
+the same document many times.
 """
 
 from __future__ import annotations
@@ -107,9 +107,11 @@ class ServiceConfig:
 
     max_queue_depth: int = 64
     per_client_limit: int = 8       # queued + running jobs per client_id
-    max_batch_jobs: int = 8         # jobs coalesced into one batch
-    batch_window: float = 0.0       # seconds to linger for coalescible jobs
-    dispatchers: int = 1            # batch-runner threads
+    #: Read by nothing: each job is one verifier run. Kept only because
+    #: ``bench/serve.py`` still passes them; ROADMAP 5(d) removes them.
+    max_batch_jobs: int = 8
+    batch_window: float = 0.0
+    dispatchers: int = 1            # job-runner threads
     workers: int = 4                # blocking calls a dispatcher overlaps
     cache_size: int = 1024          # shared response cache; 0 disables
     sql_cache_size: int = 2048      # shared query-result cache; 0 disables
@@ -122,7 +124,7 @@ class ServiceConfig:
     ledger: CostLedger | None = None
     #: Per-job span trees (queue wait + the document waterfall), served
     #: by ``GET /jobs/<id>/trace``. Tracing never changes verdicts or
-    #: spend; disable it to shave the last few percent off hot batches.
+    #: spend; disable it to shave the last few percent off hot jobs.
     tracing: bool = True
     #: Path of the persistent cache file (see :mod:`repro.cache`): with
     #: one, the service's shared LLM and SQL-result caches gain a
@@ -136,10 +138,6 @@ class ServiceConfig:
             raise ValueError("max_queue_depth must be at least 1")
         if self.per_client_limit < 1:
             raise ValueError("per_client_limit must be at least 1")
-        if self.max_batch_jobs < 1:
-            raise ValueError("max_batch_jobs must be at least 1")
-        if self.batch_window < 0:
-            raise ValueError("batch_window must be non-negative")
         if self.dispatchers < 1:
             raise ValueError("dispatchers must be at least 1")
         if self.workers < 1:
@@ -216,7 +214,7 @@ class Job:
         self.spend: dict | None = None
         self.error: str | None = None
         #: Root spans filed under this job (queue_wait + one document
-        #: span per document) once its batch completes.
+        #: span per document) once its run completes.
         self.spans: list[Span] = []
         self._events: list[JobEvent] = []
         self._cond = threading.Condition()
@@ -381,49 +379,42 @@ class JobHandle:
 
 
 class _StreamingObserver(VerificationObserver):
-    """Fan one batch's verifier progress out to each job's event stream.
+    """Feed one job's verifier progress into its event stream.
 
     Called from verifier worker threads; Job.emit is the synchronisation
-    point. Documents of cancelled jobs are skipped via ``should_verify``.
+    point. Once the job is cancelled its remaining documents are skipped
+    via ``should_verify``.
     """
 
-    def __init__(
-        self, doc_jobs: dict[str, Job], claim_jobs: dict[str, Job]
-    ) -> None:
-        self._doc_jobs = doc_jobs
-        self._claim_jobs = claim_jobs
+    def __init__(self, job: Job) -> None:
+        self._job = job
 
     def should_verify(self, document: Document) -> bool:
-        job = self._doc_jobs.get(document.doc_id)
-        return job is not None and not job.cancelled
+        return not self._job.cancelled
 
     def stage_started(self, document: Document, entry: ScheduleEntry) -> None:
-        job = self._doc_jobs.get(document.doc_id)
-        if job is not None:
-            job.emit(StageStarted(
-                job_id=job.job_id,
-                doc_id=document.doc_id,
-                method=entry.method.name,
-                tries=entry.tries,
-            ))
+        self._job.emit(StageStarted(
+            job_id=self._job.job_id,
+            doc_id=document.doc_id,
+            method=entry.method.name,
+            tries=entry.tries,
+        ))
 
     def claim_resolved(self, claim: Claim, report: ClaimReport) -> None:
-        job = self._claim_jobs.get(claim.claim_id)
-        if job is not None:
-            record = claim_record(claim, report)
-            job.emit(ClaimVerdict(
-                job_id=job.job_id,
-                claim_id=claim.claim_id,
-                verdict=record["verdict"],
-                query=record["query"],
-                verified_by=record["verified_by"],
-                attempts=record["attempts"],
-                fallback=record["fallback"],
-            ))
+        record = claim_record(claim, report)
+        self._job.emit(ClaimVerdict(
+            job_id=self._job.job_id,
+            claim_id=claim.claim_id,
+            verdict=record["verdict"],
+            query=record["query"],
+            verified_by=record["verified_by"],
+            attempts=record["attempts"],
+            fallback=record["fallback"],
+        ))
 
 
 class VerificationService:
-    """Accepts, batches, executes, and streams verification jobs."""
+    """Accepts, executes, and streams verification jobs."""
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config if config is not None else ServiceConfig()
@@ -459,16 +450,12 @@ class VerificationService:
         self._active_claim_ids: set[str] = set()
         self._active_doc_ids: set[str] = set()
         self._job_seq = itertools.count(1)
-        self._batch_seq = itertools.count(1)
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
         self._draining = False
         self._started = False
         self._counts = {"submitted": 0, "completed": 0, "failed": 0,
                         "cancelled": 0, "rejected": 0}
-        self._batches = 0
-        self._batched_jobs = 0
-        self._max_batch = 0
         self._running_jobs = 0
         self._histogram = LatencyHistogram()
 
@@ -519,7 +506,7 @@ class VerificationService:
 
         ``drain=True`` flushes every job already accepted (queued and
         running) before returning; ``drain=False`` cancels the queued
-        jobs and only lets in-flight batches finish. On a service that
+        jobs and only lets running jobs finish. On a service that
         was never started, draining runs the queued jobs inline on the
         calling thread — handy for one-shot embedding and tests.
         """
@@ -617,9 +604,10 @@ class VerificationService:
                     f"client {client_id!r} already has {inflight} jobs in "
                     f"flight (limit {self.config.per_client_limit})",
                 ))
-            # Doc ids key the observer maps and ledger tags, claim ids
-            # key the reports map — both must be unique in flight or a
-            # coalesced batch misroutes events and double-bills spend.
+            # Verdicts are written onto the Claim objects, so two jobs
+            # sharing claims would overwrite each other's correct/query;
+            # and a job's spend sums the ``doc:`` ledger tags, which
+            # concurrent jobs (dispatchers > 1) must not share.
             claim_ids = [c.claim_id for d in documents for c in d.claims]
             doc_ids = [d.doc_id for d in documents]
             if (
@@ -682,10 +670,10 @@ class VerificationService:
         """Cancel a job; True if this call won the cancellation.
 
         A still-queued job is finalised immediately; a running one stops
-        emitting events and is finalised when its batch completes. A job
+        emitting events and is finalised when its run completes. A job
         whose state is already terminal refuses the cancel (checked
         under the service lock, the same lock :meth:`_finalize` sets the
-        state under). A cancel that lands in the instant a batch is
+        state under). A cancel that lands in the instant a job is
         finishing may still see the job complete — the terminal
         ``JobDone`` is emitted forced, so the stream closes either way.
         """
@@ -702,12 +690,12 @@ class VerificationService:
     # -- dispatch ------------------------------------------------------------
 
     def _dispatch_loop(self, timeout: float | None = None) -> None:
-        """Run batches on one verifier until the queue has nothing more.
+        """Run jobs on one verifier until the queue has nothing more.
 
         The verifier, and with it the ``workers`` claim threads of its
         pool (built only once a stage's client blocks), belongs to the
         calling thread for as long as it dispatches. Verifiers hold no
-        per-database state, so batches share nothing mutable but the
+        per-database state, so jobs share nothing mutable but the
         thread-safe ledger and caches, and the service runs at most
         ``dispatchers × workers`` claim threads however many databases
         it serves.
@@ -726,151 +714,80 @@ class VerificationService:
                 job = self._queue.pop(timeout)
                 if job is None:  # timed out, or closed and empty
                     return
-                self._run_batch(self._coalesce(job), verifier)
+                self._run_job(job, verifier)
         finally:
             verifier.close()
 
-    def _coalesce(self, first: Job) -> list[Job]:
-        """The micro-batcher: gather queued jobs sharing a batch key.
-
-        Batches form by themselves: whatever same-key jobs queued up
-        while the previous batch ran are swept into this one, and an
-        idle service runs a lone job at once. ``batch_window`` > 0 adds
-        a timed linger before the sweep (an embedder's opt-in trade of
-        latency for batch size).
-        """
-        if self.config.batch_window > 0 and not self._stop.is_set():
-            time.sleep(self.config.batch_window)
-        key = self._batch_key(first)
-        extra = self._queue.pop_matching(
-            lambda other: self._batch_key(other) == key,
-            self.config.max_batch_jobs - 1,
-        )
-        return [first, *extra]
-
-    @staticmethod
-    def _batch_key(job: Job) -> tuple:
-        """Jobs coalesce when they verify against the same databases with
-        the same schedule stages (identical method objects and budgets)."""
-        databases = tuple(sorted({id(doc.data) for doc in job.documents}))  # cedarlint: disable=CDL013
-        stages = tuple((id(entry.method), entry.tries)
-                       for entry in job.schedule)
-        return (databases, stages)
-
-    def _run_batch(
-        self, batch: list[Job], verifier: ParallelVerifier
-    ) -> None:
-        batch_id = next(self._batch_seq)
-        runnable: list[Job] = []
-        for job in batch:
-            if job.cancelled:
-                self._finalize(job, CANCELLED)
-            else:
-                runnable.append(job)
-        if not runnable:
+    def _run_job(self, job: Job, verifier: ParallelVerifier) -> None:
+        """One job, one ``verify_documents`` call: its own run, tracer,
+        observer and ledger window, so a failure stays in this job."""
+        if job.cancelled:
+            self._finalize(job, CANCELLED)
             return
         with self._lock:
-            self._batches += 1
-            self._batched_jobs += len(runnable)
-            self._max_batch = max(self._max_batch, len(runnable))
-            self._running_jobs += len(runnable)
-        documents: list[Document] = []
-        doc_jobs: dict[str, Job] = {}
-        claim_jobs: dict[str, Job] = {}
-        for job in runnable:
-            job.state = RUNNING
-            job.started_at = time.monotonic()
-            job.emit(JobStarted(job_id=job.job_id, batch_id=batch_id,
-                                batch_jobs=len(runnable)))
-            for document in job.documents:
-                documents.append(document)
-                doc_jobs[document.doc_id] = job
-                for claim in document.claims:
-                    claim_jobs[claim.claim_id] = job
-        _log.debug("batch_dispatched", extra={"fields": {
-            "batch_id": batch_id, "jobs": len(runnable),
-            "documents": len(documents),
-        }})
-        # One tracer per batch: roots are routed to their owning jobs
-        # afterwards, so concurrent dispatchers never mix span forests.
-        # The clock is time.monotonic — the same epoch as the Job
-        # timestamps — so queue-wait bars line up with the work bars.
+            self._running_jobs += 1
+        job.state = RUNNING
+        job.started_at = time.monotonic()
+        job.emit(JobStarted(job_id=job.job_id))
+        # The trace id is the job id, so a log line's trace_id names the
+        # /v1/jobs/<id>/trace to open. The clock is time.monotonic — the
+        # same epoch as the Job timestamps — so the queue-wait bar lines
+        # up with the work bars.
         tracer: Tracer = (
-            Tracer(trace_id=f"batch-{batch_id}", clock=time.monotonic)
+            Tracer(trace_id=job.job_id, clock=time.monotonic)
             if self.config.tracing else NULL_TRACER
         )
         if tracer.enabled:
-            for job in runnable:
-                tracer.record(
-                    f"wait:{job.job_id}", "queue_wait",
-                    job.submitted_at, job.started_at or job.submitted_at,
-                    job_id=job.job_id, priority=job.priority,
-                )
+            tracer.record(
+                f"wait:{job.job_id}", "queue_wait",
+                job.submitted_at, job.started_at,
+                job_id=job.job_id, priority=job.priority,
+            )
         try:
             checkpoint = verifier.ledger.checkpoint()
-            run = verifier.verify_documents(
-                documents,
-                runnable[0].schedule,
-                observer=_StreamingObserver(doc_jobs, claim_jobs),
+            job.run = verifier.verify_documents(
+                job.documents,
+                job.schedule,
+                observer=_StreamingObserver(job),
                 tracer=tracer,
             )
-        except Exception as error:  # the whole batch is poisoned
-            message = f"{type(error).__name__}: {error}"
-            _log.error("batch_failed", extra={"fields": {
-                "batch_id": batch_id, "jobs": len(runnable),
-                "error": message,
-            }})
-            for job in runnable:
-                self._finalize(job, CANCELLED if job.cancelled else FAILED,
-                               error=message)
+        except Exception as error:
+            self._finalize(job, CANCELLED if job.cancelled else FAILED,
+                           error=f"{type(error).__name__}: {error}")
             return
         finally:
             with self._lock:
-                self._running_jobs -= len(runnable)
+                self._running_jobs -= 1
             if tracer.enabled:
-                self._file_spans(tracer, runnable, doc_jobs)
-        for job in runnable:
-            if job.cancelled:
-                self._finalize(job, CANCELLED)
-                continue
-            job.run = VerificationRun(job.documents, {
-                claim.claim_id: run.reports[claim.claim_id]
-                for document in job.documents
-                for claim in document.claims
-            })
-            totals = verifier.ledger.totals_for_tags(
-                {f"doc:{document.doc_id}" for document in job.documents},
-                since=checkpoint,
-            )
-            job.spend = {
-                "cost_usd": round(totals.cost, 6),
-                "llm_calls": totals.calls,
-                "tokens": totals.total_tokens,
-            }
-            self._finalize(job, COMPLETED)
+                self._file_spans(tracer, job)
+        if job.cancelled:
+            self._finalize(job, CANCELLED)
+            return
+        totals = verifier.ledger.totals_for_tags(
+            {f"doc:{document.doc_id}" for document in job.documents},
+            since=checkpoint,
+        )
+        job.spend = {
+            "cost_usd": round(totals.cost, 6),
+            "llm_calls": totals.calls,
+            "tokens": totals.total_tokens,
+        }
+        self._finalize(job, COMPLETED)
 
     @staticmethod
-    def _file_spans(
-        tracer: Tracer, runnable: list[Job], doc_jobs: dict[str, Job]
-    ) -> None:
-        """Route the batch tracer's root spans to their owning jobs.
+    def _file_spans(tracer: Tracer, job: Job) -> None:
+        """File the job tracer's root spans (its ``queue_wait`` and one
+        ``document`` root per document) under the job.
 
-        ``queue_wait`` roots carry a ``job_id`` attribute; ``document``
-        roots carry ``doc_id``. Anything unroutable is dropped — spans
-        are diagnostics, never load-bearing state. Document roots get
-        the critical-path annotation here, once their subtree is final
-        (the attributes are wall-time-derived, so timeless renderings
-        drop them again — see ``WALL_TIME_ATTRIBUTES``).
+        Document roots get the critical-path annotation here, once their
+        subtree is final (the attributes are wall-time-derived, so
+        timeless renderings drop them again — see
+        ``WALL_TIME_ATTRIBUTES``).
         """
-        jobs_by_id = {job.job_id: job for job in runnable}
         for span in tracer.drain_roots():
-            if span.kind == "queue_wait":
-                job = jobs_by_id.get(span.attributes.get("job_id"))
-            else:
-                job = doc_jobs.get(span.attributes.get("doc_id"))
+            if span.kind != "queue_wait":
                 annotate_critical_path(span)
-            if job is not None:
-                job.spans.append(span)
+            job.spans.append(span)
 
     # -- completion ----------------------------------------------------------
 
@@ -937,13 +854,6 @@ class VerificationService:
     def stats(self) -> ServiceStats:
         with self._lock:
             jobs = dict(self._counts)
-            batches = {
-                "count": self._batches,
-                "jobs": self._batched_jobs,
-                "mean_size": (round(self._batched_jobs / self._batches, 2)
-                              if self._batches else 0.0),
-                "max_size": self._max_batch,
-            }
             running = self._running_jobs
             draining = self._draining
         totals = self.ledger.totals()
@@ -962,7 +872,6 @@ class VerificationService:
             running_jobs=running,
             draining=draining,
             jobs=jobs,
-            batches=batches,
             cache=self._cache_stats(),
             sql=sql,
             ledger={

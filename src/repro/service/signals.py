@@ -4,7 +4,7 @@
 cluster worker process) all want the same SIGTERM/SIGINT behaviour:
 
 * the **first** signal starts a graceful drain — stop accepting, finish
-  what was admitted, flush state — instead of killing mid-batch;
+  what was admitted, flush state — instead of killing mid-job;
 * a **second** signal falls back to the previous (usually default,
   i.e. kill) disposition, so a stuck drain can still be interrupted.
 

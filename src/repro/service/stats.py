@@ -96,7 +96,6 @@ class ServiceStats:
     running_jobs: int
     draining: bool
     jobs: dict          # submitted / completed / failed / cancelled / rejected
-    batches: dict       # count / jobs / mean_size / max_size
     cache: dict | None  # CacheStats.to_dict() (+ tiers with an L2); None: off
     sql: dict           # plan_cache / strategies / result_cache / executions
     ledger: dict        # entries / calls / cost_usd / tokens / retries

@@ -178,11 +178,13 @@ def test_hostile_content_length_rejected_before_the_body(cluster, declared,
 
 def test_shards_are_spawned_without_a_batch_window(cluster):
     argv = cluster.router._worker_argv(0, "/tmp/unused.sock")
-    assert "--batch-window" not in argv
     build_worker_parser().parse_args(argv[3:])  # every flag still known
-    assert not hasattr(cluster.config, "shard_batch_window")
-    with pytest.raises(SystemExit):
-        build_worker_parser().parse_args(argv[3:] + ["--batch-window", "0"])
+    for flag, field in (("--batch-window", "shard_batch_window"),
+                        ("--max-batch", "shard_max_batch")):
+        assert flag not in argv
+        assert not hasattr(cluster.config, field)
+        with pytest.raises(SystemExit):
+            build_worker_parser().parse_args(argv[3:] + [flag, "1"])
 
 
 # -- admission control -------------------------------------------------------

@@ -20,7 +20,7 @@ from repro.service.events import (
 EVENTS = [
     JobQueued(job_id="job-000001", priority=2, queue_depth=3),
     ClaimAccepted(job_id="job-000001", claim_id="r1/c1", sentence="s"),
-    JobStarted(job_id="job-000001", batch_id=4, batch_jobs=2),
+    JobStarted(job_id="job-000001"),
     StageStarted(job_id="job-000001", doc_id="r1/d1", method="oneshot"),
     ClaimVerdict(job_id="job-000001", claim_id="r1/c1", verdict="correct",
                  query="SELECT 1", verified_by="oneshot", attempts=1),

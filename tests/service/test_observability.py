@@ -108,7 +108,6 @@ class TestServiceMetrics:
         )
         assert float(samples["cedar_ledger_calls"]) > 0
         assert samples["cedar_jobs_completed"] == "1"
-        assert samples["cedar_batches_count"] == "1"
         assert "cedar_queue_depth" in samples
         assert "cedar_sql_plan_cache_hits" in samples
         assert samples["cedar_latency_buckets_count"] == "1"
@@ -151,9 +150,9 @@ class TestLogs:
         by_event = {record["event"]: record for record in records}
         retry = by_event["llm_retry"]
         assert retry["component"] == "llm.resilience"
-        assert retry["trace_id"] == "batch-1"
+        assert retry["trace_id"] == by_event["job_finished"]["job_id"]
         assert retry["span"]                  # the open span, by name
-        accepted = by_event["job_accepted"]   # logged before any batch
+        accepted = by_event["job_accepted"]   # logged before the job runs
         assert "trace_id" not in accepted and "span" not in accepted
         assert accepted["job_id"] == by_event["job_finished"]["job_id"]
 

@@ -76,24 +76,6 @@ class TestBoundedJobQueue:
         assert queue.pop() == "a"
         assert queue.pop() is None
 
-    def test_pop_matching_takes_only_matches_in_priority_order(self):
-        queue = BoundedJobQueue(8)
-        queue.offer("a1")
-        queue.offer("b1")
-        queue.offer("a2", priority=-1)
-        queue.offer("b2")
-        taken = queue.pop_matching(lambda item: item.startswith("a"), 5)
-        assert taken == ["a2", "a1"]
-        # Non-matches keep their order.
-        assert [queue.pop(0), queue.pop(0)] == ["b1", "b2"]
-
-    def test_pop_matching_respects_limit(self):
-        queue = BoundedJobQueue(8)
-        for name in ("a1", "a2", "a3"):
-            queue.offer(name)
-        assert queue.pop_matching(lambda item: True, 2) == ["a1", "a2"]
-        assert len(queue) == 1
-
     def test_remove_is_identity_based(self):
         queue = BoundedJobQueue(8)
         first, twin = "job", "job"[:]  # equal strings, possibly interned

@@ -10,7 +10,8 @@ The acceptance contract of the subsystem:
 * a cancelled job stops emitting events;
 * graceful shutdown drains accepted jobs with no lost or duplicated
   ledger entries;
-* jobs arriving together coalesce into one verifier batch.
+* each job is its own verifier run: jobs over one database never share
+  a run, so one job's fault stays in that job.
 
 Deterministic tests use a *never-started* service: submissions queue up,
 and ``shutdown(drain=True)`` runs them inline on the calling thread.
@@ -31,6 +32,7 @@ from repro.service import (
     ClaimVerdict,
     JobCancelled,
     JobDone,
+    JobFailed,
     JobQueued,
     JobStarted,
     REASON_CLIENT_LIMIT,
@@ -57,7 +59,7 @@ def make_service(bundle, seed=0, **config_kwargs):
     sample re-pass would re-attempt claims at retry temperature, and
     those draws are independent across jobs by Assumption 1). With that
     pinned, verdicts are a pure function of the seed no matter how jobs
-    are interleaved or batched.
+    are interleaved.
     """
     config_kwargs.setdefault("use_samples", False)
     ledger = CostLedger()
@@ -97,8 +99,7 @@ class TestConcurrentAcceptance:
         expected = baseline_verdicts(bundle)
 
         service, schedule = make_service(
-            bundle, max_queue_depth=8, per_client_limit=4,
-            max_batch_jobs=4, batch_window=0.001, workers=2,
+            bundle, max_queue_depth=8, per_client_limit=4, workers=2,
         )
         service.start()
         handles = [None] * 16
@@ -154,17 +155,17 @@ class TestConcurrentAcceptance:
             len(first_run.documents[0].claims)
         assert type(events[-1]) is JobDone
 
-    def test_two_dispatchers_share_one_batch_key_safely(self):
-        # Eight jobs against one database all carry the same batch key,
-        # so with max_batch_jobs=2 two dispatchers repeatedly race for
-        # the same verifier. The per-verifier mutex must serialise them:
-        # no job's documents may be skipped or fed another batch's
+    def test_two_dispatchers_over_one_database_give_baseline_verdicts(
+        self,
+    ):
+        # Eight jobs against one database run concurrently on two
+        # dispatchers, sharing the database, the caches and the ledger:
+        # no job's documents may be skipped or fed another job's
         # observer, and every verdict must match the direct baseline.
         bundle = make_bundle()
         expected = baseline_verdicts(bundle)
         service, schedule = make_service(
-            bundle, dispatchers=2, max_batch_jobs=2, max_queue_depth=16,
-            workers=2,
+            bundle, dispatchers=2, max_queue_depth=16, workers=2,
         )
         service.start()
         handles = [
@@ -382,49 +383,82 @@ class TestDrainAccounting:
 
 
 class TestBatching:
-    def test_jobs_sharing_a_database_coalesce(self):
+    """One verifier run per job: jobs over one database are never
+    merged into one run."""
+
+    def test_jobs_sharing_a_database_run_one_by_one(self):
         bundle = make_bundle()
-        service, schedule = make_service(bundle, max_batch_jobs=4)
+        service, schedule = make_service(bundle)
         handles = [
             service.submit(clone_document(bundle.documents[0], f"b{index}"),
                            schedule)
             for index in range(4)
         ]
         service.shutdown(drain=True)
-        stats = service.stats()
-        assert stats.batches == {"count": 1, "jobs": 4, "mean_size": 4.0,
-                                 "max_size": 4}
+        assert "batches" not in service.stats().to_dict()
         for handle in handles:
-            started = next(e for e in handle.events_snapshot()
-                           if isinstance(e, JobStarted))
-            assert started.batch_jobs == 4
+            events = handle.events_snapshot()
+            started = [e for e in events if isinstance(e, JobStarted)]
+            assert len(started) == 1
+            assert set(started[0].to_dict()) == {"event", "job_id", "ts"}
+            assert started[0].job_id == handle.job_id
+            # The job's spans are its own queue wait and its own
+            # document, nothing of the three other jobs.
+            roots = handle.spans()
+            assert [span.kind for span in roots] == ["queue_wait",
+                                                     "document"]
+            assert roots[0].attributes["job_id"] == handle.job_id
+            assert roots[1].attributes["doc_id"] == \
+                handle.result().documents[0].doc_id
 
-    def test_different_databases_do_not_coalesce(self):
+    def test_one_jobs_fault_stays_in_that_job(self):
         bundle = make_bundle()
-        service, schedule = make_service(bundle, max_batch_jobs=4)
-        for index in range(3):
-            service.submit(
-                clone_document(bundle.documents[index], f"n{index}"),
-                schedule,
-            )
+        expected = baseline_verdicts(bundle)
+        service, schedule = make_service(bundle)
+        # The first stage raises for the claims of the bad/ clone only;
+        # it sees which claim it translates through the ledger's tags.
+        poisoned = schedule[0].method
+        real_translate = poisoned.translate
+        ledger = service.ledger
+
+        def translate(*args, **kwargs):
+            if "claim:bad/" in " ".join(ledger.current_tags()):
+                raise RuntimeError("poisoned claim")
+            return real_translate(*args, **kwargs)
+
+        poisoned.translate = translate
+        bad = service.submit(clone_document(bundle.documents[0], "bad"),
+                             schedule)
+        good = service.submit(clone_document(bundle.documents[0], "good"),
+                              schedule)
         service.shutdown(drain=True)
-        assert service.stats().batches["count"] == 3
-        assert service.stats().batches["max_size"] == 1
+
+        bad_events = bad.events_snapshot()
+        failed = [e for e in bad_events if isinstance(e, JobFailed)]
+        assert len(failed) == 1 and failed == bad_events[-1:]
+        assert failed[0].error == "RuntimeError: poisoned claim"
+        assert bad.state == "failed"
+        assert good.state == "completed", good.error
+        assert type(good.events_snapshot()[-1]) is JobDone
+        for claim in good.result().documents[0].claims:
+            original_id = claim.claim_id.split("/", 1)[1]
+            assert (claim.correct, claim.query) == expected[original_id]
+        assert service.stats().jobs["failed"] == 1
 
     def test_priority_orders_inline_drain(self):
         bundle = make_bundle()
-        service, schedule = make_service(bundle, max_batch_jobs=1)
+        service, schedule = make_service(bundle)
         low = service.submit(clone_document(bundle.documents[0], "lo"),
                              schedule, priority=5)
         high = service.submit(clone_document(bundle.documents[1], "hi"),
                               schedule, priority=-5)
         service.shutdown(drain=True)
-        batch_of = {
+        started_at = {
             handle.job_id: next(e for e in handle.events_snapshot()
-                                if isinstance(e, JobStarted)).batch_id
+                                if isinstance(e, JobStarted)).ts
             for handle in (low, high)
         }
-        assert batch_of[high.job_id] < batch_of[low.job_id]
+        assert started_at[high.job_id] < started_at[low.job_id]
 
 
 class TestVerifierLifetime:

@@ -1,6 +1,5 @@
 """The submit → verdict path never waits for nothing.
 
-* the CLI inherits ``ServiceConfig``'s batch window (0: no idle linger);
 * an idle dispatcher blocks in one indefinite ``pop()`` — no poll tick —
   and ``shutdown()`` wakes it by closing the queue;
 * bookkeeping reads (``stats()`` and the ``/v1/metrics`` rendering of
@@ -12,12 +11,6 @@ import time
 from repro.llm import CostLedger
 from repro.obs.export import to_prometheus
 from repro.service import ServiceConfig, VerificationService
-from repro.service.__main__ import build_parser
-
-
-def test_cli_batch_window_is_the_config_default():
-    assert build_parser().parse_args([]).batch_window \
-        == ServiceConfig().batch_window == 0.0
 
 
 def test_idle_dispatcher_blocks_once_and_shutdown_wakes_it():

@@ -49,7 +49,9 @@ HARNESS_IMPORTS = [
     ("repro.sqlengine", "parse_select"),
 ]
 
-#: ``build_parser()`` dests that ``bench/serve.py`` reads.
+#: ``build_parser()`` dests that ``bench/serve.py`` reads. ``max_batch``
+#: and ``batch_window`` are inert (the service reads neither); they are
+#: pinned only for ``bench/serve.py`` until ROADMAP 5(d) removes them.
 PARSER_DESTS = ["queue_depth", "per_client", "max_batch", "batch_window",
                 "workers", "cache_size", "seed", "host", "port", "verbose"]
 
