@@ -40,9 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="open jobs per client across the cluster")
     parser.add_argument("--max-shard-inflight", type=int, default=64,
                         help="open jobs per shard before queue_full")
-    parser.add_argument("--shard-threads", type=int, default=4,
-                        help="blocking model calls each worker's "
-                             "dispatcher overlaps")
+    parser.add_argument("--shard-threads", type=int,
+                        default=ClusterConfig.shard_threads,
+                        help="model calls in flight in each worker")
     parser.add_argument("--cache-db", default=None,
                         help="shared persistent L2 sqlite path (optional)")
     parser.add_argument("--latency-scale", type=float, default=0.0,

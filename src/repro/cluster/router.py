@@ -65,7 +65,7 @@ from repro.obs.tracer import (
     span_from_dict,
     spans_from_dicts,
 )
-from repro.service import WorkerLost, retry_after_seconds
+from repro.service import ServiceConfig, WorkerLost, retry_after_seconds
 from repro.service.http import HttpServer, submission_error
 from repro.service.queue import (
     REASON_CLIENT_LIMIT,
@@ -106,7 +106,7 @@ class ClusterConfig:
     per_client_limit: int = 8        # open jobs per client, cluster-wide
     max_shard_inflight: int = 64     # open jobs per shard (router-side)
     replicas: int = DEFAULT_REPLICAS
-    shard_threads: int = 4           # blocking calls a shard overlaps
+    shard_threads: int = ServiceConfig.workers  # calls in flight per shard
     shard_queue_depth: int = 64
     shard_cache_size: int = 1024
     cache_db: str | None = None      # shared persistent L2 (optional)

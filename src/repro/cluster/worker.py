@@ -303,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--profile", default="default",
                         choices=sorted(DATASET_PROFILES))
-    parser.add_argument("--workers", type=int, default=4,
-                        help="blocking model calls a dispatcher overlaps")
+    parser.add_argument("--workers", type=int, default=ServiceConfig.workers,
+                        help="model calls in flight across all jobs")
     parser.add_argument("--queue-depth", type=int, default=64)
     parser.add_argument("--cache-size", type=int, default=1024)
     parser.add_argument("--cache-db", default=None,

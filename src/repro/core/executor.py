@@ -9,14 +9,17 @@ already treats every try as an independent trial. ``ParallelVerifier``
 exploits exactly those two axes:
 
 * **documents** fan out over a worker pool;
-* **post-harvest claims** of each document fan out over a second pool
-  (two pools so a document task waiting on its claim tasks can never
-  deadlock the workers the claim tasks need), which the verifier keeps
-  from its first parallel run until :meth:`ParallelVerifier.close`.
+* **attempts** run on a second pool, the claims pool (two pools so a
+  document task waiting on its attempts can never deadlock the workers
+  the attempts need): the post-harvest claims of a document side by
+  side, the harvest pass's one at a time. The verifier keeps its claims
+  pool from its first parallel run until :meth:`ParallelVerifier.close`,
+  or borrows one (:attr:`~repro.core.pipeline.VerifierConfig.claims_pool`)
+  whose size then bounds the model calls of every borrower together.
 
 Threads only pay where a model call can wait: under the GIL, calls that
 are pure computation overlap nothing and the hand-offs cost time. So a
-stage fans out only when its client is
+stage uses the claims pool only when its client is
 :attr:`~repro.llm.base.LLMClient.blocking`; a stage whose client never
 blocks runs its claims on the document thread, and a run in which no
 stage blocks is the sequential run, with no pool at all.
@@ -38,7 +41,7 @@ The module also hosts :func:`verify`, the package's front door.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 
 from repro.llm.ledger import LedgerDelta
 from repro.obs.tracer import SpanDelta
@@ -57,24 +60,33 @@ from .pipeline import (
 
 
 class ParallelVerifier(MultiStageVerifier):
-    """Algorithm 1 over a thread pool; sequential when ``workers == 1``
-    or when no stage's client is :attr:`~repro.llm.base.LLMClient.blocking`.
+    """Algorithm 1 over a thread pool; sequential when no stage's client
+    is :attr:`~repro.llm.base.LLMClient.blocking`, or when ``workers == 1``
+    and no pool was lent.
 
-    The claims pool is created on the first run that needs it and lives
-    until :meth:`close`, so a long-lived verifier (one per service
-    dispatcher) pays for its ``workers`` threads once, not per batch.
-    ``workers`` is how many blocking model calls a document overlaps;
-    stages whose client never blocks run their claims inline.
-    Pool threads keep no state between tasks: every task enters and
-    leaves its own ledger/tracer capture. One thread at a time may call
-    :meth:`verify_documents` on a verifier.
+    Every attempt of a blocking stage runs on the claims pool, the
+    harvest pass's included (submitted one at a time, so its order
+    holds): the threads that walk the schedule only orchestrate, and
+    the pool's size bounds the blocking model calls in flight. Stages
+    whose client never blocks run their claims inline.
+
+    The claims pool is the one :attr:`VerifierConfig.claims_pool` lends,
+    or else the verifier's own, created on the first run that needs it
+    and joined by :meth:`close`, so a long-lived verifier pays for its
+    ``workers`` threads once. Pool threads keep no state between tasks:
+    every task enters and leaves its own ledger/tracer capture. One
+    thread at a time may call :meth:`verify_documents` on a verifier.
     """
 
+    #: The pool this verifier built (None while it has none, or borrows).
     _claims_pool: ThreadPoolExecutor | None = None
+    #: The pool the current run sends its blocking attempts to.
+    _run_pool: ThreadPoolExecutor | None = None
 
     def close(self) -> None:
-        """Join the claims pool's threads. Idempotent; a later run
-        simply starts a new pool."""
+        """Join the claims pool's threads if this verifier built it (a
+        lent pool belongs to its lender). Idempotent; a later run simply
+        starts a new pool."""
         pool, self._claims_pool = self._claims_pool, None
         if pool is not None:
             pool.shutdown(wait=True)
@@ -85,42 +97,48 @@ class ParallelVerifier(MultiStageVerifier):
         schedule: list[ScheduleEntry],
         run: VerificationRun,
     ) -> None:
-        if self.config.workers <= 1 or not documents or not any(
+        pool = self.config.claims_pool
+        if not documents or not any(
             entry.method.client.blocking for entry in schedule
-        ):
+        ) or (pool is None and self.config.workers <= 1):
             super()._execute(documents, schedule, run)
             return
-        workers = self.config.workers
-        # Created here, on the one thread that owns this verifier, so
-        # document tasks never race to build it.
-        if self._claims_pool is None:
-            self._claims_pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="cedar-claim"
-            )
-
-        def merge(result: tuple) -> None:
-            # Called in submission order: the ledger ends up with the
-            # same entry sequence — and the tracer with the same span
-            # forest — a sequential run would have written.
-            reports, delta, spans = result
-            run.reports.update(reports)
-            self.ledger.absorb(delta)
-            self.tracer.absorb(spans)
-
-        if len(documents) == 1:
-            # Nothing to fan out: the lone document runs here,
-            # through the same capture/absorb as a pool task.
-            merge(self._document_task(documents[0], schedule))
-            return
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="cedar-doc"
-        ) as documents_pool:
-            futures = [
-                documents_pool.submit(self._document_task, doc, schedule)
-                for doc in documents
-            ]
-            for future in futures:
-                merge(future.result())
+        if pool is None:
+            # Created here, on the one thread that owns this verifier, so
+            # document tasks never race to build it.
+            if self._claims_pool is None:
+                self._claims_pool = ThreadPoolExecutor(
+                    max_workers=self.config.workers,
+                    thread_name_prefix="cedar-claim",
+                )
+            pool = self._claims_pool
+        self._run_pool = pool
+        try:
+            if len(documents) == 1 or self.config.claims_pool is not None:
+                # Documents in turn on this thread, their blocking
+                # attempts overlapping on the pool. A lender overlaps
+                # whole runs instead (the service runs one job per
+                # thread), so a lent pool never gets document threads.
+                super()._execute(documents, schedule, run)
+                return
+            with ThreadPoolExecutor(
+                max_workers=self.config.workers,
+                thread_name_prefix="cedar-doc",
+            ) as documents_pool:
+                futures = [
+                    documents_pool.submit(self._document_task, doc, schedule)
+                    for doc in documents
+                ]
+                # Merged in submission order: the ledger ends up with the
+                # same entry sequence — and the tracer with the same span
+                # forest — a sequential run would have written.
+                for future in futures:
+                    reports, delta, spans = future.result()
+                    run.reports.update(reports)
+                    self.ledger.absorb(delta)
+                    self.tracer.absorb(spans)
+        finally:
+            self._run_pool = None
 
     def _document_task(
         self, document: Document, schedule: list[ScheduleEntry]
@@ -138,6 +156,24 @@ class ParallelVerifier(MultiStageVerifier):
             self._verify_document(document, schedule, local)
         return local.reports, delta, spans
 
+    def _attempt_claim(
+        self,
+        method: VerificationMethod,
+        claim: Claim,
+        sample: Sample | None,
+        database: Database,
+        report: ClaimReport,
+    ) -> bool:
+        if self._run_pool is None or not method.client.blocking:
+            return super()._attempt_claim(
+                method, claim, sample, database, report
+            )
+        # A harvest attempt: on the pool like every blocking attempt,
+        # waited for before the next one.
+        return self._join([
+            self._submit(method, claim, sample, database, report)
+        ])[0]
+
     def _run_batch_independent(
         self,
         method: VerificationMethod,
@@ -146,40 +182,76 @@ class ParallelVerifier(MultiStageVerifier):
         database: Database,
         run: VerificationRun,
     ) -> list[Claim]:
-        pool = self._claims_pool
-        if pool is None or len(claims) <= 1 or not method.client.blocking:
+        if self._run_pool is None or not method.client.blocking:
             return super()._run_batch_independent(
                 method, claims, sample, database, run
             )
-        # Snapshot the document worker's tags (doc:…) so claim tasks on
-        # pool threads attribute their calls identically to inline runs.
-        tags = self.ledger.current_tags()
-        tracer = self.tracer
+        futures = [
+            self._submit(method, claim, sample, database,
+                         run.reports[claim.claim_id])
+            for claim in claims
+        ]
+        return [claim for claim, verified in zip(claims, self._join(futures))
+                if verified]
 
-        def attempt(claim: Claim) -> tuple[bool, LedgerDelta, SpanDelta]:
-            with self.ledger.capture() as delta, self.ledger.scoped(tags), \
-                    tracer.capture() as spans:
-                verified = self._attempt_claim(
-                    method, claim, sample, database,
-                    run.reports[claim.claim_id],
+    def _submit(
+        self,
+        method: VerificationMethod,
+        claim: Claim,
+        sample: Sample | None,
+        database: Database,
+        report: ClaimReport,
+    ) -> Future:
+        assert self._run_pool is not None
+        # Snapshot the submitting thread's tags (doc:…) so the attempt
+        # attributes its calls identically to an inline run.
+        return self._run_pool.submit(
+            self._pooled_attempt, self.ledger.current_tags(),
+            method, claim, sample, database, report,
+        )
+
+    def _pooled_attempt(
+        self,
+        tags: tuple[str, ...],
+        method: VerificationMethod,
+        claim: Claim,
+        sample: Sample | None,
+        database: Database,
+        report: ClaimReport,
+    ) -> tuple[bool, LedgerDelta, SpanDelta, Exception | None]:
+        """One attempt on a pool thread, into private ledger/span state;
+        a failure is returned, so its calls still reach the ledger."""
+        error = None
+        verified = False
+        with self.ledger.capture() as delta, self.ledger.scoped(tags), \
+                self.tracer.capture() as spans:
+            try:
+                verified = super()._attempt_claim(
+                    method, claim, sample, database, report
                 )
-            return verified, delta, spans
+            except Exception as failure:
+                error = failure
+        return verified, delta, spans, error
 
-        futures = [pool.submit(attempt, claim) for claim in claims]
-        # The pool outlives this batch: a failed attempt must not leave
-        # its siblings running into the next one.
+    def _join(self, futures: list[Future]) -> list[bool]:
+        """Wait for every attempt, then absorb each one's ledger and span
+        delta on this thread in submission order — into the open stage
+        span, exactly where a sequential run put them — and re-raise the
+        first failure. The pool outlives the batch, so a failed attempt
+        must not leave its siblings running into the next one."""
         wait(futures)
-        verified_claims: list[Claim] = []
-        for claim, future in zip(claims, futures):
-            verified, delta, spans = future.result()
-            # Absorbed on the document thread in claim order, into the
-            # document's own capture buffer (spans graft under the open
-            # stage span, exactly where a sequential run put them).
+        verified: list[bool] = []
+        error = None
+        for future in futures:
+            ok, delta, spans, failure = future.result()
             self.ledger.absorb(delta)
-            tracer.absorb(spans)
-            if verified:
-                verified_claims.append(claim)
-        return verified_claims
+            self.tracer.absorb(spans)
+            verified.append(ok)
+            if error is None:
+                error = failure
+        if error is not None:
+            raise error
+        return verified
 
 
 def verify(

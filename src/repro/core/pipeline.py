@@ -17,6 +17,7 @@ both :class:`MultiStageVerifier` (sequential) and
 from __future__ import annotations
 
 import copy
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import time
@@ -40,9 +41,9 @@ class VerifierConfig:
     """Everything a verifier needs to know besides the schedule.
 
     One config object serves both executors: ``MultiStageVerifier``
-    ignores ``workers`` (it is the ``workers=1`` special case), while
-    ``ParallelVerifier`` fans documents and post-harvest claims out over
-    a thread pool of that size for the stages whose model client blocks
+    ignores ``workers`` and ``claims_pool`` (it is the ``workers=1``
+    special case), while ``ParallelVerifier`` runs the model calls of
+    the stages whose client blocks on a claims pool of that size
     (``workers`` is how many blocking calls it overlaps).
     ``cache_size > 0`` memoises temperature-0 completions (retries at
     temperature > 0 always bypass the cache — Assumption 1 needs them
@@ -50,10 +51,19 @@ class VerifierConfig:
     transient-failure retry with backoff. A ``cache``
     *instance* wins over ``cache_size`` — the service layer passes one
     shared :class:`~repro.llm.cache.LLMCache` to every verifier it owns so
-    requests warm each other's entries.
+    requests warm each other's entries; it lends them its claims pool
+    the same way.
     """
 
     workers: int = 1
+    #: A claims pool lent by the caller, shared instead of owned: every
+    #: blocking attempt of the verifier runs on it, and
+    #: :meth:`~repro.core.executor.ParallelVerifier.close` leaves it
+    #: running. The service lends one pool to every verifier it makes,
+    #: so its size bounds the model calls in flight across all jobs.
+    #: None (the default) lets the verifier build its own of ``workers``
+    #: threads.
+    claims_pool: ThreadPoolExecutor | None = None
     use_samples: bool = True
     cache_size: int = 0                    # 0 disables response caching
     cache: LLMCache | None = None          # shared instance, wins over size

@@ -165,6 +165,11 @@ class LatencySimulatingClient(DelegatingLLMClient):
     wrapper turns that bookkeeping into actual elapsed time. Stacked
     *under* the response cache, so cache hits skip the sleep exactly as
     they skip the network.
+
+    The sleep happens inside the call's ``llm_call`` span, where a hosted
+    client's network wait is, so a trace files it as model time. That is
+    why it wraps a concrete client: it calls the inner client's
+    ``_complete``, which a wrapper stacked under it would not see.
     """
 
     blocking = True  # it sleeps
@@ -174,7 +179,10 @@ class LatencySimulatingClient(DelegatingLLMClient):
         self.scale = scale
 
     def complete(self, prompt: str, temperature: float = 0.0) -> ChatResponse:
-        response = self.inner.complete(prompt, temperature)
+        return LLMClient.complete(self, prompt, temperature)
+
+    def _complete(self, prompt: str, temperature: float) -> ChatResponse:
+        response = self.inner._complete(prompt, temperature)
         time.sleep(response.latency_seconds * self.scale)
         return response
 

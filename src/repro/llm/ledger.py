@@ -89,6 +89,13 @@ class LedgerDelta:
     entries: list[LedgerEntry] = field(default_factory=list)
     events: list[RetryEvent] = field(default_factory=list)
 
+    def totals(self) -> LedgerTotals:
+        """Aggregate the captured entries (a service job's spend)."""
+        totals = LedgerTotals()
+        for entry in self.entries:
+            totals.add(entry)
+        return totals
+
 
 class CostLedger:
     """Append-only record of LLM spending with tag attribution."""
@@ -272,23 +279,6 @@ class CostLedger:
         totals = LedgerTotals()
         for entry in self.entries:
             if tag in entry.tags:
-                totals.add(entry)
-        return totals
-
-    def totals_for_tags(
-        self, tags: Sequence[str] | set[str], since: int = 0
-    ) -> LedgerTotals:
-        """Aggregate entries carrying *any* of ``tags``, in one pass.
-
-        The service layer computes a job's spend this way: a job owns a
-        set of ``doc:<id>`` tags, and ``since`` (a :meth:`checkpoint`
-        taken when the job's batch started) keeps entries from earlier
-        verifications of the same document ids out of the total.
-        """
-        wanted = set(tags)
-        totals = LedgerTotals()
-        for entry in self.entries[since:]:
-            if wanted.intersection(entry.tags):
                 totals.add(entry)
         return totals
 

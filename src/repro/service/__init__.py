@@ -3,9 +3,10 @@
 The package turns the concurrent executor into a long-lived service:
 
 * :class:`VerificationService` — bounded-queue admission control, one
-  verifier run per job on long-lived per-dispatcher verifiers (one
-  response cache and ledger for the whole service), streaming job
-  events, cancellation, and drain-on-shutdown.
+  verifier run per job (one response cache, ledger and claims pool for
+  the whole service, so ``workers`` bounds the model calls in flight),
+  jobs that wait on the model overlapped, streaming job events,
+  cancellation, and drain-on-shutdown.
 * :mod:`repro.service.http` — the asyncio HTTP front end
   (``python -m repro.service``) exposing submit / events / stats, the
   same HTTP code the cluster router serves through.

@@ -31,8 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8000,
                         help="0 picks a free port")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="blocking model calls a dispatcher overlaps")
+    parser.add_argument("--workers", type=int, default=ServiceConfig.workers,
+                        help="model calls in flight across all jobs")
     parser.add_argument("--queue-depth", type=int, default=64,
                         help="bounded queue depth (admission limit)")
     parser.add_argument("--per-client", type=int, default=8,

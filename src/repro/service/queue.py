@@ -127,7 +127,7 @@ class BoundedJobQueue:
         """Remove a specific queued item (identity match); False if absent.
 
         Used for cancellation: a job still in the queue is simply pulled
-        out, never reaching a dispatcher.
+        out, never reaching the dispatcher.
         """
         with self._cond:
             for index, entry in enumerate(self._heap):

@@ -8,11 +8,18 @@ into something that can sit under concurrent traffic:
   when full, per-client in-flight caps stop one caller from starving the
   rest, and claim-id conflicts with in-flight jobs are refused rather
   than silently corrupting shared state.
-* **One run per job** — a dispatcher pops the next job and verifies it
-  with one ``verify_documents`` call on the dispatcher's long-lived
-  verifier, so the response cache, claims pool, and ledger are shared
-  across requests instead of re-paid per call, and a job that fails
-  fails alone. An idle service answers a job at once.
+* **One run per job** — one dispatcher thread pops the next job and
+  verifies it with one ``verify_documents`` call, so a job that fails
+  fails alone. The response cache, the ledger and one claims pool of
+  ``workers`` threads are shared across requests instead of re-paid per
+  call. An idle service answers a job at once.
+* **Overlap where the model waits** — a job whose schedule has a
+  blocking stage (:attr:`~repro.llm.base.LLMClient.blocking`) runs on
+  its own ``cedar-job`` thread beside up to ``workers - 1`` others, and
+  every one of its blocking model calls runs on the shared claims pool,
+  so at most ``workers`` calls are in flight however many jobs run. A
+  job whose clients never block runs on the dispatcher thread, one at a
+  time: under the GIL, more runners would only add hand-offs.
 * **Streaming** — every job exposes an event iterator (accepted → stage
   started → verdict → done) fed by the executor's
   :class:`~repro.core.pipeline.VerificationObserver` hooks, so callers
@@ -20,13 +27,13 @@ into something that can sit under concurrent traffic:
 * **Cancellation and drain** — a queued job cancels instantly; a running
   job stops emitting events and its remaining documents are skipped.
   ``shutdown(drain=True)`` refuses new work, flushes everything already
-  accepted, and joins the dispatchers.
+  accepted, and joins every thread the service started.
 
-Submitted documents must carry doc ids and claim ids that are unique
-among in-flight jobs (verdicts are written onto the claims themselves,
-and a job's spend is summed from ledger tags keyed on doc ids); use
-:func:`clone_document` to derive a uniquely-tagged copy when submitting
-the same document many times.
+A job's spend is what its own ledger capture recorded. Submitted
+documents must carry doc ids and claim ids that are unique among
+in-flight jobs, because verdicts are written onto the claims
+themselves; use :func:`clone_document` to derive a uniquely-tagged copy
+when submitting the same document many times.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import logging
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -111,8 +119,10 @@ class ServiceConfig:
     #: ``bench/serve.py`` still passes them; ROADMAP 5(d) removes them.
     max_batch_jobs: int = 8
     batch_window: float = 0.0
-    dispatchers: int = 1            # job-runner threads
-    workers: int = 4                # blocking calls a dispatcher overlaps
+    #: Model calls in flight across the whole service: the size of the
+    #: one claims pool every blocking call runs on, and so also the
+    #: most jobs over blocking clients that run at once.
+    workers: int = 16
     cache_size: int = 1024          # shared response cache; 0 disables
     sql_cache_size: int = 2048      # shared query-result cache; 0 disables
     #: Algorithm 1's few-shot sample harvesting. Note the re-pass it
@@ -138,8 +148,6 @@ class ServiceConfig:
             raise ValueError("max_queue_depth must be at least 1")
         if self.per_client_limit < 1:
             raise ValueError("per_client_limit must be at least 1")
-        if self.dispatchers < 1:
-            raise ValueError("dispatchers must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.cache_size < 0:
@@ -450,7 +458,15 @@ class VerificationService:
         self._active_claim_ids: set[str] = set()
         self._active_doc_ids: set[str] = set()
         self._job_seq = itertools.count(1)
-        self._threads: list[threading.Thread] = []
+        self._dispatcher: threading.Thread | None = None
+        #: Live ``cedar-job`` threads, one per running blocking job; a
+        #: dispatcher pops a job only while it holds one of ``workers``
+        #: slots, and a job thread gives its slot back when it ends.
+        self._job_threads: set[threading.Thread] = set()
+        self._job_slots = threading.Semaphore(self.config.workers)
+        #: The claims pool lent to every verifier that runs a blocking
+        #: job; built on the first such job, joined by :meth:`shutdown`.
+        self._claims_pool: ThreadPoolExecutor | None = None
         self._stop = threading.Event()
         self._draining = False
         self._started = False
@@ -462,7 +478,7 @@ class VerificationService:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "VerificationService":
-        """Launch the dispatcher threads (idempotent).
+        """Launch the dispatcher thread (idempotent).
 
         Also sets the interpreter's switch interval to
         :data:`SWITCH_INTERVAL_SECONDS`, so a thread waiting for the GIL
@@ -476,22 +492,18 @@ class VerificationService:
             self._started = True
             sys.setswitchinterval(SWITCH_INTERVAL_SECONDS)
             _log.info("service_started", extra={"fields": {
-                "dispatchers": self.config.dispatchers,
                 "workers": self.config.workers,
             }})
-            for index in range(self.config.dispatchers):
-                thread = threading.Thread(
-                    target=self._dispatch_loop,
-                    name=f"cedar-dispatch-{index}",
-                    daemon=True,
-                )
-                thread.start()
-                self._threads.append(thread)
+            self._dispatcher = threading.Thread(
+                target=self._dispatch_loop, name="cedar-dispatch",
+                daemon=True,
+            )
+            self._dispatcher.start()
         return self
 
     def begin_drain(self) -> None:
         """Flip to draining without blocking: new submissions are
-        refused (``/readyz`` goes 503) while dispatchers keep flushing
+        refused (``/readyz`` goes 503) while the service keeps flushing
         what was already accepted. Safe to call from a signal handler;
         follow with :meth:`shutdown` to actually wait the drain out.
         """
@@ -506,8 +518,10 @@ class VerificationService:
 
         ``drain=True`` flushes every job already accepted (queued and
         running) before returning; ``drain=False`` cancels the queued
-        jobs and only lets running jobs finish. On a service that
-        was never started, draining runs the queued jobs inline on the
+        jobs and only lets running jobs finish. Either way the
+        dispatcher, the job threads and the claims pool are joined
+        (``timeout`` bounds each thread's join). On a service that was
+        never started, draining runs the queued jobs one by one on the
         calling thread — handy for one-shot embedding and tests.
         """
         with self._lock:
@@ -523,13 +537,20 @@ class VerificationService:
         if not started and drain:
             # Never started (one-shot embedding, deterministic tests):
             # run what is queued on the calling thread.
-            self._dispatch_loop(timeout=0)
+            self._dispatch_loop(inline=True)
         self._stop.set()
         # No offer can follow the draining flag, so closing now lets the
-        # dispatchers flush what is queued and then return from pop().
+        # dispatcher flush what is queued and then return from pop().
         self._queue.close()
-        for thread in self._threads:
+        if self._dispatcher is not None:
+            self._dispatcher.join(timeout)
+        # The dispatcher starts no job thread once it has returned.
+        with self._lock:
+            job_threads = list(self._job_threads)
+        for thread in job_threads:
             thread.join(timeout)
+        if self._claims_pool is not None:
+            self._claims_pool.shutdown(wait=True)
         _log.info("service_stopped", extra={"fields": {"drained": drain}})
 
     def __enter__(self) -> "VerificationService":
@@ -554,7 +575,7 @@ class VerificationService:
 
     @property
     def queue_depth(self) -> int:
-        """Jobs accepted but not yet picked up by a dispatcher."""
+        """Jobs accepted but not yet picked up by the dispatcher."""
         return len(self._queue)
 
     # -- admission -----------------------------------------------------------
@@ -605,9 +626,8 @@ class VerificationService:
                     f"flight (limit {self.config.per_client_limit})",
                 ))
             # Verdicts are written onto the Claim objects, so two jobs
-            # sharing claims would overwrite each other's correct/query;
-            # and a job's spend sums the ``doc:`` ledger tags, which
-            # concurrent jobs (dispatchers > 1) must not share.
+            # in flight over one claim would overwrite each other's
+            # correct/query; a doc id stands for its document's claims.
             claim_ids = [c.claim_id for d in documents for c in d.claims]
             doc_ids = [d.doc_id for d in documents]
             if (
@@ -689,19 +709,56 @@ class VerificationService:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _dispatch_loop(self, timeout: float | None = None) -> None:
-        """Run jobs on one verifier until the queue has nothing more.
+    def _dispatch_loop(self, inline: bool = False) -> None:
+        """Pop and run jobs until the queue is closed and empty (empty,
+        when ``inline``).
 
-        The verifier, and with it the ``workers`` claim threads of its
-        pool (built only once a stage's client blocks), belongs to the
-        calling thread for as long as it dispatches. Verifiers hold no
-        per-database state, so jobs share nothing mutable but the
-        thread-safe ledger and caches, and the service runs at most
-        ``dispatchers × workers`` claim threads however many databases
-        it serves.
+        A job whose clients never block runs right here, on a verifier
+        that lives as long as the loop. A job that can wait on the model
+        runs on a ``cedar-job`` thread with a verifier of its own, which
+        borrows the service's claims pool: verifiers hold no per-database
+        state, so jobs share nothing mutable but the thread-safe caches,
+        ledger and pool. The loop takes one of ``workers`` slots before
+        each pop, so at most ``workers`` such jobs run and the rest wait
+        in the priority queue, not in a thread pool's backlog. The
+        service thus runs 1 + at most ``workers`` job threads + the
+        pool's ``workers`` claim threads, under any load. ``inline``
+        (a never-started service's drain) runs every job here, one by
+        one.
         """
-        verifier = ParallelVerifier(config=VerifierConfig(
+        verifier = self._verifier()
+        try:
+            while True:
+                self._job_slots.acquire()
+                job = self._queue.pop(0 if inline else None)
+                if job is None:  # drained, or closed and empty
+                    self._job_slots.release()
+                    return
+                blocks = self._blocks(job)
+                if blocks and not inline:
+                    self._start_job_thread(job)  # it returns the slot
+                    continue
+                self._job_slots.release()
+                self._run_job(
+                    job, self._verifier(self._pool()) if blocks else verifier
+                )
+        finally:
+            verifier.close()
+
+    def _blocks(self, job: Job) -> bool:
+        """Whether a job's run can wait on something besides this
+        process's CPU: a stage's client blocks, or the retry layer's
+        backoff may sleep (the executor tests the wrapped clients)."""
+        return self.config.retry is not None or any(
+            entry.method.client.blocking for entry in job.schedule
+        )
+
+    def _verifier(
+        self, claims_pool: ThreadPoolExecutor | None = None,
+    ) -> ParallelVerifier:
+        return ParallelVerifier(config=VerifierConfig(
             workers=self.config.workers,
+            claims_pool=claims_pool,
             use_samples=self.config.use_samples,
             cache=self.cache,
             retry=self.config.retry,
@@ -709,18 +766,37 @@ class VerificationService:
             sql_cache=self.sql_cache,
             sql_cache_size=self.config.sql_cache_size,
         ))
-        try:
-            while True:
-                job = self._queue.pop(timeout)
-                if job is None:  # timed out, or closed and empty
-                    return
+
+    def _pool(self) -> ThreadPoolExecutor:
+        """The claims pool, built on first use (always on the dispatching
+        thread, so never twice)."""
+        if self._claims_pool is None:
+            self._claims_pool = ThreadPoolExecutor(
+                max_workers=self.config.workers,
+                thread_name_prefix="cedar-claim",
+            )
+        return self._claims_pool
+
+    def _start_job_thread(self, job: Job) -> None:
+        verifier = self._verifier(self._pool())
+
+        def run() -> None:
+            try:
                 self._run_job(job, verifier)
-        finally:
-            verifier.close()
+            finally:
+                with self._lock:
+                    self._job_threads.discard(thread)
+                self._job_slots.release()
+
+        thread = threading.Thread(target=run, name=f"cedar-{job.job_id}",
+                                  daemon=True)
+        with self._lock:
+            self._job_threads.add(thread)
+        thread.start()
 
     def _run_job(self, job: Job, verifier: ParallelVerifier) -> None:
         """One job, one ``verify_documents`` call: its own run, tracer,
-        observer and ledger window, so a failure stays in this job."""
+        observer and ledger capture, so a failure stays in this job."""
         if job.cancelled:
             self._finalize(job, CANCELLED)
             return
@@ -743,30 +819,31 @@ class VerificationService:
                 job.submitted_at, job.started_at,
                 job_id=job.job_id, priority=job.priority,
             )
-        try:
-            checkpoint = verifier.ledger.checkpoint()
-            job.run = verifier.verify_documents(
-                job.documents,
-                job.schedule,
-                observer=_StreamingObserver(job),
-                tracer=tracer,
-            )
-        except Exception as error:
-            self._finalize(job, CANCELLED if job.cancelled else FAILED,
-                           error=f"{type(error).__name__}: {error}")
-            return
-        finally:
-            with self._lock:
-                self._running_jobs -= 1
-            if tracer.enabled:
-                self._file_spans(tracer, job)
+        error = None
+        with self.ledger.capture() as spent:
+            try:
+                job.run = verifier.verify_documents(
+                    job.documents,
+                    job.schedule,
+                    observer=_StreamingObserver(job),
+                    tracer=tracer,
+                )
+            except Exception as failure:
+                error = f"{type(failure).__name__}: {failure}"
+        # Every call the job made reaches the service ledger, failed or
+        # not, so the service's totals stay the sum of its jobs' calls.
+        self.ledger.absorb(spent)
+        with self._lock:
+            self._running_jobs -= 1
+        if tracer.enabled:
+            self._file_spans(tracer, job)
         if job.cancelled:
-            self._finalize(job, CANCELLED)
+            self._finalize(job, CANCELLED, error=error)
             return
-        totals = verifier.ledger.totals_for_tags(
-            {f"doc:{document.doc_id}" for document in job.documents},
-            since=checkpoint,
-        )
+        if error is not None:
+            self._finalize(job, FAILED, error=error)
+            return
+        totals = spent.totals()
         job.spend = {
             "cost_usd": round(totals.cost, 6),
             "llm_calls": totals.calls,

@@ -51,6 +51,20 @@ def claim_threads():
                     if thread.name.startswith("cedar-claim")}
 
 
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The names of the threads started while the test runs."""
+    names = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        names.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return names
+
+
 class _FailsOnce(LLMClient):
     """Raises a transient error on its first call, then answers."""
 

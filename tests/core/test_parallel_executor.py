@@ -10,6 +10,7 @@ from repro.core import (
     OneShotMethod,
     ParallelVerifier,
     ScheduleEntry,
+    VerificationObserver,
     VerifierConfig,
     verify,
 )
@@ -73,20 +74,6 @@ def snapshot(bundle, run):
     }
 
 
-@pytest.fixture
-def started_threads(monkeypatch):
-    """The names of the threads started while the test runs."""
-    names = []
-    start = threading.Thread.start
-
-    def recording_start(thread):
-        names.append(thread.name)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", recording_start)
-    return names
-
-
 def parallel_run(bundle, blocking):
     """Six documents through a four-worker verifier, closed afterwards:
     its snapshot, reports, ledger entries and timeless span tree."""
@@ -140,7 +127,8 @@ class TestSequentialParallelEquivalence:
                     if name.startswith(("cedar-claim", "cedar-doc"))]
         assert inline == pool
 
-    def test_lone_document_runs_on_the_calling_thread(self):
+    def test_lone_document_runs_on_the_calling_thread(self,
+                                                      started_threads):
         """One document has nothing to fan out: no document pool is
         built for it, and ledger and span order match a sequential run."""
         bundle = build_aggchecker(document_count=1, total_claims=6)
@@ -158,19 +146,26 @@ class TestSequentialParallelEquivalence:
             config=VerifierConfig(workers=4, ledger=ledger_par)
         )
         ran_on = []
-        document_task = parallel._document_task
 
-        def recording_task(document, schedule):
-            ran_on.append(threading.current_thread())
-            return document_task(document, schedule)
+        class Where(VerificationObserver):
+            def document_started(self, document):
+                ran_on.append(threading.current_thread())
 
-        parallel._document_task = recording_task
         tracer_par = Tracer(trace_id="t")
         reset_claims(bundle.documents)
-        run_par = parallel.verify_documents(bundle.documents, schedule,
-                                            tracer=tracer_par)
+        try:
+            run_par = parallel.verify_documents(
+                bundle.documents, schedule, observer=Where(),
+                tracer=tracer_par,
+            )
+        finally:
+            parallel.close()
 
         assert ran_on == [threading.current_thread()]
+        assert not [name for name in started_threads
+                    if name.startswith("cedar-doc")]
+        assert [name for name in started_threads
+                if name.startswith("cedar-claim")]
         assert snapshot(bundle, run_par) == seq_state
         assert ledger_par.entries == ledger_seq.entries
         assert tracer_par.tree(include_times=False) \

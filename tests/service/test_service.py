@@ -11,7 +11,9 @@ The acceptance contract of the subsystem:
 * graceful shutdown drains accepted jobs with no lost or duplicated
   ledger entries;
 * each job is its own verifier run: jobs over one database never share
-  a run, so one job's fault stays in that job.
+  a run, so one job's fault stays in that job;
+* jobs over blocking clients run side by side, every model call on the
+  one claims pool (``test_overlap.py`` pins the bound).
 
 Deterministic tests use a *never-started* service: submissions queue up,
 and ``shutdown(drain=True)`` runs them inline on the calling thread.
@@ -23,7 +25,7 @@ import time
 
 import pytest
 
-from repro.core import ParallelVerifier, ScheduleEntry, VerifierConfig, verify
+from repro.core import ScheduleEntry, VerifierConfig, verify
 from repro.datasets import build_aggchecker
 from repro.experiments import build_cedar
 from repro.llm import CostLedger, LatencySimulatingClient
@@ -44,7 +46,6 @@ from repro.service import (
     VerificationService,
     clone_document,
 )
-from repro.service import service as service_module
 
 
 def make_bundle():
@@ -73,7 +74,7 @@ def make_service(bundle, seed=0, **config_kwargs):
 
 def block(schedule):
     """Put each stage's model behind a 0 s sleep: blocking by type, so
-    the dispatcher's verifier fans its claims out over the pool."""
+    each job runs on its own thread and its calls on the claims pool."""
     for entry in schedule:
         entry.method.client = LatencySimulatingClient(entry.method.client,
                                                       0.0)
@@ -155,24 +156,26 @@ class TestConcurrentAcceptance:
             len(first_run.documents[0].claims)
         assert type(events[-1]) is JobDone
 
-    def test_two_dispatchers_over_one_database_give_baseline_verdicts(
+    def test_overlapped_jobs_over_one_database_give_baseline_verdicts(
         self,
     ):
-        # Eight jobs against one database run concurrently on two
-        # dispatchers, sharing the database, the caches and the ledger:
-        # no job's documents may be skipped or fed another job's
-        # observer, and every verdict must match the direct baseline.
+        # Eight jobs against one database run side by side on job
+        # threads, sharing the database, the caches, the ledger and the
+        # claims pool: no job's documents may be skipped or fed another
+        # job's observer, and every verdict must match the direct
+        # baseline.
         bundle = make_bundle()
         expected = baseline_verdicts(bundle)
         service, schedule = make_service(
-            bundle, dispatchers=2, max_queue_depth=16, workers=2,
+            bundle, max_queue_depth=16, workers=2,
         )
-        service.start()
+        block(schedule)
         handles = [
             service.submit(clone_document(bundle.documents[0], f"p{i:02d}"),
                            schedule, client_id=f"client-{i}")
             for i in range(8)
         ]
+        service.start()
         try:
             for handle in handles:
                 assert handle.wait(timeout=30)
@@ -462,53 +465,58 @@ class TestBatching:
 
 
 class TestVerifierLifetime:
-    def test_one_verifier_and_claims_pool_per_dispatcher(
-        self, monkeypatch, claim_threads
-    ):
-        """Fifty documents over fifty distinct databases: the service
-        builds one verifier per dispatcher (not one per database), runs
-        every attempt on at most dispatchers x workers claim threads,
-        and joins them all on shutdown."""
-        verifiers = []
-        attempt_threads = set()
-
-        class Recording(ParallelVerifier):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                verifiers.append(self)
-
-            def _attempt_claim(self, *args, **kwargs):
-                # Thread objects, not idents: idents are recycled.
-                attempt_threads.add(threading.current_thread())
-                return super()._attempt_claim(*args, **kwargs)
-
-        monkeypatch.setattr(service_module, "ParallelVerifier", Recording)
+    def test_one_claims_pool_makes_every_blocking_call(self, claim_threads):
+        """Fifty documents over fifty distinct databases: every model
+        call, harvest attempts included, runs on one claims pool of
+        ``workers`` threads (job threads only orchestrate), at most
+        ``workers`` jobs run at once, and shutdown joins every thread."""
+        call_threads = set()
+        job_threads = set()
+        peak_jobs = []
+        lock = threading.Lock()
         before = claim_threads()
         bundle = make_bundle()
         service, schedule = make_service(
-            bundle, dispatchers=2, workers=2, max_queue_depth=64,
-            per_client_limit=64,
+            bundle, workers=2, max_queue_depth=64, per_client_limit=64,
         )
         block(schedule)
-        service.start()
+        for entry in schedule:
+            inner = entry.method.client.inner
+            real_generate = inner._generate
+
+            def generate(prompt, temperature, real_generate=real_generate):
+                with service._lock:
+                    running = set(service._job_threads)
+                with lock:
+                    # Thread objects, not idents: idents are recycled.
+                    call_threads.add(threading.current_thread())
+                    job_threads.update(running)
+                    peak_jobs.append(len(running))
+                return real_generate(prompt, temperature)
+
+            inner._generate = generate
         handles = []
         for index in range(50):
             document = clone_document(bundle.documents[index % 3],
                                       f"d{index:02d}")
             document.data = copy.deepcopy(document.data)
             handles.append(service.submit(document, schedule))
+        service.start()
         try:
             for handle in handles:
                 assert handle.wait(timeout=60)
                 assert handle.state == "completed", handle.error
-            assert len(verifiers) == 2
-            pool_threads = {t for t in attempt_threads
-                            if t.name.startswith("cedar-claim")}
-            assert 0 < len(pool_threads) <= 2 * 2
-            assert len(claim_threads() - before) <= 2 * 2
+            assert call_threads
+            assert all(t.name.startswith("cedar-claim")
+                       for t in call_threads)
+            assert len(call_threads) <= 2
+            assert len(claim_threads() - before) <= 2
+            assert all(t.name.startswith("cedar-job") for t in job_threads)
+            assert 0 < max(peak_jobs) <= 2
         finally:
             service.shutdown(drain=True)
         assert claim_threads() <= before
+        assert not any(t.is_alive() for t in job_threads)
 
     def test_inline_drain_joins_its_claims_pool(self, claim_threads):
         before = claim_threads()

@@ -14,7 +14,7 @@ from repro.service import ServiceConfig, VerificationService
 
 
 def test_idle_dispatcher_blocks_once_and_shutdown_wakes_it():
-    service = VerificationService(ServiceConfig(dispatchers=1))
+    service = VerificationService(ServiceConfig())
     timeouts = []
     real_pop = service._queue.pop
 
@@ -29,7 +29,7 @@ def test_idle_dispatcher_blocks_once_and_shutdown_wakes_it():
     service.shutdown(drain=True, timeout=5.0)
     assert time.monotonic() - started < 1.0
     assert timeouts == [None]
-    assert not any(thread.is_alive() for thread in service._threads)
+    assert not service._dispatcher.is_alive()
 
 
 class CountingList(list):
