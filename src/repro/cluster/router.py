@@ -88,6 +88,9 @@ TERMINAL_KINDS = frozenset(
 #: Rejection code for a shard that died between admission and ack.
 REASON_WORKER_LOST = "worker_lost"
 
+#: Seconds between the router's readiness probes of every shard.
+HEALTH_INTERVAL = 1.0
+
 _REJECTION_STATUS = {
     REASON_QUEUE_FULL: 429,
     REASON_CLIENT_LIMIT: 429,
@@ -107,13 +110,9 @@ class ClusterConfig:
     max_shard_inflight: int = 64     # open jobs per shard (router-side)
     replicas: int = DEFAULT_REPLICAS
     shard_threads: int = ServiceConfig.workers  # calls in flight per shard
-    shard_queue_depth: int = 64
-    shard_cache_size: int = 1024
     cache_db: str | None = None      # shared persistent L2 (optional)
     latency_scale: float = 0.0       # simulated model latency (bench)
-    socket_dir: str | None = None    # default: a fresh temp dir
     spawn_timeout: float = 60.0
-    health_interval: float = 1.0
     respawn: bool = True
     #: Distributed tracing: router job roots + trace contexts on the
     #: wire + worker span trees. Off turns both the router spans *and*
@@ -200,12 +199,7 @@ class ClusterRouter:
         self.routing = RoutingTable(self.config.profile)
         self.ring = HashRing(range(self.config.workers),
                              self.config.replicas)
-        self._own_socket_dir = self.config.socket_dir is None
-        self.socket_dir = (
-            self.config.socket_dir
-            if self.config.socket_dir is not None
-            else tempfile.mkdtemp(prefix="cedar-cluster-")
-        )
+        self.socket_dir = tempfile.mkdtemp(prefix="cedar-cluster-")
         self.supervisor = WorkerSupervisor(
             worker_argv=self._worker_argv,
             socket_path=lambda worker_id: os.path.join(
@@ -255,8 +249,6 @@ class ClusterRouter:
             "--seed", str(config.seed),
             "--profile", config.profile,
             "--workers", str(config.shard_threads),
-            "--queue-depth", str(config.shard_queue_depth),
-            "--cache-size", str(config.shard_cache_size),
         ]
         if config.cache_db:
             argv += ["--cache-db", config.cache_db]
@@ -275,7 +267,7 @@ class ClusterRouter:
 
     async def _health_loop(self) -> None:
         while True:
-            await asyncio.sleep(self.config.health_interval)
+            await asyncio.sleep(HEALTH_INTERVAL)
             with contextlib.suppress(Exception):
                 replies = await self.supervisor.broadcast(
                     "health", timeout=10.0,
@@ -764,8 +756,7 @@ class ClusterRouter:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._health_task
         await self.supervisor.stop()
-        if self._own_socket_dir:
-            shutil.rmtree(self.socket_dir, ignore_errors=True)
+        shutil.rmtree(self.socket_dir, ignore_errors=True)
         # Detach this router's handlers from the process-wide ``repro``
         # logger so a later router in the same process starts clean.
         detach(self.log_buffer)

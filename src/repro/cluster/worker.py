@@ -305,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=sorted(DATASET_PROFILES))
     parser.add_argument("--workers", type=int, default=ServiceConfig.workers,
                         help="model calls in flight across all jobs")
-    parser.add_argument("--queue-depth", type=int, default=64)
-    parser.add_argument("--cache-size", type=int, default=1024)
     parser.add_argument("--cache-db", default=None,
                         help="shared persistent L2 sqlite path (optional)")
     parser.add_argument("--latency-scale", type=float, default=0.0,
@@ -325,13 +323,11 @@ def main(argv: list[str] | None = None) -> int:
         # every line, so nothing is lost when it does.
         attach(logging.FileHandler(arguments.log_file, encoding="utf-8"))
     service = VerificationService(ServiceConfig(
-        max_queue_depth=arguments.queue_depth,
         # Fairness is enforced at the router across all shards; a
         # shard-local cap would double-count clients that hash onto
         # few shards, so it is effectively disabled here.
         per_client_limit=1_000_000,
         workers=arguments.workers,
-        cache_size=arguments.cache_size,
         tracing=not arguments.no_tracing,
         cache_db=arguments.cache_db or None,
     )).start()

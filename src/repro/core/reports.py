@@ -256,8 +256,6 @@ def _engine_line(stats: dict) -> str:
     plan_lookups = plan.get("hits", 0) + plan.get("misses", 0)
     parts = [
         f"plan cache {plan.get('hits', 0)}/{plan_lookups} hits",
-        f"{strategies.get('hash_joins', 0)} hash joins",
-        f"{strategies.get('pushed_predicates', 0)} pushed predicates",
         f"{strategies.get('indexed_scans', 0)} indexed scans",
     ]
     if result is not None:

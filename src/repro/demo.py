@@ -11,7 +11,6 @@ Usage::
     python -m repro.demo --list
     python -m repro.demo --document 3 --threshold 0.9
     python -m repro.demo --dataset tabfact --document 0 --verbose
-    python -m repro.demo --workers 4          # parallel executor
     python -m repro.demo serve --port 8000    # HTTP service front end
 """
 
@@ -20,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core import VerifierConfig, describe_schedule, optimal_schedule
+from repro.core import describe_schedule, optimal_schedule
 from repro.datasets import (
     DatasetBundle,
     build_aggchecker,
@@ -56,9 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true",
                         help="also print an agent trace when one exists")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="blocking model calls overlapped "
-                             "(1 = sequential Algorithm 1)")
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="write a Chrome trace-event JSON of the run "
                              "(load it in https://ui.perfetto.dev)")
@@ -77,9 +73,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.service.__main__ import main as serve_main
         return serve_main(argv[1:])
     arguments = build_parser().parse_args(argv)
-    if arguments.workers < 1:
-        print("workers must be at least 1", file=sys.stderr)
-        return 2
     if not 0.0 < arguments.threshold <= 1.0:
         print("threshold must be in (0, 1]", file=sys.stderr)
         return 2
@@ -134,14 +127,7 @@ def _run_demo(bundle: DatasetBundle, arguments) -> None:
     print(f"threshold: {arguments.threshold:.0%} "
           "(lower = cheaper, less thorough)")
 
-    system = build_cedar(
-        bundle,
-        seed=arguments.seed,
-        config=VerifierConfig(workers=arguments.workers),
-    )
-    if arguments.workers > 1:
-        print(f"executor:  up to {arguments.workers} overlapped "
-              "blocking model calls")
+    system = build_cedar(bundle, seed=arguments.seed)
     print(f"\n[1/3] profiling {len(profiling_docs)} labeled documents …")
     profiles = profile_system(system, profiling_docs)
     for name, profile in profiles.items():

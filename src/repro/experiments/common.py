@@ -87,8 +87,10 @@ def build_cedar(
 
     Section 7.1: one-shot with GPT-3.5 and GPT-4o, agents with GPT-4o and
     GPT-4 ("GPT-4.0", i.e. GPT-4-turbo). A ``config`` selects the
-    executor: the default (``workers=1``) reproduces the paper's
-    sequential runs; ``workers>1`` fans documents out over threads.
+    executor; its ``ledger``, if any, bills the four clients. The
+    clients are in-process simulations that never block, so every run
+    is the paper's sequential Algorithm 1 whatever ``workers`` says
+    (the executor overlaps only model calls that wait).
     """
     base = config if config is not None else VerifierConfig()
     ledger = base.ledger if base.ledger is not None else CostLedger()

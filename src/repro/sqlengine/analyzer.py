@@ -567,13 +567,13 @@ _TOTAL_BINARY_OPS = frozenset(
 def is_total(node: ast.Expression) -> bool:
     """True when evaluating ``node`` can never raise, for any row.
 
-    "Total" predicates are the only ones the planner may push below a
-    join, split out of an AND chain, or evaluate early in a hash join:
-    since they cannot raise, evaluating them on more rows (pushdown) or
-    fewer rows (hash-join pre-filtering) is observable only through the
-    result set, which the strategies preserve. ``compare_values`` never
-    raises on non-NULL inputs and NULLs short-circuit before every
-    comparison, so comparison chains over columns and literals qualify.
+    "Total" predicates are the only ones the planner may split out of an
+    AND chain and apply during a scan: since they cannot raise,
+    evaluating them in another order, or on fewer rows (an index probe),
+    is observable only through the result set, which the strategies
+    preserve. ``compare_values`` never raises on non-NULL inputs and
+    NULLs short-circuit before every comparison, so comparison chains
+    over columns and literals qualify.
     """
     if isinstance(node, (ast.Literal, ast.ColumnRef)):
         return True

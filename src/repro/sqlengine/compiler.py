@@ -381,7 +381,7 @@ _COMPILERS = {
 }
 
 
-# -- static analysis for the pushdown/hash-join planner ----------------------
+# -- static analysis for the pushdown planner -------------------------------
 
 # The totality facts now live in the analyzer (which owns all static
 # judgments about expressions); re-exported here because the planner and

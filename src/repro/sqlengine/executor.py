@@ -7,11 +7,12 @@ Two execution modes share one code base:
   as the semantic oracle for differential tests and benchmarks.
 * default (optimized) — the compile-and-cache strategy: statements come
   from a shared :class:`~repro.sqlengine.planner.PlanCache`, expressions
-  are compiled to closures once per (statement, schema), conjunctive
-  single-table predicates are pushed below joins, equi-joins run as hash
-  joins, and ``col = literal`` scans use lazy per-table indexes. Finished
-  results can be cached per (database content fingerprint, normalized
-  SQL) in a :class:`~repro.sqlengine.planner.QueryResultCache`.
+  are compiled to closures once per (statement, schema), a single-table
+  WHERE is split into conjuncts applied during the scan, ``col = literal``
+  scans use lazy per-table indexes, and joins run as nested loops over a
+  compiled ON condition. Finished results can be cached per (database
+  content fingerprint, normalized SQL) in a
+  :class:`~repro.sqlengine.planner.QueryResultCache`.
 
 The optimized mode is required to be *byte-identical* to naive: same
 rows, same row order, same errors. Everything that cannot be proven
@@ -49,7 +50,7 @@ from .planner import (
     shared_plan_cache,
 )
 from .table import Database, Table
-from .values import SqlValue, equality_key, to_text
+from .values import SqlValue, to_text
 
 
 @dataclass
@@ -355,104 +356,41 @@ class Engine:
     ) -> _Relation:
         """Scans, pushed predicates, and joins — the optimized pipeline.
 
-        Predicate pushdown and AND-splitting happen only when every
-        conjunct is *splittable*: provably non-raising (see
-        :func:`is_total`) with every column reference statically resolved.
-        Otherwise the whole WHERE tree is applied after the joins exactly
-        like the naive engine, because dropping rows early could skip (or
-        reorder past) an evaluation that would have raised.
+        A single-table WHERE is split into conjuncts and pushed into the
+        scan only when every conjunct is *splittable*: provably
+        non-raising (see :func:`is_total`) with every column reference
+        statically resolved. Otherwise — and always over a multi-table
+        FROM — the whole WHERE tree is applied after the scan and joins
+        exactly like the naive engine, because dropping rows early could
+        skip (or reorder past) an evaluation that would have raised.
         """
         if statement.from_table is None:
             relation = _Relation([], [()])
-            if statement.where is not None:
-                relation = self._filter_predicates(
-                    relation, [statement.where], outer_scopes
+        else:
+            table = self.database.table(statement.from_table.name)
+            columns = _scan_columns(statement.from_table, table)
+            if not statement.joins:
+                conjuncts = split_conjuncts(statement.where)
+                if conjuncts and all(
+                    _splittable(conj, columns) for conj in conjuncts
+                ):
+                    return self._scan_filtered(
+                        table, columns, conjuncts, outer_scopes
+                    )
+            relation = _Relation(columns, table.rows)
+            for join in statement.joins:
+                right_table = self.database.table(join.table.name)
+                right = _Relation(
+                    _scan_columns(join.table, right_table), right_table.rows
                 )
-            return relation
-        refs = [statement.from_table] + [j.table for j in statement.joins]
-        tables = [self.database.table(ref.name) for ref in refs]
-        scan_columns: list[list[ColumnInfo]] = []
-        for ref, table in zip(refs, tables):
-            alias = ref.effective_alias().lower()
-            scan_columns.append(
-                [ColumnInfo(alias, n.lower(), n) for n in table.column_names]
+                relation = self._join_planned(
+                    relation, right, join, outer_scopes
+                )
+        if statement.where is not None:
+            relation = self._filter_predicates(
+                relation, [statement.where], outer_scopes
             )
-        all_columns = [info for cols in scan_columns for info in cols]
-        conjuncts = split_conjuncts(statement.where)
-        splittable = bool(conjuncts) and all(
-            _splittable(conj, all_columns) for conj in conjuncts
-        )
-        pushed: dict[int, list[ast.Expression]] = {}
-        residual: list[ast.Expression] = []
-        whole: ast.Expression | None = None
-        if statement.where is not None and not splittable:
-            whole = statement.where
-        elif splittable and not self._joins_tolerate_pushdown(
-            statement, scan_columns
-        ):
-            # Filtering a scan early shrinks the pair sets the later ON
-            # conditions are evaluated over; if any ON condition can raise
-            # (or resolves names lazily), that is observable. Splitting
-            # the WHERE *after* all joins is still fine.
-            residual = conjuncts
-        elif splittable:
-            offsets: list[tuple[int, int]] = []
-            start = 0
-            for cols in scan_columns:
-                offsets.append((start, start + len(cols)))
-                start += len(cols)
-            # Never push into the null-padded side of a LEFT JOIN: the
-            # WHERE clause sees NULLs there, the scan would not.
-            left_padded = {
-                index
-                for index, join in enumerate(statement.joins, start=1)
-                if join.kind == "LEFT"
-            }
-            for conj in conjuncts:
-                target = _single_scan_target(conj, all_columns, offsets)
-                if target is not None and target not in left_padded:
-                    pushed.setdefault(target, []).append(conj)
-                else:
-                    residual.append(conj)
-        if statement.joins and pushed:
-            STRATEGY_COUNTERS.bump(
-                "pushed_predicates", sum(len(v) for v in pushed.values())
-            )
-        relation = self._scan_filtered(
-            tables[0], scan_columns[0], pushed.get(0, []), outer_scopes
-        )
-        for index, join in enumerate(statement.joins, start=1):
-            right = self._scan_filtered(
-                tables[index], scan_columns[index],
-                pushed.get(index, []), outer_scopes,
-            )
-            relation = self._join_planned(relation, right, join, outer_scopes)
-        if whole is not None:
-            relation = self._filter_predicates(relation, [whole], outer_scopes)
-        elif residual:
-            relation = self._filter_predicates(relation, residual, outer_scopes)
         return relation
-
-    def _joins_tolerate_pushdown(
-        self,
-        statement: ast.SelectStatement,
-        scan_columns: list[list[ColumnInfo]],
-    ) -> bool:
-        """True when every join condition is itself splittable.
-
-        Pushdown below a join is only transparent when no ON condition can
-        raise: each condition must be total with statically resolved
-        columns (checked against the cumulative relation it will see).
-        """
-        cumulative = list(scan_columns[0])
-        for index, join in enumerate(statement.joins, start=1):
-            cumulative.extend(scan_columns[index])
-            if join.kind == "CROSS" or join.condition is None:
-                continue
-            for conj in split_conjuncts(join.condition):
-                if not _splittable(conj, cumulative):
-                    return False
-        return True
 
     def _scan_filtered(
         self,
@@ -468,8 +406,6 @@ class Engine:
         semantics (it declines NaN); remaining conjuncts run as compiled
         predicates. Row order is always the table's row order.
         """
-        if not conjuncts:
-            return _Relation(columns, table.rows)
         rest = list(conjuncts)
         rows: list[tuple[SqlValue, ...]] | None = None
         for conj in conjuncts:
@@ -488,18 +424,9 @@ class Engine:
             break
         source = rows if rows is not None else table.rows
         if rest:
-            predicates = [
-                self._row_fn(conj, columns, outer_scopes) for conj in rest
-            ]
-            kept = []
-            for row in source:
-                for predicate in predicates:
-                    value = predicate(row)
-                    if value is None or not _truthy(value):
-                        break
-                else:
-                    kept.append(row)
-            source = kept
+            source = self._filter_predicates(
+                _Relation(columns, source), rest, outer_scopes
+            ).rows
         return _Relation(columns, source)
 
     def _join_planned(
@@ -509,33 +436,20 @@ class Engine:
         join: ast.Join,
         outer_scopes: list[Scope],
     ) -> _Relation:
+        """Nested loop over a compiled (or interpreted) ON condition.
+
+        The naive ``_join`` with the condition compiled once per join
+        instead of tree-walked per pair; a CROSS join or a missing ON is
+        a plain cross product. Row order matches the naive loop.
+        """
         columns = left.columns + right.columns
         if join.kind == "CROSS" or join.condition is None:
-            STRATEGY_COUNTERS.bump("cross_joins")
             rows = [
                 left_row + right_row
                 for left_row in left.rows
                 for right_row in right.rows
             ]
             return _Relation(columns, rows)
-        conjuncts = split_conjuncts(join.condition)
-        if all(_splittable(conj, columns) for conj in conjuncts):
-            equi: list[tuple[int, int]] = []
-            residual: list[ast.Expression] = []
-            for conj in conjuncts:
-                pair = _equi_pair(conj, columns, len(left.columns))
-                if pair is not None:
-                    equi.append(pair)
-                else:
-                    residual.append(conj)
-            if equi:
-                hashed = self._hash_join(
-                    left, right, join, columns, equi, residual, outer_scopes
-                )
-                if hashed is not None:
-                    return hashed
-        # Nested loop with a compiled (or interpreted) whole condition.
-        STRATEGY_COUNTERS.bump("nested_loop_joins")
         predicate = self._row_fn(join.condition, columns, outer_scopes)
         rows = []
         null_right = (None,) * len(right.columns)
@@ -549,59 +463,6 @@ class Engine:
                     rows.append(combined)
             if join.kind == "LEFT" and not matched:
                 rows.append(left_row + null_right)
-        return _Relation(columns, rows)
-
-    def _hash_join(
-        self,
-        left: _Relation,
-        right: _Relation,
-        join: ast.Join,
-        columns: list[ColumnInfo],
-        equi: list[tuple[int, int]],
-        residual: list[ast.Expression],
-        outer_scopes: list[Scope],
-    ) -> _Relation | None:
-        """Build-on-right, probe-in-left-order hash join.
-
-        NULL join keys never match (the rows fall out, or null-pad under
-        LEFT), exactly as the nested loop's three-valued ``=`` would have
-        it. Returns None when a key value defeats hashing (NaN) so the
-        caller can fall back to the nested loop. Row order matches the
-        nested loop: left order outer, right order within a bucket.
-        """
-        left_width = len(left.columns)
-        left_positions = [lp for lp, _ in equi]
-        right_positions = [rp - left_width for _, rp in equi]
-        buckets: dict[tuple, list[tuple[SqlValue, ...]]] = {}
-        for right_row in right.rows:
-            key = _join_key(right_row, right_positions)
-            if key is _NAN_KEY:
-                return None
-            if key is not None:
-                buckets.setdefault(key, []).append(right_row)
-        predicates = [
-            self._row_fn(conj, columns, outer_scopes) for conj in residual
-        ]
-        rows: list[tuple[SqlValue, ...]] = []
-        null_right = (None,) * len(right.columns)
-        for left_row in left.rows:
-            matched = False
-            key = _join_key(left_row, left_positions)
-            if key is _NAN_KEY:
-                return None
-            if key is not None:
-                for right_row in buckets.get(key, ()):
-                    combined = left_row + right_row
-                    for predicate in predicates:
-                        value = predicate(combined)
-                        if value is None or not _truthy(value):
-                            break
-                    else:
-                        matched = True
-                        rows.append(combined)
-            if join.kind == "LEFT" and not matched:
-                rows.append(left_row + null_right)
-        STRATEGY_COUNTERS.bump("hash_joins")
         return _Relation(columns, rows)
 
     def _filter_predicates(
@@ -956,28 +817,10 @@ def _splittable(conj: ast.Expression, columns: list[ColumnInfo]) -> bool:
     return True
 
 
-def _single_scan_target(
-    conj: ast.Expression,
-    all_columns: list[ColumnInfo],
-    offsets: list[tuple[int, int]],
-) -> int | None:
-    """The single scan this conjunct's columns all come from, if any."""
-    target: int | None = None
-    saw_column = False
-    for node in ast.walk_expressions(conj):
-        if not isinstance(node, ast.ColumnRef):
-            continue
-        saw_column = True
-        position = resolve_column(all_columns, node.name, node.table)
-        scan = next(
-            index for index, (start, end) in enumerate(offsets)
-            if start <= position < end
-        )
-        if target is None:
-            target = scan
-        elif target != scan:
-            return None
-    return target if saw_column else None
+def _scan_columns(ref: ast.TableRef, table: Table) -> list[ColumnInfo]:
+    """The column metadata a scan of ``table`` under ``ref`` exposes."""
+    alias = ref.effective_alias().lower()
+    return [ColumnInfo(alias, name.lower(), name) for name in table.column_names]
 
 
 def _index_probe(
@@ -994,46 +837,6 @@ def _index_probe(
         ):
             return conj.right, conj.left.value
     return None
-
-
-def _equi_pair(
-    conj: ast.Expression, columns: list[ColumnInfo], left_width: int
-) -> tuple[int, int] | None:
-    """Match ``left_col = right_col`` across the join boundary."""
-    if not (isinstance(conj, ast.BinaryOp) and conj.op == "="):
-        return None
-    if not (isinstance(conj.left, ast.ColumnRef)
-            and isinstance(conj.right, ast.ColumnRef)):
-        return None
-    try:
-        a = resolve_column(columns, conj.left.name, conj.left.table)
-        b = resolve_column(columns, conj.right.name, conj.right.table)
-    except CompileError:
-        return None
-    if a < left_width <= b:
-        return (a, b)
-    if b < left_width <= a:
-        return (b, a)
-    return None
-
-
-#: Sentinel distinguishing "row has a NaN key" (hashing unsound, caller
-#: must use the nested loop) from "row has a NULL key" (row simply does
-#: not participate in matches).
-_NAN_KEY = object()
-
-
-def _join_key(row: tuple[SqlValue, ...], positions: list[int]):
-    parts = []
-    for position in positions:
-        value = row[position]
-        if value is None:
-            return None
-        part = equality_key(value)
-        if part is None:
-            return _NAN_KEY
-        parts.append(part)
-    return tuple(parts)
 
 
 def _output_name(item: ast.SelectItem) -> str:

@@ -17,8 +17,8 @@ This module is the bookkeeping half of the compile-and-cache engine:
   every process — which is what lets the optional L2 file serve results
   across restarts.
 * :class:`StrategyCounters` — process-wide counters for which execution
-  strategies fired (hash vs nested-loop joins, pushed predicates, indexed
-  scans, compiled vs interpreted expressions, result-cache traffic).
+  strategies fired (indexed scans, compiled vs interpreted expressions,
+  result- and subquery-cache traffic).
   Surfaced in ``/stats`` and in report renderings via
   :func:`engine_stats`.
 
@@ -161,10 +161,6 @@ class QueryResultCache(TieredCache):
 
 
 _STRATEGY_NAMES = (
-    "hash_joins",
-    "nested_loop_joins",
-    "cross_joins",
-    "pushed_predicates",
     "indexed_scans",
     "compiled_expressions",
     "interpreted_fallbacks",

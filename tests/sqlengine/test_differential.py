@@ -1,12 +1,13 @@
 """Differential tests: the optimized engine vs ``naive=True``.
 
 The optimization contract is byte-identical behaviour — every plan-cache
-hit, compiled evaluator, pushed predicate, indexed scan and hash join
-must produce exactly the rows (and exactly the errors) of the original
-parse-per-call interpreter. The property tests drive both arms over a
-query family chosen to hit the interesting strategy boundaries: NULL
-join keys, LEFT joins with pushable WHERE conjuncts, OR-connected
-predicates (not splittable), and grouped aggregates. A second family
+hit, compiled evaluator, pushed predicate, indexed scan and compiled
+join must produce exactly the rows (and exactly the errors) of the
+original parse-per-call interpreter. The property tests drive both arms
+over a query family chosen to hit the interesting strategy boundaries:
+NULL join keys, LEFT joins whose WHERE filters either side, a
+three-table join, OR-connected predicates (not splittable), and grouped
+aggregates. A second family
 feeds both arms hostile values: NaN/inf columns, mixed-type columns,
 NULL-heavy and empty tables, and GROUP BY over all-NULL keys.
 """
@@ -18,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sqlengine import Database, Engine, QueryResultCache, Table
 from repro.sqlengine.errors import SqlError
-from repro.sqlengine.planner import STRATEGY_COUNTERS
 
 _KEYS = st.one_of(st.none(), st.integers(0, 4))
 _CATS = ("red", "green", "blue")
@@ -34,23 +34,28 @@ def databases(draw):
         st.tuples(_KEYS, st.integers(0, 100)),
         min_size=0, max_size=12,
     ))
+    third_rows = draw(st.lists(
+        st.tuples(_KEYS, st.sampled_from(_CATS)),
+        min_size=0, max_size=6,
+    ))
     db = Database("diff")
     db.add(Table("l", ["k", "cat", "v"], left_rows))
     db.add(Table("r", ["k", "w"], right_rows))
+    db.add(Table("s", ["k", "tag"], third_rows))
     return db
 
 
 _JOIN_QUERIES = (
-    # INNER hash join; NULL keys on either side must never match.
+    # INNER equi-join; NULL keys on either side must never match.
     "SELECT l.k, cat, w FROM l JOIN r ON l.k = r.k ORDER BY w, cat",
-    # LEFT join with a pushable single-table WHERE conjunct on the left.
+    # LEFT join whose WHERE filters the preserved (left) side.
     "SELECT cat, w FROM l LEFT JOIN r ON l.k = r.k "
     "WHERE v > 0 ORDER BY cat, w",
-    # LEFT join where the predicate targets the padded (right) side —
-    # must NOT be pushed below the join (it would drop padded rows).
+    # LEFT join whose WHERE filters the null-padded (right) side: the
+    # WHERE sees the padding NULLs, so it must run after the join.
     "SELECT cat, w FROM l LEFT JOIN r ON l.k = r.k "
     "WHERE w IS NULL ORDER BY cat",
-    # OR across tables: not splittable, stays a residual filter.
+    # OR across tables, applied after the join.
     "SELECT cat, w FROM l JOIN r ON l.k = r.k "
     "WHERE v > 5 OR w < 50 ORDER BY cat, w",
     # Equality probe eligible for an indexed scan.
@@ -60,6 +65,11 @@ _JOIN_QUERIES = (
     "GROUP BY cat HAVING COUNT(*) > 1 ORDER BY cat",
     # Cross join (comma syntax) with a join predicate in WHERE.
     "SELECT cat, w FROM l, r WHERE l.k = r.k AND v >= 0 ORDER BY cat, w",
+    # Three tables (the paper's upper bound), the last one LEFT-joined on
+    # a condition over both earlier tables, filtered after the joins.
+    "SELECT cat, w, tag FROM l JOIN r ON l.k = r.k "
+    "LEFT JOIN s ON s.k = r.k AND s.tag <> l.cat "
+    "WHERE tag IS NULL OR v > 0 ORDER BY cat, w, tag",
     # Plain aggregates over an empty-able group.
     "SELECT COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM l WHERE v > 3",
 )
@@ -92,6 +102,27 @@ def test_null_join_keys_never_match(db):
     assert optimized == naive
     if naive[0] == "ok":
         assert all(k is not None for row in naive[2] for k in row)
+
+
+@pytest.mark.parametrize("sql", [
+    # The WHERE filters the null-padded side: run inside r's scan, it
+    # would drop every r row and pad all of l instead of the misses.
+    "SELECT cat, w FROM l LEFT JOIN r ON l.k = r.k "
+    "WHERE v > 0 AND w IS NULL ORDER BY cat",
+    "SELECT cat, w, tag FROM l JOIN r ON l.k = r.k "
+    "LEFT JOIN s ON s.k = r.k AND s.tag <> l.cat "
+    "WHERE tag IS NULL OR v > 0 ORDER BY cat, w, tag",
+])
+def test_join_shapes_match_naive(sql):
+    db = Database("shapes")
+    db.add(Table("l", ["k", "cat", "v"],
+                 [(1, "red", 1), (2, "blue", -1), (3, "green", 2),
+                  (None, "red", 5)]))
+    db.add(Table("r", ["k", "w"], [(1, 10), (2, 20), (None, 30)]))
+    db.add(Table("s", ["k", "tag"], [(1, "green"), (2, "blue")]))
+    naive = _run(Engine(db, naive=True), sql)
+    assert naive[0] == "ok" and naive[2]
+    assert _run(Engine(db, result_cache=None), sql) == naive
 
 
 def _correlated_db():
@@ -237,21 +268,18 @@ def test_hostile_values_match_naive(db, sql):
 
 
 def test_nan_join_key_takes_the_nested_loop():
+    # NaN and NULL keys on both sides, INNER and null-padded LEFT: the
+    # compiled ON condition must answer exactly like the oracle.
     db = Database("nanjoin")
-    db.add(Table("l", ["k"], [(math.nan,), (1.0,)]))
-    db.add(Table("r", ["k", "w"], [(1.0, 10)]))
+    db.add(Table("l", ["k"], [(math.nan,), (1.0,), (None,)]))
+    db.add(Table("r", ["k", "w"], [(1.0, 10), (math.nan, 20), (None, 30)]))
     engine = Engine(db, result_cache=None)
-    sql = "SELECT l.k, w FROM l JOIN r ON l.k = r.k"
-    naive = _run_repr(Engine(db, naive=True), sql)
-    before = STRATEGY_COUNTERS.snapshot()
-    assert _run_repr(engine, sql) == naive
-    assert _run_repr(engine, sql) == naive
-    after = STRATEGY_COUNTERS.snapshot()
-    # The hash join declines the NaN key on every run (nothing is
-    # memoized about the data), so each run is one nested loop.
-    assert after["nested_loop_joins"] == before["nested_loop_joins"] + 2
-    assert after["hash_joins"] == before["hash_joins"]
-    assert naive[0] == "ok"
+    for kind in ("JOIN", "LEFT JOIN"):
+        sql = f"SELECT l.k, w FROM l {kind} r ON l.k = r.k"
+        naive = _run_repr(Engine(db, naive=True), sql)
+        assert naive[0] == "ok"
+        assert _run_repr(engine, sql) == naive
+        assert _run_repr(engine, sql) == naive
 
 
 def test_group_by_all_null_keys():

@@ -17,7 +17,6 @@ from repro.sqlengine import (
     reset_engine_stats,
     shared_plan_cache,
 )
-from repro.sqlengine.planner import STRATEGY_COUNTERS
 
 
 def _database():
@@ -210,26 +209,13 @@ def test_engine_for_default_has_caches():
 
 # -- strategy counters --------------------------------------------------------
 
-def test_strategy_counters_record_hash_join():
-    reset_engine_stats()
-    db = Database("joins")
-    db.add(Table("a", ["k", "v"], [(1, "x"), (2, "y")]))
-    db.add(Table("b", ["k", "w"], [(1, 10), (3, 30)]))
-    Engine(db, result_cache=None).execute(
-        "SELECT v, w FROM a JOIN b ON a.k = b.k"
-    )
-    snapshot = STRATEGY_COUNTERS.snapshot()
-    assert snapshot["hash_joins"] == 1
-    assert snapshot["nested_loop_joins"] == 0
-
-
 def test_engine_stats_shape():
     stats = engine_stats()
     assert set(stats) == {
         "plan_cache", "strategies", "analyzer", "analyzer_memo",
     }
     assert "hit_rate" in stats["plan_cache"]
-    assert "pushed_predicates" in stats["strategies"]
+    assert "indexed_scans" in stats["strategies"]
     assert "queries_analyzed" in stats["analyzer"]
     assert "hit_rate" in stats["analyzer_memo"]
 

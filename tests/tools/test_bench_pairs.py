@@ -1,7 +1,10 @@
-"""``tools/bench_pairs.py``: seed parsing and the verdict rule (the
-runs themselves are the benchmark's business, not tier-1's)."""
+"""``tools/bench_pairs.py``: seed parsing, the verdict rule and the
+re-run of an INVALID side, against a stub bench (real runs are the
+benchmark's business, not tier-1's)."""
 
-from tools.bench_pairs import parse_seeds, quartiles, verdict
+from tools.bench_pairs import (
+    metric_values, parse_seeds, quartiles, run_side, verdict,
+)
 
 
 def test_seed_ranges_expand_in_order():
@@ -28,3 +31,40 @@ def test_verdict_needs_nine_tenths_of_pairs_and_the_parents_spread():
     mixed = [value - 2.0 for value in parent[:6]] + \
             [value + 2.0 for value in parent[6:]]
     assert verdict(parent, mixed, "lower").endswith(" 6/10 won  unresolved")
+
+
+_STUB_BENCH = '''
+import json, sys
+from pathlib import Path
+
+argv = sys.argv[1:]
+workload = argv[argv.index("--workload") + 1]
+seed = argv[argv.index("--seed") + 1]
+runs = Path("runs.txt")
+count = int(runs.read_text()) + 1 if runs.exists() else 1
+runs.write_text(str(count))
+late = 9.0 if count == 1 else 1.5
+out = Path("bench/out")
+out.mkdir(parents=True, exist_ok=True)
+(out / f"run-{workload}-e2e-seed{seed}.json").write_text(json.dumps({
+    "correct": True, "failed": 0, "valid": late <= 5.0,
+    "end_to_end": {
+        "gen_late_p95_ms": {"value": late, "unit": "ms"},
+        "job_latency_p50_ms": {"value": 80.0 + count, "unit": "ms"},
+    },
+}))
+sys.exit(0 if late <= 5.0 else 1)
+'''
+
+
+def test_an_invalid_run_is_rerun_with_the_same_seed(tmp_path):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(_STUB_BENCH)
+    stale = tmp_path / "src" / "repro" / "__pycache__"
+    stale.mkdir(parents=True)
+    record = run_side(tmp_path, "open-llm", 7, None)
+    assert not stale.exists()
+    assert (tmp_path / "runs.txt").read_text() == "2"
+    assert record["valid"]
+    assert metric_values(record) == {"gen_late_p95_ms": 1.5,
+                                     "job_latency_p50_ms": 82.0}

@@ -20,6 +20,12 @@ change of the medians, the pairs HEAD won, and a verdict:
                       the pairs do not agree;
 ``level``             neither.
 
+A run the bench flags INVALID (its own generator ran late, which only
+an open loop can) is re-run with the same seed, up to three attempts a
+side; each pair line then shows both sides' ``gen_late_p95_ms``. A pair
+whose side is still INVALID after that is dropped and counted, and does
+not fail the command.
+
 Exit status is non-zero only when a run failed (a job failed, an output
 was wrong, the bench could not start); judging a loss is the reader's
 job, against the bounds in ``BENCHMARK.json``.
@@ -37,6 +43,8 @@ import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+#: Runs of one side of a pair before an INVALID result drops the pair.
+ATTEMPTS = 3
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -61,20 +69,48 @@ def unpack_parent(revision: str, target: Path) -> None:
 
 
 def run_once(tree: Path, workload: str, seed: int,
-             seconds: float | None) -> dict[str, float] | None:
-    """One ``bench/run.py --workload`` in ``tree``; its metric values,
-    or None when the run failed (stderr is passed through)."""
+             seconds: float | None) -> dict | None:
+    """One ``bench/run.py --workload`` in ``tree``: the run record it
+    writes (``bench/out/run-<workload>-e2e-seed<seed>.json``), or None
+    when the bench could not run (stderr is passed through)."""
+    record = tree / "bench" / "out" / f"run-{workload}-e2e-seed{seed}.json"
+    record.unlink(missing_ok=True)
+    # The bench's servers compile from source, as in a fresh checkout;
+    # bytecode a test run left in the working tree would make HEAD's
+    # set-up look faster than the parent's.
+    for cache in list((tree / "src").rglob("__pycache__")):
+        shutil.rmtree(cache, ignore_errors=True)
     command = [sys.executable, "bench/run.py", "--workload", workload,
                "--seed", str(seed), "--trace", "0"]
     if seconds is not None:
         command += ["--seconds", f"{seconds:g}"]
-    completed = subprocess.run(command, cwd=tree, text=True,
-                               stdout=subprocess.PIPE)
-    if completed.returncode != 0:
+    # Exit 1 is a run that finished but failed a job or ran INVALID; the
+    # record says which. Anything else means the bench did not run.
+    completed = subprocess.run(command, cwd=tree, stdout=subprocess.DEVNULL)
+    if completed.returncode not in (0, 1) or not record.exists():
         return None
-    contract = json.loads(completed.stdout.strip().splitlines()[-1])
+    return json.loads(record.read_text())
+
+
+def run_side(tree: Path, workload: str, seed: int,
+             seconds: float | None) -> dict | None:
+    """``run_once`` again while the run is INVALID, up to ``ATTEMPTS``
+    runs; the last record."""
+    for attempt in range(1, ATTEMPTS + 1):
+        record = run_once(tree, workload, seed, seconds)
+        if record is None or record["valid"]:
+            break
+        late = record["end_to_end"]["gen_late_p95_ms"]["value"]
+        print(f"{workload} seed {seed}: INVALID run in {tree} (generator "
+              f"{late:.2f} ms late), attempt {attempt} of {ATTEMPTS}",
+              file=sys.stderr)
+    return record
+
+
+def metric_values(record: dict) -> dict[str, float]:
+    """A run record's end-to-end metric values by name."""
     return {name: entry["value"]
-            for name, entry in contract["metrics"].items()}
+            for name, entry in record["end_to_end"].items()}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -128,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     arguments = parser.parse_args(argv)
 
     scratch = Path(tempfile.mkdtemp(prefix="cedar-bench-pairs-"))
-    failed = 0
+    failed = invalid = 0
     try:
         unpack_parent(arguments.parent, scratch)
         sides = {"parent": scratch, "head": REPO_ROOT}
@@ -139,21 +175,36 @@ def main(argv: list[str] | None = None) -> int:
             for index, seed in enumerate(arguments.seeds):
                 order = ("parent", "head") if index % 2 == 0 \
                     else ("head", "parent")
-                pair = {side: run_once(sides[side], workload, seed,
-                                       arguments.seconds)
-                        for side in order}
-                if None in pair.values():
+                records = {side: run_side(sides[side], workload, seed,
+                                          arguments.seconds)
+                           for side in order}
+                if any(record is None or not record["correct"]
+                       for record in records.values()):
                     failed += 1
                     print(f"{workload} seed {seed}: a run failed; "
                           "pair dropped", file=sys.stderr)
                     continue
+                if not all(record["valid"] for record in records.values()):
+                    invalid += 1
+                    print(f"{workload} seed {seed}: still INVALID after "
+                          f"{ATTEMPTS} attempts; pair dropped",
+                          file=sys.stderr)
+                    continue
+                pair = {side: metric_values(record)
+                        for side, record in records.items()}
                 for side, metrics in pair.items():
                     runs[side].append(metrics)
-                print(f"{workload} seed {seed} ({order[0]} first): "
-                      f"job_latency_p50_ms "
-                      f"{pair['parent']['job_latency_p50_ms']:.3f} -> "
-                      f"{pair['head']['job_latency_p50_ms']:.3f}",
-                      flush=True)
+                line = (f"{workload} seed {seed} ({order[0]} first): "
+                        f"job_latency_p50_ms "
+                        f"{pair['parent']['job_latency_p50_ms']:.3f} -> "
+                        f"{pair['head']['job_latency_p50_ms']:.3f}")
+                late = [pair[side].get("gen_late_p95_ms", 0.0)
+                        for side in ("parent", "head")]
+                if any(late):
+                    # Only an open loop's generator can run late.
+                    line += (f", gen_late_p95_ms {late[0]:.3f} -> "
+                             f"{late[1]:.3f}")
+                print(line, flush=True)
             if not runs["head"]:
                 continue
             print(f"\n== {workload}: parent {arguments.parent} vs working "
@@ -170,6 +221,9 @@ def main(argv: list[str] | None = None) -> int:
             print()
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
+    if invalid:
+        print(f"{invalid} pair(s) dropped: a side stayed INVALID after "
+              f"{ATTEMPTS} attempts", file=sys.stderr)
     return 1 if failed else 0
 
 
