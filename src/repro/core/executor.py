@@ -28,8 +28,11 @@ Correctness contract: with a fixed seed and caching disabled, a parallel
 run produces the *identical* per-claim verdicts and the identical ledger
 entries as a sequential run. Three mechanisms make that hold:
 
-1. the simulated model seeds retry draws per claim, not per client, so a
-   claim's outcome does not depend on the interleaving of other claims;
+1. the simulated model numbers a claim's retry draws within one claim's
+   verification in one run (the :func:`~repro.llm.base.claim_draws`
+   scope each attempt opens on the thread that runs it), so a claim's
+   outcome depends neither on the interleaving of other claims nor on
+   earlier runs;
 2. each worker records into a private sub-ledger
    (:meth:`~repro.llm.ledger.CostLedger.capture`) that is merged back in
    submission order once the worker joins;

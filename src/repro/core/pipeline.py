@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import time
 
 from repro.cache import SqliteCacheBackend
-from repro.llm.base import LLMClient
+from repro.llm.base import ClaimDraws, LLMClient, claim_draws
 from repro.llm.cache import CachingLLMClient, LLMCache
 from repro.llm.ledger import CostLedger
 from repro.llm.resilience import ResilientLLMClient, RetryPolicy
@@ -164,6 +164,12 @@ class ClaimReport:
     verified_by: str | None = None
     attempts: int = 0
     method_attempts: dict[str, int] = field(default_factory=dict)
+    #: This verification's sampled draws per (client, world claim): the
+    #: :func:`~repro.llm.base.claim_draws` scope of its attempts. Keyed
+    #: by client identity, so two runs' reports never compare on it.
+    draws: ClaimDraws = field(
+        default_factory=dict, repr=False, compare=False
+    )
     plausible: bool = False
     fallback: bool = False
     saw_executable: bool = False
@@ -452,7 +458,8 @@ class MultiStageVerifier:
             attempt=prior_tries + 1, temperature=temperature,
         ) as method_span:
             with self.ledger.tagged(f"method:{method.name}"), \
-                    self.ledger.tagged(f"claim:{claim.claim_id}"):
+                    self.ledger.tagged(f"claim:{claim.claim_id}"), \
+                    claim_draws(report.draws):
                 translation = method.translate(
                     masked,
                     value_type,

@@ -7,6 +7,7 @@ from .base import (
     LatencySimulatingClient,
     LLMClient,
     ScriptedLLM,
+    claim_draws,
     extract_sql_block,
 )
 from .cache import CacheStats, CachingLLMClient, LLMCache
@@ -86,6 +87,7 @@ __all__ = [
     "TransientLLMError",
     "TransportError",
     "cheat_query",
+    "claim_draws",
     "classify_failure",
     "corrupt_query",
     "count_tokens",

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.obs.tracer import current_tracer
 
@@ -40,6 +43,39 @@ class ChatResponse:
     usage: ChatUsage
     cost: float
     latency_seconds: float
+
+
+#: Draw counts keyed by (client instance, world claim id).
+ClaimDraws = dict[tuple[int, str], int]
+
+_CLAIM_DRAWS: ContextVar[ClaimDraws | None] = ContextVar(
+    "claim_draws", default=None
+)
+
+
+@contextmanager
+def claim_draws(counts: ClaimDraws) -> Iterator[ClaimDraws]:
+    """Count the sampled draws made inside the block into ``counts``.
+
+    The scope is one claim's verification within one run: the verifier
+    opens it around every translation attempt with the claim report's
+    own counts, on whichever thread runs the attempt. A client that
+    seeds its temperature > 0 draws
+    (:class:`~repro.llm.simulated.SimulatedLLM`) numbers them from
+    :func:`current_claim_draws`, so a claim's k-th retry depends only on
+    that verification's earlier draws, never on what the process
+    verified before (Assumption 1: retries are independent trials).
+    """
+    token = _CLAIM_DRAWS.set(counts)
+    try:
+        yield counts
+    finally:
+        _CLAIM_DRAWS.reset(token)
+
+
+def current_claim_draws() -> ClaimDraws | None:
+    """The draw counts of the enclosing :func:`claim_draws`, else None."""
+    return _CLAIM_DRAWS.get()
 
 
 class LLMClient(ABC):

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
-from .base import LLMClient
+from .base import LLMClient, current_claim_draws
 from .corruption import cheat_query, corrupt_query, trap_query
 from .ledger import CostLedger
 from .world import ClaimKnowledge, ClaimWorld
@@ -172,10 +171,6 @@ class SimulatedLLM(LLMClient):
         self.seed = seed
         self.behaviour = behaviour or BEHAVIOURS[model_name]
         self.agent_policy: AgentPolicy | None = None
-        # Per-claim attempt counters (see _rng). Guarded by a lock: one
-        # client may serve several worker threads concurrently.
-        self._claim_calls: dict[str, int] = {}
-        self._counter_lock = threading.Lock()
 
     # -- generation ---------------------------------------------------------
 
@@ -290,21 +285,29 @@ class SimulatedLLM(LLMClient):
         At temperature 0 the seed depends only on (model, claim, prompt), so
         identical calls reproduce identical output — re-trying at zero
         temperature is pointless, exactly as with a real API. At positive
-        temperatures a per-*claim* attempt counter enters the seed, making
-        retries independent draws (paper Assumption 1). The counter is
-        scoped to the claim, not the client, so a claim's draws do not
-        depend on how many calls other claims made first — verdicts are a
-        pure function of the seed regardless of document/claim
-        interleaving, which is what lets the parallel executor reproduce a
-        sequential run exactly.
+        temperatures the draw's number enters the seed, making retries
+        independent draws (paper Assumption 1). Draws are numbered per
+        client and per claim within one claim's verification in one run:
+        the :func:`~repro.llm.base.claim_draws` scope the verifier opens
+        around each attempt. So a claim's draws depend neither on other
+        claims' calls (the parallel executor reproduces a sequential run
+        exactly) nor on what this process verified before (a resubmitted
+        document draws what it drew the first time). A temperature > 0
+        call outside any scope raises.
         """
         parts = [str(self.seed), self.model_name, knowledge.claim_id]
         if temperature <= 0.0:
             parts += ["det", _digest(prompt)]
         else:
-            with self._counter_lock:
-                count = self._claim_calls.get(knowledge.claim_id, 0) + 1
-                self._claim_calls[knowledge.claim_id] = count
+            draws = current_claim_draws()
+            if draws is None:
+                raise RuntimeError(
+                    f"temperature {temperature} call outside a claim "
+                    "verification: open repro.llm.claim_draws() around it"
+                )
+            key = (id(self), knowledge.claim_id)
+            count = draws.get(key, 0) + 1
+            draws[key] = count
             parts += [f"t{temperature}", str(count)]
         return random.Random(int(_digest("|".join(parts)), 16))
 

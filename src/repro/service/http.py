@@ -204,8 +204,10 @@ class ServiceApp:
                 if self._client_wrapper is not None:
                     for method in system.methods:
                         method.client = self._client_wrapper(method.client)
-                # Single-try stages: deterministic (temperature 0
-                # everywhere) and maximally cacheable across requests.
+                # Single-try stages: each claim's first call per method
+                # runs at temperature 0 and is cacheable across
+                # requests; only the few-shot sample re-pass draws at
+                # the retry temperature.
                 schedule = [ScheduleEntry(method, 1)
                             for method in system.methods[:3]]
                 entry = (bundle, schedule)

@@ -125,11 +125,6 @@ class ServiceConfig:
     workers: int = 16
     cache_size: int = 1024          # shared response cache; 0 disables
     sql_cache_size: int = 2048      # shared query-result cache; 0 disables
-    #: Algorithm 1's few-shot sample harvesting. Note the re-pass it
-    #: triggers runs at retry temperature, and those draws are
-    #: independent across jobs (Assumption 1) — disable it when
-    #: bit-identical verdicts across repeat submissions are required.
-    use_samples: bool = True
     retry: RetryPolicy | None = None
     ledger: CostLedger | None = None
     #: Per-job span trees (queue wait + the document waterfall), served
@@ -759,7 +754,6 @@ class VerificationService:
         return ParallelVerifier(config=VerifierConfig(
             workers=self.config.workers,
             claims_pool=claims_pool,
-            use_samples=self.config.use_samples,
             cache=self.cache,
             retry=self.config.retry,
             ledger=self.ledger,

@@ -12,6 +12,7 @@ from repro.llm import (
     LookupTrap,
     SimulatedLLM,
     cheat_query,
+    claim_draws,
     corrupt_query,
     extract_sql_block,
     trap_query,
@@ -107,8 +108,47 @@ class TestDeterminism:
         world = make_world(knowledge)
         client = SimulatedLLM("gpt-3.5-turbo", world, CostLedger(), seed=3)
         prompt = prompt_for(knowledge)
-        outputs = {client.complete(prompt, 0.5).text for _ in range(12)}
+        with claim_draws({}):
+            outputs = {client.complete(prompt, 0.5).text for _ in range(12)}
         assert len(outputs) > 1
+
+    def test_positive_temperature_outside_a_scope_raises(self):
+        knowledge = make_knowledge()
+        client = SimulatedLLM("gpt-4o", make_world(knowledge), CostLedger())
+        with pytest.raises(RuntimeError, match="claim_draws"):
+            client.complete(prompt_for(knowledge), 0.5)
+        # Temperature 0 needs no scope: it draws nothing.
+        client.complete(prompt_for(knowledge), 0.0)
+
+    def test_a_fresh_scope_replays_the_draws(self):
+        knowledge = make_knowledge(difficulty=0.55)
+        client = SimulatedLLM("gpt-3.5-turbo", make_world(knowledge),
+                              CostLedger(), seed=3)
+        prompt = prompt_for(knowledge)
+
+        def draws():
+            with claim_draws({}) as counts:
+                texts = [client.complete(prompt, 0.5).text
+                         for _ in range(6)]
+            assert counts == {(id(client), knowledge.claim_id): 6}
+            return texts
+
+        assert draws() == draws()
+
+    def test_clients_count_their_draws_apart(self):
+        knowledge = make_knowledge(difficulty=0.55)
+        world = make_world(knowledge)
+        prompt = prompt_for(knowledge)
+        first, second = (SimulatedLLM("gpt-3.5-turbo", world, CostLedger(),
+                                      seed=3) for _ in range(2))
+        with claim_draws({}):
+            alone = [first.complete(prompt, 0.5).text for _ in range(4)]
+        with claim_draws({}):
+            interleaved = []
+            for _ in range(4):
+                interleaved.append(first.complete(prompt, 0.5).text)
+                second.complete(prompt, 0.5)
+        assert interleaved == alone
 
     def test_seed_changes_behaviour(self):
         knowledge = make_knowledge(difficulty=0.5)
@@ -175,11 +215,12 @@ class TestOutputs:
         world = make_world(knowledge)
         client = SimulatedLLM("gpt-4-turbo", world, CostLedger(), seed=0)
         hits = 0
-        for temperature in (0.7,) * 20:
-            text = client.complete(prompt_for(knowledge), temperature).text
-            sql = extract_sql_block(text)
-            if sql == knowledge.reference_sql:
-                hits += 1
+        with claim_draws({}):
+            for temperature in (0.7,) * 20:
+                text = client.complete(prompt_for(knowledge),
+                                       temperature).text
+                if extract_sql_block(text) == knowledge.reference_sql:
+                    hits += 1
         assert hits >= 14  # easy claim, strong model
 
     def test_unmasked_prompt_triggers_cheat(self):
@@ -187,12 +228,13 @@ class TestOutputs:
         world = make_world(knowledge)
         client = SimulatedLLM("gpt-4o", world, CostLedger(), seed=1)
         cheats = 0
-        for _ in range(20):
-            text = client.complete(
-                prompt_for(knowledge, masked=False), 0.9
-            ).text
-            if extract_sql_block(text) == cheat_query(knowledge):
-                cheats += 1
+        with claim_draws({}):
+            for _ in range(20):
+                text = client.complete(
+                    prompt_for(knowledge, masked=False), 0.9
+                ).text
+                if extract_sql_block(text) == cheat_query(knowledge):
+                    cheats += 1
         assert cheats >= 12  # cheat_prob is 0.85
 
     def test_unrecognised_prompt_has_no_sql(self):
@@ -207,12 +249,13 @@ class TestOutputs:
         world = make_world(knowledge)
         client = SimulatedLLM("gpt-3.5-turbo", world, CostLedger(), seed=2)
         misreads = 0
-        for _ in range(30):
-            sql = extract_sql_block(
-                client.complete(prompt_for(knowledge), 0.8).text
-            )
-            if sql == knowledge.misread_sql:
-                misreads += 1
+        with claim_draws({}):
+            for _ in range(30):
+                sql = extract_sql_block(
+                    client.complete(prompt_for(knowledge), 0.8).text
+                )
+                if sql == knowledge.misread_sql:
+                    misreads += 1
         assert misreads >= 12  # misread_prob 0.75 for gpt-3.5
 
 

@@ -37,9 +37,7 @@ from repro.service.http import (
 
 @pytest.fixture(scope="module")
 def server():
-    service = VerificationService(
-        ServiceConfig(workers=2, use_samples=False)
-    ).start()
+    service = VerificationService(ServiceConfig(workers=2)).start()
     app = ServiceApp(
         service=service,
         datasets={"tiny": lambda: build_aggchecker(document_count=2,
@@ -341,7 +339,7 @@ class TestAdmissionRejections:
     @pytest.fixture()
     def tight(self):
         service = VerificationService(ServiceConfig(
-            max_queue_depth=2, per_client_limit=1, use_samples=False,
+            max_queue_depth=2, per_client_limit=1,
         ))
         app = ServiceApp(
             service=service,

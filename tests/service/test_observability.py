@@ -36,7 +36,6 @@ def make_bundle():
 
 
 def make_service(bundle, seed=0, **config_kwargs):
-    config_kwargs.setdefault("use_samples", False)
     ledger = CostLedger()
     service = VerificationService(ServiceConfig(ledger=ledger,
                                                 **config_kwargs))
@@ -140,8 +139,7 @@ class TestLogs:
         ring = attach(LogRing())
         ledger = CostLedger()
         service = VerificationService(ServiceConfig(
-            ledger=ledger, use_samples=False,
-            retry=RetryPolicy(base_delay=0.0),
+            ledger=ledger, retry=RetryPolicy(base_delay=0.0),
         ))
         service.submit(*retried_once(ledger))
         service.shutdown(drain=True)
@@ -159,7 +157,7 @@ class TestLogs:
     def test_server_close_detaches_the_log_ring(self):
         logger = logging.getLogger("repro")
         before = (list(logger.handlers), logger.level)
-        service = VerificationService(ServiceConfig(use_samples=False))
+        service = VerificationService(ServiceConfig())
         server = make_server(port=0, app=ServiceApp(service=service))
         assert server.log_buffer in logger.handlers
         server.server_close()
@@ -195,9 +193,7 @@ class TestLogs:
 
 @pytest.fixture(scope="module")
 def server():
-    service = VerificationService(
-        ServiceConfig(workers=2, use_samples=False)
-    ).start()
+    service = VerificationService(ServiceConfig(workers=2)).start()
     app = ServiceApp(
         service=service,
         datasets={"tiny": lambda: build_aggchecker(document_count=2,

@@ -82,10 +82,9 @@ class RecordingClient(DelegatingLLMClient):
 
 
 def make_service(bundle, probe, delay=0.005, blocking=True, **config):
-    """A service over a fresh CEDAR system (fresh clients, so fresh retry
-    counters), with sample harvesting on: its re-pass draws at the retry
-    temperature, so a job equals its solo run only if no other job's
-    calls leak into its draws."""
+    """A service over a fresh CEDAR system, with sample harvesting on:
+    its re-pass draws at the retry temperature, so a job equals its solo
+    run only if no other job's calls leak into its draws."""
     ledger = CostLedger()
     config.setdefault("cache_size", 0)
     service = VerificationService(ServiceConfig(

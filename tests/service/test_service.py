@@ -53,16 +53,13 @@ def make_bundle():
 
 
 def make_service(bundle, seed=0, **config_kwargs):
-    """A service plus a deterministic all-temperature-0 schedule.
+    """A service plus the front door's single-try three-stage schedule.
 
-    The schedule's methods share the service ledger; single-try stages
-    with sample harvesting off keep every call at temperature 0 (the
-    sample re-pass would re-attempt claims at retry temperature, and
-    those draws are independent across jobs by Assumption 1). With that
-    pinned, verdicts are a pure function of the seed no matter how jobs
-    are interleaved.
+    The schedule's methods share the service ledger. A claim's retry
+    draws (the sample re-pass runs at retry temperature) are numbered
+    within its own job, so verdicts are a pure function of the seed no
+    matter how jobs are interleaved or repeated.
     """
-    config_kwargs.setdefault("use_samples", False)
     ledger = CostLedger()
     service = VerificationService(ServiceConfig(ledger=ledger,
                                                 **config_kwargs))
@@ -84,8 +81,7 @@ def baseline_verdicts(bundle, seed=0):
     """Per-claim verdicts from a direct ``repro.verify`` call."""
     system = build_cedar(bundle, seed=seed)
     schedule = [ScheduleEntry(method, 1) for method in system.methods[:3]]
-    run = verify(bundle.documents, schedule=schedule,
-                 config=VerifierConfig(use_samples=False))
+    run = verify(bundle.documents, schedule=schedule)
     assert run is not None
     return {
         claim.claim_id: (claim.correct, claim.query)
@@ -366,8 +362,7 @@ class TestDrainAccounting:
                              for method in system.methods[:3]]
         baseline = [clone_document(bundle.documents[index % 3], f"d{index}")
                     for index in range(6)]
-        verify(baseline, schedule=baseline_schedule,
-               config=VerifierConfig(use_samples=False))
+        verify(baseline, schedule=baseline_schedule)
         expected = system.ledger.totals()
 
         got = service.ledger.totals()

@@ -3,7 +3,7 @@ re-run of an INVALID side, against a stub bench (real runs are the
 benchmark's business, not tier-1's)."""
 
 from tools.bench_pairs import (
-    metric_values, parse_seeds, quartiles, run_side, verdict,
+    dropped_line, metric_values, parse_seeds, quartiles, run_side, verdict,
 )
 
 
@@ -52,12 +52,13 @@ out.mkdir(parents=True, exist_ok=True)
         "gen_late_p95_ms": {"value": late, "unit": "ms"},
         "job_latency_p50_ms": {"value": 80.0 + count, "unit": "ms"},
     },
+    "environment": {"load_1min": 1.84, "noisy": True},
 }))
 sys.exit(0 if late <= 5.0 else 1)
 '''
 
 
-def test_an_invalid_run_is_rerun_with_the_same_seed(tmp_path):
+def test_an_invalid_run_is_rerun_with_the_same_seed(tmp_path, capsys):
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "run.py").write_text(_STUB_BENCH)
     stale = tmp_path / "src" / "repro" / "__pycache__"
@@ -68,3 +69,24 @@ def test_an_invalid_run_is_rerun_with_the_same_seed(tmp_path):
     assert record["valid"]
     assert metric_values(record) == {"gen_late_p95_ms": 1.5,
                                      "job_latency_p50_ms": 82.0}
+    # The INVALID line says how loaded the host was.
+    assert ("(generator 9.00 ms late, load_1min 1.84, noisy True), "
+            "attempt 1 of 3") in capsys.readouterr().err
+
+
+def _record(valid, late, load, noisy):
+    return {
+        "valid": valid,
+        "end_to_end": {"gen_late_p95_ms": {"value": late, "unit": "ms"}},
+        "environment": {"load_1min": load, "noisy": noisy},
+    }
+
+
+def test_a_dropped_pair_names_each_invalid_side_and_its_host_load():
+    line = dropped_line("open-llm", 9, {
+        "head": _record(False, 7.25, 1.84, True),
+        "parent": _record(True, 0.2, 0.1, False),
+    })
+    assert line == ("open-llm seed 9: still INVALID after 3 attempts "
+                    "(head: generator 7.25 ms late, load_1min 1.84, "
+                    "noisy True); pair dropped")

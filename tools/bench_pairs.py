@@ -24,7 +24,9 @@ A run the bench flags INVALID (its own generator ran late, which only
 an open loop can) is re-run with the same seed, up to three attempts a
 side; each pair line then shows both sides' ``gen_late_p95_ms``. A pair
 whose side is still INVALID after that is dropped and counted, and does
-not fail the command.
+not fail the command. Every INVALID and dropped-pair line carries the
+run's host load (``load_1min`` and the bench's ``noisy`` flag), so a
+refusal can be told apart from a slow change.
 
 Exit status is non-zero only when a run failed (a job failed, an output
 was wrong, the bench could not start); judging a loss is the reader's
@@ -100,11 +102,29 @@ def run_side(tree: Path, workload: str, seed: int,
         record = run_once(tree, workload, seed, seconds)
         if record is None or record["valid"]:
             break
-        late = record["end_to_end"]["gen_late_p95_ms"]["value"]
-        print(f"{workload} seed {seed}: INVALID run in {tree} (generator "
-              f"{late:.2f} ms late), attempt {attempt} of {ATTEMPTS}",
+        print(f"{workload} seed {seed}: INVALID run in {tree} "
+              f"({invalid_note(record)}), attempt {attempt} of {ATTEMPTS}",
               file=sys.stderr)
     return record
+
+
+def invalid_note(record: dict) -> str:
+    """Why a run was INVALID, and whether its host was loaded: the
+    generator's lateness beside the record's 1-minute load average and
+    the bench's ``noisy`` flag (load above half the CPUs)."""
+    late = record["end_to_end"]["gen_late_p95_ms"]["value"]
+    host = record.get("environment", {})
+    return (f"generator {late:.2f} ms late, load_1min "
+            f"{host.get('load_1min', '?')}, noisy {host.get('noisy', '?')}")
+
+
+def dropped_line(workload: str, seed: int, records: dict[str, dict]) -> str:
+    """The line for a pair dropped because a side stayed INVALID."""
+    notes = "; ".join(f"{side}: {invalid_note(record)}"
+                      for side, record in records.items()
+                      if not record["valid"])
+    return (f"{workload} seed {seed}: still INVALID after {ATTEMPTS} "
+            f"attempts ({notes}); pair dropped")
 
 
 def metric_values(record: dict) -> dict[str, float]:
@@ -186,8 +206,7 @@ def main(argv: list[str] | None = None) -> int:
                     continue
                 if not all(record["valid"] for record in records.values()):
                     invalid += 1
-                    print(f"{workload} seed {seed}: still INVALID after "
-                          f"{ATTEMPTS} attempts; pair dropped",
+                    print(dropped_line(workload, seed, records),
                           file=sys.stderr)
                     continue
                 pair = {side: metric_values(record)
