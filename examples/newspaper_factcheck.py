@@ -35,10 +35,11 @@ def main() -> None:
     print(f"\nOptimal schedule @99%: {describe_schedule(planned)}")
 
     reset_claims([article])
-    checkpoint = system.ledger.checkpoint()
-    run = system.verifier.verify_documents(
-        [article], system.entries_for(planned)
-    )
+    with system.ledger.capture() as captured:
+        run = system.verifier.verify_documents(
+            [article], system.entries_for(planned)
+        )
+    system.ledger.absorb(captured)
 
     print(f"\n=== {article.title} ===")
     for claim in article.claims:
@@ -51,7 +52,7 @@ def main() -> None:
             print(f"        evidence query: {claim.query}")
 
     counts = score_claims(article.claims)
-    spent = system.ledger.totals_since(checkpoint)
+    spent = captured.totals()
     print(f"\nDetection quality on this article: precision "
           f"{counts.precision:.0%}, recall {counts.recall:.0%}")
     print(f"Verification spend: ${spent.cost:.4f} across {spent.calls} "

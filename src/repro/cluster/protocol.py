@@ -104,7 +104,8 @@ async def read_frame_async(reader: asyncio.StreamReader) -> dict | None:
 # ``submit`` request under the ``"trace"`` key. It names the router's
 # trace and the span the worker's tree will be grafted under, nothing
 # more — span payloads travel the *other* way, via the ``trace`` op,
-# only when a stitched trace is actually requested.
+# only when a stitched trace is actually requested. The worker's door
+# validates it (:func:`repro.service.http.trace_context`).
 
 
 def make_trace_context(trace_id: str, parent_span: str = "1") -> dict:
@@ -116,19 +117,3 @@ def make_trace_context(trace_id: str, parent_span: str = "1") -> dict:
     reference is stable across reruns.
     """
     return {"trace_id": str(trace_id), "parent_span": str(parent_span)}
-
-
-def parse_trace_context(payload) -> dict | None:
-    """Validate a wire trace context; None when absent or malformed.
-
-    Malformed contexts are dropped rather than rejected — tracing is
-    observability, and a bad context must never fail the job itself.
-    """
-    if not isinstance(payload, dict):
-        return None
-    trace_id = payload.get("trace_id")
-    if not isinstance(trace_id, str) or not trace_id:
-        return None
-    parent_span = payload.get("parent_span", "1")
-    return {"trace_id": trace_id, "parent_span": str(parent_span)}
-

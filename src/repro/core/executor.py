@@ -151,7 +151,6 @@ class ParallelVerifier(MultiStageVerifier):
         tracer = self.tracer
         with self.ledger.capture() as delta, \
                 tracer.capture() as spans, \
-                self.ledger.tagged(f"doc:{document.doc_id}"), \
                 tracer.span(
                     document.doc_id, "document",
                     doc_id=document.doc_id, claims=len(document.claims),
@@ -206,16 +205,12 @@ class ParallelVerifier(MultiStageVerifier):
         report: ClaimReport,
     ) -> Future:
         assert self._run_pool is not None
-        # Snapshot the submitting thread's tags (doc:…) so the attempt
-        # attributes its calls identically to an inline run.
         return self._run_pool.submit(
-            self._pooled_attempt, self.ledger.current_tags(),
-            method, claim, sample, database, report,
+            self._pooled_attempt, method, claim, sample, database, report,
         )
 
     def _pooled_attempt(
         self,
-        tags: tuple[str, ...],
         method: VerificationMethod,
         claim: Claim,
         sample: Sample | None,
@@ -226,7 +221,7 @@ class ParallelVerifier(MultiStageVerifier):
         a failure is returned, so its calls still reach the ledger."""
         error = None
         verified = False
-        with self.ledger.capture() as delta, self.ledger.scoped(tags), \
+        with self.ledger.capture() as delta, \
                 self.tracer.capture() as spans:
             try:
                 verified = super()._attempt_claim(

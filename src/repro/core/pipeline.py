@@ -274,12 +274,6 @@ class MultiStageVerifier:
             self.tracer = previous_tracer
         return run
 
-    def verify_document(
-        self, document: Document, schedule: list[ScheduleEntry]
-    ) -> VerificationRun:
-        """Convenience wrapper for a single document."""
-        return self.verify_documents([document], schedule)
-
     # -- execution strategy (overridden by ParallelVerifier) ----------------
 
     def _execute(
@@ -290,8 +284,7 @@ class MultiStageVerifier:
     ) -> None:
         tracer = self.tracer
         for document in documents:
-            with self.ledger.tagged(f"doc:{document.doc_id}"), \
-                    tracer.activated(), \
+            with tracer.activated(), \
                     tracer.span(
                         document.doc_id, "document",
                         doc_id=document.doc_id,
@@ -457,9 +450,7 @@ class MultiStageVerifier:
             method=method.name, claim_id=claim.claim_id,
             attempt=prior_tries + 1, temperature=temperature,
         ) as method_span:
-            with self.ledger.tagged(f"method:{method.name}"), \
-                    self.ledger.tagged(f"claim:{claim.claim_id}"), \
-                    claim_draws(report.draws):
+            with claim_draws(report.draws):
                 translation = method.translate(
                     masked,
                     value_type,

@@ -6,7 +6,8 @@ measured by running the method once over a labeled sample of claims:
 
 * a try *succeeds* when the method produces a plausible query
   (CorrectQuery passes) whose verdict agrees with the ground-truth label;
-* cost and latency are read from the cost ledger, averaged per claim.
+* cost and latency are read from the method's ledger capture, averaged
+  per claim.
 
 Profiling is the one place CEDAR requires labels (Section 8); Section
 7.3.3 (our Figure 7 reproduction) studies how schedules built from one
@@ -33,22 +34,24 @@ def profile_method(
     ledger: CostLedger,
 ) -> MethodProfile:
     """Measure one method's accuracy and per-claim cost on labeled docs."""
+    claims = [(claim, document) for document in documents
+              for claim in document.claims]
+    for claim, _ in claims:
+        if LABEL_KEY not in claim.metadata:
+            raise ValueError(
+                f"claim {claim.claim_id} has no ground-truth label; "
+                "profiling requires labeled data"
+            )
+    if not claims:
+        raise ValueError("profiling requires at least one claim")
     successes = 0
-    total = 0
-    checkpoint = ledger.checkpoint()
-    for document in documents:
-        for claim in document.claims:
-            if LABEL_KEY not in claim.metadata:
-                raise ValueError(
-                    f"claim {claim.claim_id} has no ground-truth label; "
-                    "profiling requires labeled data"
-                )
-            total += 1
+    with ledger.capture() as spent:
+        for claim, document in claims:
             if _try_once(method, claim, document):
                 successes += 1
-    if total == 0:
-        raise ValueError("profiling requires at least one claim")
-    totals = ledger.totals_since(checkpoint)
+    ledger.absorb(spent)
+    total = len(claims)
+    totals = spent.totals()
     return MethodProfile(
         name=method.name,
         accuracy=successes / total,

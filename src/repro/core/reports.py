@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 
 from repro.llm.cache import CacheStats, LLMCache
-from repro.llm.ledger import CostLedger
+from repro.llm.ledger import LedgerDelta
 from repro.obs.tracer import Span, Tracer
 from repro.sqlengine import engine_stats as _engine_stats
 
@@ -97,13 +97,16 @@ def span_waterfall(roots: list[Span], width: int = 40) -> str:
 def document_report(
     document: Document,
     run: VerificationRun,
-    ledger: CostLedger | None = None,
+    spent: LedgerDelta | None = None,
     cache: LLMCache | CacheStats | None = None,
     engine: dict | bool | None = None,
     tracer: Tracer | list[Span] | None = None,
 ) -> dict:
     """Full report for one document, JSON-serialisable.
 
+    ``spent`` is the ledger capture the document was verified in (see
+    :meth:`~repro.llm.ledger.CostLedger.capture`); it adds the
+    document's spend, and its retries when it had any.
     ``engine=True`` embeds the process-wide SQL engine stats (plan-cache
     traffic and execution-strategy counters); a dict embeds a caller's
     own snapshot (e.g. the service's, which includes its result cache).
@@ -126,23 +129,19 @@ def document_report(
             ),
         },
     }
-    if ledger is not None:
-        totals = ledger.totals(f"doc:{document.doc_id}")
+    if spent is not None:
+        totals = spent.totals()
         report["spend"] = {
             "cost_usd": round(totals.cost, 6),
             "llm_calls": totals.calls,
             "tokens": totals.total_tokens,
         }
-        if ledger.sql_executions:
-            report["spend"]["sql_executions"] = ledger.sql_executions
-            report["spend"]["sql_seconds"] = round(ledger.sql_seconds, 6)
-        if ledger.retry_count:
-            # Ledger-wide (retry events carry no document tag): how many
-            # transient failures were retried and how long the run spent
-            # sleeping in backoff because of them.
-            report["spend"]["retries"] = ledger.retry_count
+        if spent.events:
+            # How many of this document's transient failures were
+            # retried, and how long it slept in backoff because of them.
+            report["spend"]["retries"] = len(spent.events)
             report["spend"]["retry_backoff_seconds"] = round(
-                ledger.retry_backoff_seconds, 6
+                sum(event.delay_seconds for event in spent.events), 6
             )
     stats = _cache_stats(cache)
     if stats is not None:
@@ -164,7 +163,7 @@ def document_report(
 def to_json(
     document: Document,
     run: VerificationRun,
-    ledger: CostLedger | None = None,
+    spent: LedgerDelta | None = None,
     indent: int = 2,
     cache: LLMCache | CacheStats | None = None,
     engine: dict | bool | None = None,
@@ -172,7 +171,7 @@ def to_json(
 ) -> str:
     """Serialise the document report as JSON text."""
     return json.dumps(
-        document_report(document, run, ledger, cache=cache, engine=engine,
+        document_report(document, run, spent, cache=cache, engine=engine,
                         tracer=tracer),
         indent=indent,
     )
@@ -181,7 +180,7 @@ def to_json(
 def to_markdown(
     document: Document,
     run: VerificationRun,
-    ledger: CostLedger | None = None,
+    spent: LedgerDelta | None = None,
     cache: LLMCache | CacheStats | None = None,
     engine: dict | bool | None = None,
     tracer: Tracer | list[Span] | None = None,
@@ -196,7 +195,7 @@ def to_markdown(
     trailing per-document trace-waterfall section; without it the output
     is byte-identical with tracing on or off.
     """
-    report = document_report(document, run, ledger, cache=cache,
+    report = document_report(document, run, spent, cache=cache,
                              engine=engine)
     waterfall = (
         span_waterfall(document_spans(tracer, document.doc_id))

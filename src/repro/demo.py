@@ -138,10 +138,11 @@ def _run_demo(bundle: DatasetBundle, arguments) -> None:
     print(f"\n[2/3] cost-optimal schedule: {describe_schedule(planned)}")
 
     reset_claims([target])
-    checkpoint = system.ledger.checkpoint()
-    run = system.verifier.verify_documents(
-        [target], system.entries_for(planned), tracer=tracer
-    )
+    with system.ledger.capture() as captured:
+        run = system.verifier.verify_documents(
+            [target], system.entries_for(planned), tracer=tracer
+        )
+    system.ledger.absorb(captured)
 
     print(f"\n[3/3] verified {len(target.claims)} claims:")
     agent_trace_shown = not arguments.verbose
@@ -159,7 +160,7 @@ def _run_demo(bundle: DatasetBundle, arguments) -> None:
             print("          (agent-verified claim; escalation paid off)")
 
     counts = score_claims(target.claims)
-    spent = system.ledger.totals_since(checkpoint)
+    spent = captured.totals()
     print()
     print(_RULE)
     print(f"detection vs seeded errors: precision {counts.precision:.0%}, "

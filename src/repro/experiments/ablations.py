@@ -114,13 +114,14 @@ def ablate_samples(fast: bool = True, seed: int = 0) -> list[AblationOutcome]:
         planned = optimal_schedule(profiles, 0.99)
         entries = system.entries_for(planned)
         reset_claims(bundle.documents)
-        checkpoint = system.ledger.checkpoint()
-        system.verifier.verify_documents(bundle.documents, entries)
+        with system.ledger.capture() as spent:
+            system.verifier.verify_documents(bundle.documents, entries)
+        system.ledger.absorb(spent)
         outcomes.append(
             AblationOutcome(
                 label,
                 score_claims(bundle.claims),
-                system.ledger.totals_since(checkpoint).cost,
+                spent.totals().cost,
             )
         )
     return outcomes
@@ -200,13 +201,14 @@ def ablate_scheduler(
             for index, tries in plan
         ]
         reset_claims(bundle.documents)
-        checkpoint = system.ledger.checkpoint()
-        system.verifier.verify_documents(bundle.documents, entries)
+        with system.ledger.capture() as spent:
+            system.verifier.verify_documents(bundle.documents, entries)
+        system.ledger.absorb(spent)
         outcomes.append(
             AblationOutcome(
                 label,
                 score_claims(bundle.claims),
-                system.ledger.totals_since(checkpoint).cost,
+                spent.totals().cost,
             )
         )
     return outcomes

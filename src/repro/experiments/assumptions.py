@@ -85,14 +85,15 @@ def run_assumptions(fast: bool = False, seed: int = 0) -> AssumptionsResult:
         estimated_cost = schedule_cost(planned, profiles)
         entries = system.entries_for(planned)
         reset_claims(bundle.documents)
-        checkpoint = system.ledger.checkpoint()
         # Same success definition as profiling (a plausible query whose
         # verdict matches the label), and no few-shot samples — profiling
         # measures sample-free tries, so the comparison must too.
         verifier = MultiStageVerifier(config=VerifierConfig(
             ledger=system.ledger, use_samples=False
         ))
-        run = verifier.verify_documents(bundle.documents, entries)
+        with system.ledger.capture() as spent:
+            run = verifier.verify_documents(bundle.documents, entries)
+        system.ledger.absorb(spent)
         claims = bundle.claims
         verified = sum(
             1 for claim in claims
@@ -100,9 +101,7 @@ def run_assumptions(fast: bool = False, seed: int = 0) -> AssumptionsResult:
             and claim.correct == bool(claim.metadata["label_correct"])
         )
         realized_accuracy = verified / len(claims)
-        realized_cost = (
-            system.ledger.totals_since(checkpoint).cost / len(claims)
-        )
+        realized_cost = spent.totals().cost / len(claims)
         points.append(AssumptionPoint(
             schedule=describe_schedule(planned),
             estimated_accuracy=estimated_accuracy,

@@ -32,7 +32,7 @@ from repro.llm import CostLedger, SimulatedLLM
 from repro.metrics import (
     ConfusionCounts,
     RunEconomics,
-    economics_since,
+    economics_from_totals,
     score_claims,
 )
 
@@ -126,8 +126,7 @@ def profile_system(
     system: CedarSystem, documents: list[Document]
 ) -> dict[str, MethodProfile]:
     """Profile all methods on a labeled document sample."""
-    with system.ledger.tagged("phase:profiling"):
-        return profile_methods(system.methods, documents, system.ledger)
+    return profile_methods(system.methods, documents, system.ledger)
 
 
 def run_cedar(
@@ -156,11 +155,12 @@ def run_cedar(
         planned = optimal_schedule(profiles, accuracy_threshold)
     entries = system.entries_for(planned)
     reset_claims(target_documents)
-    checkpoint = system.ledger.checkpoint()
-    run = system.verifier.verify_documents(target_documents, entries)
+    with system.ledger.capture() as spent:
+        run = system.verifier.verify_documents(target_documents, entries)
+    system.ledger.absorb(spent)
     claims = [c for d in target_documents for c in d.claims]
     counts = score_claims(claims)
-    economics = economics_since(system.ledger, checkpoint, len(claims))
+    economics = economics_from_totals(spent.totals(), len(claims))
     return CedarRunResult(
         name=f"cedar@{accuracy_threshold:.2f}",
         counts=counts,
@@ -184,11 +184,12 @@ def run_single_stage(
     entries = [ScheduleEntry(method, tries)]
     target_documents = documents if documents is not None else bundle.documents
     reset_claims(target_documents)
-    checkpoint = system.ledger.checkpoint()
-    run = system.verifier.verify_documents(target_documents, entries)
+    with system.ledger.capture() as spent:
+        run = system.verifier.verify_documents(target_documents, entries)
+    system.ledger.absorb(spent)
     claims = [c for d in target_documents for c in d.claims]
     counts = score_claims(claims)
-    economics = economics_since(system.ledger, checkpoint, len(claims))
+    economics = economics_from_totals(spent.totals(), len(claims))
     return CedarRunResult(
         name=f"single:{method.name}x{tries}",
         counts=counts,

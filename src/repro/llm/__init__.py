@@ -45,7 +45,7 @@ from .simulated import (
     ModelBehaviour,
     SimulatedLLM,
 )
-from .tokenizer import count_tokens, truncate_to_tokens
+from .tokenizer import count_tokens
 from .world import ClaimKnowledge, ClaimWorld, LookupTrap
 
 __all__ = [
@@ -94,5 +94,4 @@ __all__ = [
     "extract_sql_block",
     "model_spec",
     "trap_query",
-    "truncate_to_tokens",
 ]

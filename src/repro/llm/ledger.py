@@ -1,22 +1,20 @@
 """Cost ledger: the accounting substrate for every experiment.
 
-All LLM calls record an entry here. The ledger supports nested *tags*
-(document, claim, verification method) via a context manager, so the
-experiment harness can attribute spending to individual claims and methods
-— which is what the profiling stage (Section 6) and the cost columns of the
-evaluation (Section 7) consume.
+Every LLM call records an entry here. The ledger itself keeps only
+running totals (calls, tokens, cost, latency, retries, backoff and the
+SQL counters), so what it holds does not grow with the calls it has
+seen. Spend is attributed by scope: :meth:`CostLedger.capture` buffers
+a thread's records into a private :class:`LedgerDelta` — the entries
+of exactly that scope, in order — and :meth:`CostLedger.absorb` folds
+the delta into the enclosing capture or the totals. The profiling stage
+(Section 6), the cost columns of the evaluation (Section 7) and the
+service's per-job spend each read their scope's delta.
 
-The ledger is safe to share across worker threads: the tag stack is
-thread-local (each worker attributes its own calls), appends to the shared
-entry list take a lock, and :meth:`capture`/:meth:`absorb` let an executor
-route a worker's entries into a private sub-ledger that is merged back in
-a deterministic order once the worker joins — so a parallel run produces
-the same entry sequence (and therefore the same totals) as a sequential
-one.
-
-The grand total and the retry backoff are folded as entries reach the
-shared list, so reading them costs the same however long the process
-has been serving; per-tag totals are computed by a scan.
+The ledger is safe to share across worker threads: the capture sink is
+thread-local and folding takes a lock. Captures nest, and an executor
+absorbs its workers' deltas in a deterministic order once they join,
+so a parallel run folds the same entry sequence (and therefore the
+same totals) as a sequential one.
 """
 
 from __future__ import annotations
@@ -36,11 +34,6 @@ class LedgerEntry:
     completion_tokens: int
     cost: float
     latency_seconds: float
-    tags: tuple[str, ...] = ()
-
-    @property
-    def total_tokens(self) -> int:
-        return self.prompt_tokens + self.completion_tokens
 
 
 @dataclass(frozen=True)
@@ -57,7 +50,6 @@ class RetryEvent:
     delay_seconds: float    # backoff applied before the next attempt
     error: str              # repr of the classified failure
     gave_up: bool = False   # True when the policy exhausted its attempts
-    tags: tuple[str, ...] = ()
 
 
 @dataclass
@@ -84,13 +76,13 @@ class LedgerTotals:
 
 @dataclass
 class LedgerDelta:
-    """A worker's private slice of ledger activity (see ``capture``)."""
+    """One scope's ledger activity, in order (see ``capture``)."""
 
     entries: list[LedgerEntry] = field(default_factory=list)
     events: list[RetryEvent] = field(default_factory=list)
 
     def totals(self) -> LedgerTotals:
-        """Aggregate the captured entries (a service job's spend)."""
+        """Aggregate the captured entries (e.g. a service job's spend)."""
         totals = LedgerTotals()
         for entry in self.entries:
             totals.add(entry)
@@ -98,54 +90,39 @@ class LedgerDelta:
 
 
 class CostLedger:
-    """Append-only record of LLM spending with tag attribution."""
+    """Running totals of LLM spending; scopes are measured by capture."""
 
     def __init__(self) -> None:
-        self.entries: list[LedgerEntry] = []
-        self.events: list[RetryEvent] = []
         self._lock = threading.Lock()
         self._local = threading.local()
-        # Running totals over ``entries``/``events``, folded in entry
-        # order under the lock (see :meth:`_append`).
+        # Folded in entry order under the lock (see :meth:`_fold`).
         self._totals = LedgerTotals()
+        self._retries = 0
         self._backoff_seconds = 0.0
         # Data-side (SQL engine) latency, tracked as plain counters rather
-        # than entries: it costs no tokens, and keeping it out of
-        # ``entries`` leaves the capture/absorb determinism contract of
-        # the parallel executor untouched.
+        # than entries: it costs no tokens, and keeping it out of the
+        # entries leaves the capture/absorb determinism contract of the
+        # parallel executor untouched.
         self._sql_seconds = 0.0
         self._sql_executions = 0
-
-    # -- thread-local state --------------------------------------------------
-
-    @property
-    def _tag_stack(self) -> list[str]:
-        stack = getattr(self._local, "tags", None)
-        if stack is None:
-            stack = []
-            self._local.tags = stack
-        return stack
 
     @property
     def _sink(self) -> LedgerDelta | None:
         return getattr(self._local, "sink", None)
 
-    def _append(
+    def _fold(
         self, entries: Sequence[LedgerEntry], events: Sequence[RetryEvent]
     ) -> None:
-        """Extend the shared lists and fold the running totals.
-
-        Folding happens in entry order with the same ``add`` a scan
-        would apply, so every running float sum is bit-identical to
-        re-aggregating ``entries`` from the start.
-        """
+        """Fold records into the running totals, in entry order, with
+        the same ``add`` a fresh aggregation would apply — so every
+        running float sum is bit-identical to re-aggregating the
+        entries from the start."""
         with self._lock:
             for entry in entries:
                 self._totals.add(entry)
-            self.entries.extend(entries)
+            self._retries += len(events)
             for event in events:
                 self._backoff_seconds += event.delay_seconds
-            self.events.extend(events)
 
     def record(
         self,
@@ -155,20 +132,19 @@ class CostLedger:
         cost: float,
         latency_seconds: float,
     ) -> None:
-        """Record one call under the currently active tags."""
+        """Record one call into this thread's capture or the totals."""
         entry = LedgerEntry(
             model=model,
             prompt_tokens=prompt_tokens,
             completion_tokens=completion_tokens,
             cost=cost,
             latency_seconds=latency_seconds,
-            tags=tuple(self._tag_stack),
         )
         sink = self._sink
         if sink is not None:
             sink.entries.append(entry)
         else:
-            self._append((entry,), ())
+            self._fold((entry,), ())
 
     def record_retry(
         self,
@@ -178,27 +154,26 @@ class CostLedger:
         error: str,
         gave_up: bool = False,
     ) -> None:
-        """Record one retry/backoff decision under the active tags."""
+        """Record one retry/backoff decision, like :meth:`record`."""
         event = RetryEvent(
             model=model,
             attempt=attempt,
             delay_seconds=delay_seconds,
             error=error,
             gave_up=gave_up,
-            tags=tuple(self._tag_stack),
         )
         sink = self._sink
         if sink is not None:
             sink.events.append(event)
         else:
-            self._append((), (event,))
+            self._fold((), (event,))
 
     def record_sql(self, seconds: float, executions: int = 1) -> None:
         """Record time spent executing SQL for the verification data side.
 
         Shows up in latency accounting (``sql_seconds`` /
         ``sql_executions``) so the engine's share of wall-clock is visible
-        next to model-call latency in ``/stats`` and reports.
+        next to model-call latency in ``/stats``.
         """
         with self._lock:
             self._sql_seconds += seconds
@@ -215,42 +190,18 @@ class CostLedger:
             return self._sql_executions
 
     @contextmanager
-    def tagged(self, tag: str):
-        """Attribute all calls inside the block to ``tag`` (nestable)."""
-        stack = self._tag_stack
-        stack.append(tag)
-        try:
-            yield self
-        finally:
-            stack.pop()
-
-    def current_tags(self) -> tuple[str, ...]:
-        """Snapshot of this thread's active tag stack."""
-        return tuple(self._tag_stack)
-
-    @contextmanager
-    def scoped(self, tags: Sequence[str]):
-        """Replay a tag snapshot on this thread (for handed-off work).
-
-        A claim task running on a pool thread has an empty tag stack; the
-        executor passes it the submitting thread's :meth:`current_tags` so
-        its entries are attributed exactly as they would have been inline.
-        """
-        stack = self._tag_stack
-        previous = list(stack)
-        stack[:] = list(tags)
-        try:
-            yield self
-        finally:
-            stack[:] = previous
-
-    @contextmanager
     def capture(self) -> Iterator[LedgerDelta]:
         """Buffer this thread's records into a private :class:`LedgerDelta`.
 
-        Nothing reaches the shared entry list until the caller hands the
-        delta to :meth:`absorb` — the per-worker sub-ledger half of the
-        merge-on-join protocol.
+        Nothing reaches the totals until the caller hands the delta to
+        :meth:`absorb` — the per-worker sub-ledger half of the
+        merge-on-join protocol, and the way to measure what a scope
+        spent::
+
+            with ledger.capture() as spent:
+                ...
+            ledger.absorb(spent)
+            spent.totals().cost
         """
         delta = LedgerDelta()
         previous = self._sink
@@ -261,49 +212,20 @@ class CostLedger:
             self._local.sink = previous
 
     def absorb(self, delta: LedgerDelta) -> None:
-        """Merge a captured delta into this thread's sink or the ledger."""
+        """Merge a captured delta into this thread's sink or the totals."""
         sink = self._sink
         if sink is not None:
             sink.entries.extend(delta.entries)
             sink.events.extend(delta.events)
         else:
-            self._append(delta.entries, delta.events)
+            self._fold(delta.entries, delta.events)
 
     # -- aggregation ---------------------------------------------------------
 
-    def totals(self, tag: str | None = None) -> LedgerTotals:
-        """Aggregate all entries, optionally restricted to one tag."""
-        if tag is None:
-            with self._lock:
-                return replace(self._totals)
-        totals = LedgerTotals()
-        for entry in self.entries:
-            if tag in entry.tags:
-                totals.add(entry)
-        return totals
-
-    def totals_by_tag_prefix(self, prefix: str) -> dict[str, LedgerTotals]:
-        """Aggregate entries per tag, over tags starting with ``prefix``.
-
-        E.g. ``totals_by_tag_prefix("method:")`` returns per-method totals.
-        """
-        grouped: dict[str, LedgerTotals] = {}
-        for entry in self.entries:
-            for tag in entry.tags:
-                if tag.startswith(prefix):
-                    grouped.setdefault(tag, LedgerTotals()).add(entry)
-        return grouped
-
-    def checkpoint(self) -> int:
-        """Return a marker for :meth:`totals_since`."""
-        return len(self.entries)
-
-    def totals_since(self, checkpoint: int) -> LedgerTotals:
-        """Aggregate entries recorded after a checkpoint."""
-        totals = LedgerTotals()
-        for entry in self.entries[checkpoint:]:
-            totals.add(entry)
-        return totals
+    def totals(self) -> LedgerTotals:
+        """A copy of the running totals over every absorbed entry."""
+        with self._lock:
+            return replace(self._totals)
 
     @property
     def total_cost(self) -> float:
@@ -311,24 +233,17 @@ class CostLedger:
             return self._totals.cost
 
     @property
-    def total_latency_seconds(self) -> float:
-        with self._lock:
-            return self._totals.latency_seconds
-
-    @property
     def retry_count(self) -> int:
-        return len(self.events)
+        with self._lock:
+            return self._retries
 
     @property
     def retry_backoff_seconds(self) -> float:
         """Cumulative backoff sleep requested across all retry events.
 
         Each :class:`RetryEvent` records the delay applied before its
-        next attempt; this sums them so ``/stats`` and reports can show
-        how much of a run's wall-clock went to waiting out failures.
+        next attempt; this sums them so ``/stats`` can show how much of
+        the process's wall-clock went to waiting out failures.
         """
         with self._lock:
             return self._backoff_seconds
-
-    def __len__(self) -> int:
-        return len(self.entries)

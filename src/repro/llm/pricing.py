@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tokenizer import count_tokens
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -94,9 +92,3 @@ def model_spec(name: str) -> ModelSpec:
             f"unknown model {name!r}; known models: "
             f"{', '.join(sorted(MODEL_SPECS))}"
         ) from None
-
-
-def call_cost(model_name: str, prompt: str, completion: str) -> float:
-    """Convenience: dollar cost of a call given raw strings."""
-    spec = model_spec(model_name)
-    return spec.cost(count_tokens(prompt), count_tokens(completion))

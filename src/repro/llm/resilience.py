@@ -12,8 +12,10 @@ fresh draw the schedule accounts for. This module adds that resilience:
 * backoff is capped exponential with *deterministic seeded jitter*, so a
   run's retry timing is reproducible under a fixed seed;
 * every retry decision is recorded in the :class:`~repro.llm.ledger.
-  CostLedger` as a :class:`~repro.llm.ledger.RetryEvent`, tagged like the
-  call it shadows, so flakiness is auditable per claim and method.
+  CostLedger` as a :class:`~repro.llm.ledger.RetryEvent`, inside the
+  same capture as the call it shadows, and as a ``retry`` span under
+  that call's method span, so flakiness is auditable per claim and
+  method.
 """
 
 from __future__ import annotations

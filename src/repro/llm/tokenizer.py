@@ -23,23 +23,3 @@ def count_tokens(text: str) -> int:
     # closer to one token per word-ish chunk. Take a weighted blend.
     estimate = 0.4 * words + 0.6 * (chars / 4.0)
     return max(1, math.ceil(estimate))
-
-
-def truncate_to_tokens(text: str, max_tokens: int) -> str:
-    """Truncate a string to approximately ``max_tokens`` tokens.
-
-    Used by the TAPEX baseline to model its bounded input window.
-    """
-    if max_tokens <= 0:
-        return ""
-    if count_tokens(text) <= max_tokens:
-        return text
-    # Binary search on character length for the largest fitting prefix.
-    low, high = 0, len(text)
-    while low < high:
-        mid = (low + high + 1) // 2
-        if count_tokens(text[:mid]) <= max_tokens:
-            low = mid
-        else:
-            high = mid - 1
-    return text[:low]

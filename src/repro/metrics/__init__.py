@@ -7,7 +7,7 @@ from .complexity import (
     analyse_claims,
     analyse_query,
 )
-from .economics import RunEconomics, economics_from_totals, economics_since
+from .economics import RunEconomics, economics_from_totals
 
 __all__ = [
     "ComplexityStats",
@@ -17,7 +17,6 @@ __all__ = [
     "analyse_claims",
     "analyse_query",
     "economics_from_totals",
-    "economics_since",
     "percentage",
     "score_claims",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.llm.ledger import CostLedger, LedgerTotals
+from repro.llm.ledger import LedgerTotals
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,3 @@ def economics_from_totals(totals: LedgerTotals, claims: int) -> RunEconomics:
         llm_calls=totals.calls,
         total_tokens=totals.total_tokens,
     )
-
-
-def economics_since(
-    ledger: CostLedger, checkpoint: int, claims: int
-) -> RunEconomics:
-    """Summarise ledger spending since a checkpoint."""
-    return economics_from_totals(ledger.totals_since(checkpoint), claims)

@@ -4,8 +4,8 @@
 endpoints, mounted under the versioned ``/v1/`` prefix:
 
 * ``POST /v1/verify`` — body ``{"dataset": "tabfact", "document": 0}``
-  (optional ``"client_id"``, ``"priority"``; ``document`` and
-  ``priority`` must be JSON integers, and ``true`` is not one). Clones
+  (optional ``"client_id"``, ``"priority"``, ``"trace"``; ``document``
+  and ``priority`` must be JSON integers, and ``true`` is not one). Clones
   the dataset document under a request-unique tag and submits it;
   replies ``202`` with the job id, or a structured rejection: ``429``
   (queue full / client limit), ``503`` (draining), ``409`` (claim-id
@@ -154,6 +154,22 @@ def submission_error(payload: dict, datasets: list[str]) -> dict | None:
     return None
 
 
+def trace_context(payload) -> dict | None:
+    """The ``"trace"`` context of a routed submission (see
+    ``cluster/protocol.py``), cut down to its two keys; None when it is
+    absent or malformed. A malformed context is dropped, never fatal:
+    tracing is observability, and a bad context must not fail the job.
+    """
+    if not isinstance(payload, dict):
+        return None
+    trace_id = payload.get("trace_id")
+    parent_span = payload.get("parent_span", "1")
+    if not (isinstance(trace_id, str) and trace_id
+            and isinstance(parent_span, str) and parent_span):
+        return None
+    return {"trace_id": trace_id, "parent_span": parent_span}
+
+
 class ServiceApp:
     """Turns ``POST /v1/verify`` payloads into jobs on a
     :class:`VerificationService`.
@@ -239,19 +255,13 @@ class ServiceApp:
         document = clone_document(
             bundle.documents[index], f"r{next(self._request_seq):05d}"
         )
-        # A routed submission carries its upstream trace context (see
-        # cluster/protocol.py); a malformed one is dropped, never fatal.
-        trace = payload.get("trace")
-        if not (isinstance(trace, dict)
-                and isinstance(trace.get("trace_id"), str)):
-            trace = None
         try:
             handle = self.service.submit(
                 document,
                 schedule,
                 client_id=str(payload.get("client_id", "default")),
                 priority=payload.get("priority", 0),
-                trace_context=trace,
+                trace_context=trace_context(payload.get("trace")),
             )
         except AdmissionError as error:
             status = _REJECTION_STATUS.get(error.reason.code, 429)

@@ -129,7 +129,9 @@ class ServiceConfig:
     ledger: CostLedger | None = None
     #: Per-job span trees (queue wait + the document waterfall), served
     #: by ``GET /jobs/<id>/trace``. Tracing never changes verdicts or
-    #: spend; disable it to shave the last few percent off hot jobs.
+    #: spend, but on hot jobs it is about a quarter of the process CPU:
+    #: 1.80 / 1.93 ms per job with it against 1.32 / 1.51 ms without
+    #: (two in-process runs each, 2 vCPUs).
     tracing: bool = True
     #: Path of the persistent cache file (see :mod:`repro.cache`): with
     #: one, the service's shared LLM and SQL-result caches gain a
@@ -946,7 +948,6 @@ class VerificationService:
             cache=self._cache_stats(),
             sql=sql,
             ledger={
-                "entries": len(self.ledger),
                 "calls": totals.calls,
                 "cost_usd": round(totals.cost, 6),
                 "tokens": totals.total_tokens,

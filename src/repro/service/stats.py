@@ -98,7 +98,7 @@ class ServiceStats:
     jobs: dict          # submitted / completed / failed / cancelled / rejected
     cache: dict | None  # CacheStats.to_dict() (+ tiers with an L2); None: off
     sql: dict           # plan_cache / strategies / result_cache / executions
-    ledger: dict        # entries / calls / cost_usd / tokens / retries
+    ledger: dict        # calls / cost_usd / tokens / retries / backoff
     latency: dict       # LatencyHistogram.snapshot()
 
     def to_dict(self) -> dict:

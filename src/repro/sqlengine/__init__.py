@@ -51,7 +51,7 @@ from .planner import (
     shared_plan_cache,
 )
 from .table import Column, Database, Table
-from .values import SqlValue, coerce_numeric, is_numeric, to_text
+from .values import SqlValue, coerce_numeric, to_text
 
 __all__ = [
     "ANALYZER_COUNTERS",
@@ -81,7 +81,6 @@ __all__ = [
     "create_table_text",
     "engine_for",
     "engine_stats",
-    "is_numeric",
     "load_csv",
     "load_csv_directory",
     "markdown_table_text",

@@ -50,7 +50,7 @@ from .planner import (
     shared_plan_cache,
 )
 from .table import Database, Table
-from .values import SqlValue, to_text
+from .values import SqlValue
 
 
 @dataclass
@@ -86,22 +86,6 @@ class QueryResult:
     def copy(self) -> "QueryResult":
         """A defensive copy (rows are shared tuples, the lists are new)."""
         return QueryResult(list(self.columns), list(self.rows))
-
-    def to_text_table(self, limit: int = 20) -> str:
-        """Render the result as an aligned text table (for agent prompts)."""
-        header = [self.columns]
-        body = [[to_text(v) for v in row] for row in self.rows[:limit]]
-        table = header + body
-        widths = [
-            max(len(row[i]) for row in table) for i in range(len(self.columns))
-        ]
-        lines = [
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-            for row in table
-        ]
-        if len(self.rows) > limit:
-            lines.append(f"... ({len(self.rows) - limit} more rows)")
-        return "\n".join(lines)
 
 
 class _Relation:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.cache import TieredCache
 
-from .ast_nodes import quote_identifier, quote_string
+from .ast_nodes import quote_identifier
 from .table import Database, Table
 from .values import to_text
 
@@ -91,19 +91,3 @@ def markdown_table_text(table: Table, limit: int | None = None) -> str:
     for row in rows:
         lines.append("| " + " | ".join(to_text(v) for v in row) + " |")
     return "\n".join(lines)
-
-
-def insert_statements_text(table: Table, limit: int | None = None) -> str:
-    """Render rows as INSERT statements (useful for exporting datasets)."""
-    rows = table.rows if limit is None else table.rows[:limit]
-    columns = ", ".join(quote_identifier(c) for c in table.column_names)
-    statements = []
-    for row in rows:
-        rendered = ", ".join(
-            quote_string(v) if isinstance(v, str) else to_text(v) for v in row
-        )
-        statements.append(
-            f"INSERT INTO {quote_identifier(table.name)} ({columns}) "
-            f"VALUES ({rendered});"
-        )
-    return "\n".join(statements)

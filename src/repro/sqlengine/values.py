@@ -31,16 +31,6 @@ def is_null(value: SqlValue) -> bool:
     return value is None
 
 
-def is_numeric(value: SqlValue) -> bool:
-    """Return True for int/float values (booleans are not numeric)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def is_text(value: SqlValue) -> bool:
-    """Return True for string values."""
-    return isinstance(value, str)
-
-
 def coerce_numeric(value: SqlValue) -> float | int | None:
     """Best-effort conversion of a value to a number.
 

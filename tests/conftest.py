@@ -94,3 +94,37 @@ def retried_once():
                 [ScheduleEntry(method, 1)])
 
     return build
+
+
+@pytest.fixture
+def attributed_spend():
+    """A callable ``tracer -> [(kind, doc_id, method, claim_id)]``: every
+    billed ``llm_call`` span (not failed, not a cache hit) and every
+    ``retry`` span of the tracer's timeless tree, in order, with the
+    document and the ``method`` span it sits under. This is how a run's
+    spend is attributed to documents, methods and claims; a call or
+    retry outside any method span fails the test."""
+
+    def walk(node, doc_id, method, found):
+        attributes = node["attributes"]
+        if node["kind"] == "document":
+            doc_id = attributes["doc_id"]
+        elif node["kind"] == "method":
+            method = attributes
+        elif node["kind"] == "retry" or (
+            node["kind"] == "llm_call" and node["status"] == "ok"
+            and attributes.get("cache") != "hit"
+        ):
+            assert method is not None, f"{node['kind']} outside a method"
+            found.append((node["kind"], doc_id, method["method"],
+                          method["claim_id"]))
+        for child in node["children"]:
+            walk(child, doc_id, method, found)
+
+    def collect(tracer):
+        found = []
+        for root in tracer.tree(include_times=False):
+            walk(root, None, None, found)
+        return found
+
+    return collect

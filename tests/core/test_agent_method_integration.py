@@ -49,12 +49,16 @@ class TestAgentThroughPipeline:
                    "SELECT v FROM t WHERE name = 'a'"),
             "Thought: done.\nFinal Answer: 5",
         ], ledger=ledger)
-        MultiStageVerifier(config=VerifierConfig(ledger=ledger)).verify_documents(
-            [document], [ScheduleEntry(AgentMethod(client), 1)]
-        )
+        with ledger.capture() as spent:
+            MultiStageVerifier(
+                config=VerifierConfig(ledger=ledger)
+            ).verify_documents(
+                [document], [ScheduleEntry(AgentMethod(client), 1)]
+            )
+        ledger.absorb(spent)
         # Three LLM calls, each billed with a growing scratchpad.
         assert ledger.totals().calls == 3
-        prompt_sizes = [e.prompt_tokens for e in ledger.entries]
+        prompt_sizes = [e.prompt_tokens for e in spent.entries]
         assert prompt_sizes == sorted(prompt_sizes)
         assert prompt_sizes[0] < prompt_sizes[-1]
 

@@ -19,6 +19,7 @@ from repro.datasets import build_aggchecker
 from repro.llm import (
     CachingLLMClient,
     CostLedger,
+    LedgerDelta,
     LatencySimulatingClient,
     LLMCache,
     LLMClient,
@@ -74,6 +75,15 @@ def snapshot(bundle, run):
     }
 
 
+def captured(ledger, verifier, documents, schedule, **kwargs):
+    """Verify ``documents`` inside one capture of ``ledger``: the run and
+    the entries it recorded, in order (absorbed into ``ledger`` too)."""
+    with ledger.capture() as spent:
+        run = verifier.verify_documents(documents, schedule, **kwargs)
+    ledger.absorb(spent)
+    return run, spent.entries
+
+
 def parallel_run(bundle, blocking):
     """Six documents through a four-worker verifier, closed afterwards:
     its snapshot, reports, ledger entries and timeless span tree."""
@@ -84,11 +94,11 @@ def parallel_run(bundle, blocking):
     tracer = Tracer(trace_id="t")
     reset_claims(bundle.documents)
     try:
-        run = parallel.verify_documents(bundle.documents, schedule,
-                                        tracer=tracer)
+        run, entries = captured(ledger, parallel, bundle.documents,
+                                schedule, tracer=tracer)
     finally:
         parallel.close()
-    return (snapshot(bundle, run), run.reports, ledger.entries,
+    return (snapshot(bundle, run), run.reports, entries,
             tracer.tree(include_times=False))
 
 
@@ -106,7 +116,8 @@ class TestSequentialParallelEquivalence:
             config=VerifierConfig(ledger=ledger_seq)
         )
         reset_claims(bundle.documents)
-        run_seq = sequential.verify_documents(bundle.documents, schedule)
+        run_seq, entries_seq = captured(ledger_seq, sequential,
+                                        bundle.documents, schedule)
         seq_state = snapshot(bundle, run_seq)
 
         pool = parallel_run(bundle, blocking=True)
@@ -116,7 +127,8 @@ class TestSequentialParallelEquivalence:
         assert pool[0] == seq_state
         # Not just equal totals: the merge-on-join protocol reproduces the
         # sequential entry sequence byte for byte.
-        assert pool[2] == ledger_seq.entries
+        assert pool[2] == entries_seq
+        assert ledger_seq.totals() == LedgerDelta(entries_seq).totals()
         if blocking:
             return
         # Clients that never block run every claim on the calling
@@ -136,9 +148,11 @@ class TestSequentialParallelEquivalence:
         ledger_seq, schedule = build_system(bundle)
         tracer_seq = Tracer(trace_id="t")
         reset_claims(bundle.documents)
-        run_seq = MultiStageVerifier(
-            config=VerifierConfig(ledger=ledger_seq)
-        ).verify_documents(bundle.documents, schedule, tracer=tracer_seq)
+        run_seq, entries_seq = captured(
+            ledger_seq, MultiStageVerifier(
+                config=VerifierConfig(ledger=ledger_seq)
+            ), bundle.documents, schedule, tracer=tracer_seq,
+        )
         seq_state = snapshot(bundle, run_seq)
 
         ledger_par, schedule = build_system(bundle, blocking=True)
@@ -154,9 +168,9 @@ class TestSequentialParallelEquivalence:
         tracer_par = Tracer(trace_id="t")
         reset_claims(bundle.documents)
         try:
-            run_par = parallel.verify_documents(
-                bundle.documents, schedule, observer=Where(),
-                tracer=tracer_par,
+            run_par, entries_par = captured(
+                ledger_par, parallel, bundle.documents, schedule,
+                observer=Where(), tracer=tracer_par,
             )
         finally:
             parallel.close()
@@ -167,16 +181,15 @@ class TestSequentialParallelEquivalence:
         assert [name for name in started_threads
                 if name.startswith("cedar-claim")]
         assert snapshot(bundle, run_par) == seq_state
-        assert ledger_par.entries == ledger_seq.entries
+        assert entries_par == entries_seq
         assert tracer_par.tree(include_times=False) \
             == tracer_seq.tree(include_times=False)
 
     def test_reused_pool_reproduces_fresh_sequential_runs(self, claim_threads):
         """One verifier, one claims pool, three different document sets:
         each run equals a fresh sequential verifier's. A pool thread that
-        kept a ledger sink, a tag stack or an active tracer from an
-        earlier task would swallow, mis-tag or misplace a later one's
-        entries and spans."""
+        kept a ledger sink or an active tracer from an earlier task would
+        swallow or misplace a later one's entries and spans."""
         before = claim_threads()
         ledger_par = CostLedger()
         parallel = ParallelVerifier(
@@ -193,10 +206,11 @@ class TestSequentialParallelEquivalence:
                 ledger_seq, schedule = build_system(bundle)
                 tracer_seq = Tracer(trace_id="t")
                 reset_claims(bundle.documents)
-                run_seq = MultiStageVerifier(
-                    config=VerifierConfig(ledger=ledger_seq)
-                ).verify_documents(bundle.documents, schedule,
-                                   tracer=tracer_seq)
+                run_seq, entries_seq = captured(
+                    ledger_seq, MultiStageVerifier(
+                        config=VerifierConfig(ledger=ledger_seq)
+                    ), bundle.documents, schedule, tracer=tracer_seq,
+                )
                 seq_state = snapshot(bundle, run_seq)
 
                 _, schedule = build_system(
@@ -204,16 +218,16 @@ class TestSequentialParallelEquivalence:
                     blocking=True,
                 )
                 tracer_par = Tracer(trace_id="t")
-                checkpoint = len(ledger_par.entries)
                 reset_claims(bundle.documents)
-                run_par = parallel.verify_documents(
-                    bundle.documents, schedule, tracer=tracer_par
+                run_par, entries_par = captured(
+                    ledger_par, parallel, bundle.documents, schedule,
+                    tracer=tracer_par,
                 )
                 pools.add(parallel._claims_pool)
 
                 assert snapshot(bundle, run_par) == seq_state
                 assert run_par.reports == run_seq.reports
-                assert ledger_par.entries[checkpoint:] == ledger_seq.entries
+                assert entries_par == entries_seq
                 assert tracer_par.tree(include_times=False) \
                     == tracer_seq.tree(include_times=False)
             assert len(pools) == 1 and None not in pools
@@ -268,7 +282,7 @@ class TestCacheAccounting:
         second = client.complete("prompt", 0.0)
         assert second is first
         assert len(inner.calls) == 1
-        assert len(ledger) == 1          # the hit billed nothing
+        assert ledger.totals().calls == 1  # the hit billed nothing
         assert client.cache.stats().hits == 1
 
     def test_positive_temperature_bypasses_cache(self):
@@ -328,13 +342,15 @@ class TestRetry:
         client = ResilientLLMClient(
             FlakyLLM(2, ledger), self.make_policy(slept)
         )
-        response = client.complete("prompt")
+        with ledger.capture() as spent:
+            response = client.complete("prompt")
+        ledger.absorb(spent)
         assert response.text == "recovered"
         assert client.inner.attempts == 3
         assert len(slept) == 2 and all(d > 0 for d in slept)
         # Both retries are in the ledger, neither as a surrender.
         assert ledger.retry_count == 2
-        assert not any(e.gave_up for e in ledger.events)
+        assert not any(e.gave_up for e in spent.events)
 
     def test_retries_exhausted(self):
         ledger = CostLedger()
@@ -342,11 +358,14 @@ class TestRetry:
         client = ResilientLLMClient(
             FlakyLLM(99, ledger), self.make_policy(slept)
         )
-        with pytest.raises(RetriesExhaustedError) as excinfo:
+        with ledger.capture() as spent, \
+                pytest.raises(RetriesExhaustedError) as excinfo:
             client.complete("prompt")
+        ledger.absorb(spent)
         assert excinfo.value.attempts == 3
         assert client.inner.attempts == 3
-        events = ledger.events
+        assert ledger.retry_count == 3
+        events = spent.events
         assert len(events) == 3
         assert [e.gave_up for e in events] == [False, False, True]
 
@@ -366,7 +385,7 @@ class TestRetry:
         # nominal at attempt 9 is far past the cap; jitter stays within it
         assert policy.delay_for(9, "tok") <= 0.3 * 1.25
 
-    def test_verifier_survives_transient_failures(self):
+    def test_verifier_survives_transient_failures(self, attributed_spend):
         """End to end: a flaky method retried by the instrumented stack."""
         database = Database("d")
         database.add(Table("t", ["k", "v"], [("a", 3)]))
@@ -381,12 +400,17 @@ class TestRetry:
             ledger=ledger,
             retry=RetryPolicy(max_attempts=3, base_delay=0.0),
         ))
-        run = verifier.verify_documents([document], [ScheduleEntry(method, 1)])
+        tracer = Tracer(trace_id="t")
+        run = verifier.verify_documents([document], [ScheduleEntry(method, 1)],
+                                        tracer=tracer)
         assert claim.correct is True
         assert run.reports[claim.claim_id].verified_by == method.name
         assert ledger.retry_count == 1
-        # The retry event carries the call's doc/method/claim tags.
-        assert any(t.startswith("claim:") for t in ledger.events[0].tags)
+        # The retry sits under the call's document and method span.
+        assert attributed_spend(tracer) == [
+            ("retry", "d", method.name, claim.claim_id),
+            ("llm_call", "d", method.name, claim.claim_id),
+        ]
 
 
 class TestConcurrentLedger:
@@ -395,19 +419,22 @@ class TestConcurrentLedger:
         threads = 12
         per_thread = 50
 
+        deltas = [None] * threads
+
         def work(index):
-            with ledger.tagged(f"thread:{index}"):
-                for _ in range(per_thread):
-                    ledger.record(
-                        model="m",
-                        prompt_tokens=1,
-                        completion_tokens=1,
-                        cost=0.001,
-                        latency_seconds=0.0,
-                    )
-                ledger.record_retry(
-                    model="m", attempt=1, delay_seconds=0.0, error="e"
+            for _ in range(per_thread):
+                ledger.record(
+                    model="m",
+                    prompt_tokens=1,
+                    completion_tokens=1,
+                    cost=0.001,
+                    latency_seconds=0.0,
                 )
+            ledger.record_retry(
+                model="m", attempt=1, delay_seconds=0.0, error="e"
+            )
+            with ledger.capture() as deltas[index]:
+                ledger.record("m", 1, 1, 0.001, 0.0)
 
         pool = [
             threading.Thread(target=work, args=(i,)) for i in range(threads)
@@ -417,31 +444,27 @@ class TestConcurrentLedger:
         for thread in pool:
             thread.join()
 
-        assert len(ledger) == threads * per_thread
         assert ledger.retry_count == threads
         assert ledger.totals().calls == threads * per_thread
-        for index in range(threads):
-            assert ledger.totals(f"thread:{index}").calls == per_thread
+        # Each thread's capture held only that thread's record.
+        assert [len(delta.entries) for delta in deltas] == [1] * threads
+        for delta in deltas:
+            ledger.absorb(delta)
+        assert ledger.totals().calls == threads * (per_thread + 1)
 
-    def test_capture_absorb_preserves_order_and_tags(self):
+    def test_capture_absorb_preserves_order(self):
         ledger = CostLedger()
-        with ledger.tagged("outer"):
+        with ledger.capture() as outer:
             with ledger.capture() as delta:
                 ledger.record("m", 1, 0, 0.0, 0.0)
                 ledger.record("m", 2, 0, 0.0, 0.0)
-        assert len(ledger) == 0          # buffered, not yet merged
-        ledger.absorb(delta)
-        assert [e.prompt_tokens for e in ledger.entries] == [1, 2]
-        assert ledger.entries[0].tags == ("outer",)
-
-    def test_scoped_replays_tag_snapshot(self):
-        ledger = CostLedger()
-        with ledger.tagged("doc:1"):
-            tags = ledger.current_tags()
-        with ledger.scoped(tags):
-            ledger.record("m", 1, 0, 0.0, 0.0)
-        assert ledger.entries[0].tags == ("doc:1",)
-        assert ledger.current_tags() == ()
+            assert outer.entries == []   # buffered, not yet merged
+            ledger.record("m", 3, 0, 0.0, 0.0)
+            ledger.absorb(delta)
+        assert ledger.totals().calls == 0
+        assert [e.prompt_tokens for e in outer.entries] == [3, 1, 2]
+        ledger.absorb(outer)
+        assert ledger.totals().prompt_tokens == 6
 
 
 class TestVerifierConfigValidation:
@@ -528,4 +551,4 @@ class TestVerifyFacade:
         run = verify(document, schedule=[ScheduleEntry(method, 1)],
                      config=VerifierConfig(ledger=ledger))
         assert run.verifier.ledger is ledger
-        assert len(ledger) == 1
+        assert ledger.totals().calls == 1

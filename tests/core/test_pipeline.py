@@ -11,6 +11,7 @@ from repro.core import (
 )
 from repro.core.claims import Claim, Document, Span
 from repro.llm import CostLedger, ScriptedLLM
+from repro.obs.tracer import Tracer
 from repro.sqlengine import Database, Table
 
 
@@ -197,19 +198,23 @@ class TestFallbackVerdicts:
 
 
 class TestLedgerAttribution:
-    def test_calls_tagged_with_method_and_claim(self):
+    def test_calls_tagged_with_method_and_claim(self, attributed_spend):
         document = make_document()
         ledger = CostLedger()
         client = ScriptedLLM([wrap(GOOD_FRANCE), wrap(GOOD_USA)],
                              ledger=ledger)
         method = OneShotMethod(client)
+        tracer = Tracer(trace_id="t")
         MultiStageVerifier(config=VerifierConfig(ledger=ledger)).verify_documents(
-            [document], [ScheduleEntry(method, 1)]
+            [document], [ScheduleEntry(method, 1)], tracer=tracer
         )
-        assert ledger.totals(f"method:{method.name}").calls == 2
-        assert ledger.totals("doc:doc").calls == 2
-        per_claim = ledger.totals_by_tag_prefix("claim:")
-        assert len(per_claim) == 2
+        # Each billed call sits under its document and its method span,
+        # which names the claim.
+        assert ledger.totals().calls == 2
+        assert attributed_spend(tracer) == [
+            ("llm_call", "doc", method.name, claim.claim_id)
+            for claim in document.claims
+        ]
 
 
 class TestSingleExecution:

@@ -40,10 +40,12 @@ def verified():
         ledger=ledger,
     )
     verifier = MultiStageVerifier(config=VerifierConfig(ledger=ledger))
-    run = verifier.verify_documents(
-        [document], [ScheduleEntry(OneShotMethod(client), 1)]
-    )
-    return document, run, ledger
+    with ledger.capture() as spent:
+        run = verifier.verify_documents(
+            [document], [ScheduleEntry(OneShotMethod(client), 1)]
+        )
+    ledger.absorb(spent)
+    return document, run, spent
 
 
 class TestRecords:
@@ -56,8 +58,8 @@ class TestRecords:
         assert records[1]["query"].endswith("'b'")
 
     def test_summary_counts(self, verified):
-        document, run, ledger = verified
-        report = document_report(document, run, ledger)
+        document, run, spent = verified
+        report = document_report(document, run, spent)
         assert report["summary"] == {
             "total_claims": 2,
             "flagged": 1,
@@ -71,32 +73,39 @@ class TestRecords:
         assert "spend" not in document_report(document, run)
 
     def test_retry_backoff_totals_surface_in_spend(self, verified):
-        document, run, ledger = verified
+        document, run, spent = verified
         assert "retries" not in document_report(document, run,
-                                                ledger)["spend"]
-        ledger.record_retry("gpt-4o", attempt=1, delay_seconds=0.5,
+                                                spent)["spend"]
+        ledger = CostLedger()
+        with ledger.capture() as retried:
+            ledger.absorb(spent)
+            ledger.record_retry("gpt-4o", attempt=1, delay_seconds=0.5,
+                                error="RateLimitError()")
+            ledger.record_retry("gpt-4o", attempt=2, delay_seconds=1.25,
+                                error="RateLimitError()")
+        # Retries outside the document's capture are not its own.
+        ledger.record_retry("gpt-4o", attempt=1, delay_seconds=9.0,
                             error="RateLimitError()")
-        ledger.record_retry("gpt-4o", attempt=2, delay_seconds=1.25,
-                            error="RateLimitError()")
-        spend = document_report(document, run, ledger)["spend"]
+        spend = document_report(document, run, retried)["spend"]
+        assert spend["llm_calls"] == 2
         assert spend["retries"] == 2
         assert spend["retry_backoff_seconds"] == pytest.approx(1.75)
-        markdown = to_markdown(document, run, ledger)
+        markdown = to_markdown(document, run, retried)
         assert "2 retried, 1.750s of backoff" in markdown
 
 
 class TestJson:
     def test_round_trips(self, verified):
-        document, run, ledger = verified
-        parsed = json.loads(to_json(document, run, ledger))
+        document, run, spent = verified
+        parsed = json.loads(to_json(document, run, spent))
         assert parsed["document_id"] == "rdoc"
         assert len(parsed["claims"]) == 2
 
 
 class TestMarkdown:
     def test_structure(self, verified):
-        document, run, ledger = verified
-        text = to_markdown(document, run, ledger)
+        document, run, spent = verified
+        text = to_markdown(document, run, spent)
         assert text.startswith("# Verification report — Report demo")
         assert "2 claims checked, 1 flagged." in text
         assert "⚠️" in text and "✅" in text
@@ -151,14 +160,14 @@ class TestCacheStatsRendering:
         assert report["cache"]["lookups"] == 0
 
     def test_markdown_cache_line(self, verified):
-        document, run, ledger = verified
-        text = to_markdown(document, run, ledger, cache=self.make_stats())
+        document, run, spent = verified
+        text = to_markdown(document, run, spent, cache=self.make_stats())
         assert ("Response cache: 3 hits / 4 lookups (75% hit rate), "
                 "2 retry bypasses, 1 evictions.") in text
 
     def test_json_round_trips_cache(self, verified):
-        document, run, ledger = verified
+        document, run, spent = verified
         parsed = json.loads(
-            to_json(document, run, ledger, cache=self.make_stats())
+            to_json(document, run, spent, cache=self.make_stats())
         )
         assert parsed["cache"]["bypasses"] == 2

@@ -12,6 +12,7 @@ from repro.experiments import (
     run_single_stage,
 )
 from repro.llm import CostLedger
+from repro.obs.tracer import Tracer
 from repro.metrics import score_claims
 
 
@@ -106,22 +107,30 @@ class TestProfilingAndScheduling:
 
 
 class TestCostConservation:
-    def test_ledger_totals_equal_sum_of_tags(self, bundle):
+    def test_ledger_totals_equal_sum_of_captures(self, bundle,
+                                                 attributed_spend):
         system = build_cedar(bundle, seed=6)
         entries = [ScheduleEntry(m, 1) for m in system.methods[:2]]
         reset_claims(bundle.documents)
-        system.verifier.verify_documents(bundle.documents[:3], entries)
         ledger = system.ledger
-        per_doc = sum(
-            totals.cost
-            for totals in ledger.totals_by_tag_prefix("doc:").values()
-        )
-        assert per_doc == pytest.approx(ledger.total_cost)
-        per_method = sum(
-            totals.cost
-            for totals in ledger.totals_by_tag_prefix("method:").values()
-        )
-        assert per_method == pytest.approx(ledger.total_cost)
+        per_doc = []
+        for document in bundle.documents[:3]:
+            tracer = Tracer(trace_id=document.doc_id)
+            with ledger.capture() as spent:
+                system.verifier.verify_documents([document], entries,
+                                                 tracer=tracer)
+            ledger.absorb(spent)
+            per_doc.append(spent.totals().cost)
+            # Every billed call sits under this document and under a
+            # method span of the schedule, which names its claim.
+            calls = attributed_spend(tracer)
+            assert len(calls) == len(spent.entries) > 0
+            assert {doc_id for _, doc_id, _, _ in calls} == {document.doc_id}
+            assert {method for _, _, method, _ in calls} \
+                <= {entry.method.name for entry in entries}
+            assert {claim_id for _, _, _, claim_id in calls} \
+                <= {claim.claim_id for claim in document.claims}
+        assert sum(per_doc) == pytest.approx(ledger.total_cost)
 
     def test_reset_claims(self, bundle):
         run_cedar(bundle, seed=1)

@@ -44,9 +44,9 @@ def _verify(sql_cache_size: int, workers: int = 1,
     )
     run = repro.verify(bundle.documents, schedule=entries, config=config)
     store = config.open_cache_db()
-    # The ledger's sql_seconds is wall-clock (and legitimately differs
-    # between arms — that is the point of the caches), so reports are
-    # rendered without the spend section for the byte comparison.
+    # A warm L2 answers calls without the model, so a document's spend
+    # legitimately differs between arms; reports are rendered without
+    # the spend section for the byte comparison.
     reports = [to_json(doc, run) for doc in bundle.documents]
     rendered = [to_markdown(doc, run) for doc in bundle.documents]
     verdicts = [claim.correct for claim in bundle.claims]

@@ -41,6 +41,10 @@ class ServiceDoor:
         self.thread.start()
         self.address = self.server.server_address[:2]
 
+    def trace_context(self, job_id):
+        """The trace context the job was admitted with."""
+        return self.service.job(job_id).trace_context()
+
     def drain(self):
         self.service.begin_drain()
         self.server.shutdown()          # returns once serve_forever has
@@ -67,6 +71,14 @@ class RouterDoor:
             latency_scale=LATENCY_SCALE,
         )))
         self.address = self.run(self.router.serve_http(port=0))
+
+    def trace_context(self, job_id):
+        """The trace context the worker admitted the routed job with,
+        as its ``trace`` op echoes it."""
+        record = self.router.records[job_id]
+        link = self.router.supervisor.link(record.worker_id)
+        reply = self.run(link.request("trace", job_id=record.worker_job_id))
+        return reply["trace"]
 
     @staticmethod
     async def _start(config):
@@ -188,6 +200,29 @@ def test_both_doors_answer_alike(door, job, raw, status):
         assert b"\r\nconnection: close" in head.lower(), head
     if b" /v1/" not in raw:
         assert reply["supported"] == ["v1"]
+
+
+KEPT = {"trace_id": "up", "parent_span": "1"}
+
+
+@pytest.mark.parametrize("trace, kept", [
+    pytest.param({"trace_id": "", "parent_span": "1"}, None,
+                 id="trace-id-empty"),
+    pytest.param({"trace_id": "up", "parent_span": 1}, None,
+                 id="parent-span-not-a-string"),
+    pytest.param({**KEPT, "baggage": "x" * 1000}, KEPT, id="extra-keys"),
+])
+def test_a_callers_trace_context_is_trimmed_or_dropped(door, trace, kept):
+    """A malformed context never fails the job; the job keeps only the
+    two keys of a valid one. The router mints its own context for the
+    worker and never forwards the caller's."""
+    head, reply = exchange(door, verify({"dataset": "tabfact",
+                                         "document": 1, "trace": trace}))
+    assert head.startswith(b"HTTP/1.1 202 "), reply
+    if isinstance(door, RouterDoor):
+        kept = {"trace_id": door.router.records[reply["job_id"]].trace_id,
+                "parent_span": "1"}
+    assert door.trace_context(reply["job_id"]) == kept
 
 
 def test_a_wait_deadline_ends_a_running_jobs_stream(door):

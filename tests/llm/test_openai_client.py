@@ -41,9 +41,11 @@ class TestOpenAIChatClient:
         ledger = CostLedger()
         transport = RecordingTransport(["a short response"])
         client = OpenAIChatClient("gpt-4o", transport, ledger=ledger)
-        client.complete("a prompt of several words")
+        with ledger.capture() as spent:
+            client.complete("a prompt of several words")
+        ledger.absorb(spent)
         assert ledger.total_cost > 0
-        assert ledger.entries[0].model == "gpt-4o"
+        assert [entry.model for entry in spent.entries] == ["gpt-4o"]
 
     def test_transient_failures_retried(self):
         client, transport = make_client(

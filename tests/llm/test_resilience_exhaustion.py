@@ -2,8 +2,8 @@
 
 The happy retry path is covered elsewhere; these tests pin down what
 happens when retrying *doesn't* save the call: the full RetryEvent trail
-(one event per failed attempt, the last flagged ``gave_up``), tag
-attribution on those events, deterministic backoff delays, and the
+(one event per failed attempt, the last flagged ``gave_up``), captured
+with the call they shadow, deterministic backoff delays, and the
 immediate propagation of permanent failures.
 """
 
@@ -68,21 +68,20 @@ class TestExhaustion:
         client = ResilientLLMClient(
             FailingLLM([TransportError("down")] * 9, ledger), policy
         )
-        with ledger.tagged("doc:d1"), ledger.tagged("claim:d1/c0"):
-            with pytest.raises(RetriesExhaustedError):
-                client.complete("prompt")
+        with ledger.capture() as spent, \
+                pytest.raises(RetriesExhaustedError):
+            client.complete("prompt")
+        assert ledger.retry_count == 0   # captured, not yet absorbed
+        ledger.absorb(spent)
 
-        # One event per failed attempt, in order, all tagged like the
+        # One event per failed attempt, in order, all captured with the
         # call they shadow; only the final one gave up.
-        assert [e.attempt for e in ledger.events] == [1, 2, 3, 4]
-        assert [e.gave_up for e in ledger.events] == [
+        assert [e.attempt for e in spent.events] == [1, 2, 3, 4]
+        assert [e.gave_up for e in spent.events] == [
             False, False, False, True
         ]
-        assert all(e.model == "gpt-3.5-turbo" for e in ledger.events)
-        assert all(
-            e.tags == ("doc:d1", "claim:d1/c0") for e in ledger.events
-        )
-        assert all("down" in e.error for e in ledger.events)
+        assert all(e.model == "gpt-3.5-turbo" for e in spent.events)
+        assert all("down" in e.error for e in spent.events)
 
         # Backoff was actually applied for every non-final failure (and
         # never for the surrender), with the policy's deterministic
@@ -90,10 +89,12 @@ class TestExhaustion:
         token = hashlib.blake2s(b"prompt", digest_size=8).hexdigest()
         expected = [policy.delay_for(a, token) for a in (1, 2, 3)]
         assert sleeps == expected
-        assert [e.delay_seconds for e in ledger.events] == expected + [0.0]
+        assert [e.delay_seconds for e in spent.events] == expected + [0.0]
+        assert ledger.retry_backoff_seconds == sum(expected)
 
         # Nothing completed, so nothing was billed.
-        assert ledger.entries == []
+        assert spent.entries == []
+        assert ledger.totals().calls == 0
         assert ledger.retry_count == 4
 
     def test_exhaustion_event_trail_is_reproducible(self):
@@ -103,10 +104,11 @@ class TestExhaustion:
                 FailingLLM([TransportError("x")] * 5, ledger),
                 make_policy(3, []),
             )
-            with pytest.raises(RetriesExhaustedError):
+            with ledger.capture() as spent, \
+                    pytest.raises(RetriesExhaustedError):
                 client.complete("same prompt")
             return [(e.attempt, e.delay_seconds, e.gave_up)
-                    for e in ledger.events]
+                    for e in spent.events]
 
         assert trail() == trail()
 
@@ -116,12 +118,13 @@ class TestExhaustion:
             FailingLLM([TransportError("a"), TransportError("b")], ledger),
             make_policy(4, []),
         )
-        response = client.complete("prompt")
+        with ledger.capture() as spent:
+            response = client.complete("prompt")
         assert response.text == "recovered"
-        assert [e.attempt for e in ledger.events] == [1, 2]
-        assert not any(e.gave_up for e in ledger.events)
+        assert [e.attempt for e in spent.events] == [1, 2]
+        assert not any(e.gave_up for e in spent.events)
         # The successful third attempt is the only billed call.
-        assert len(ledger.entries) == 1
+        assert len(spent.entries) == 1
 
 
 class TestPermanentFailures:
@@ -131,10 +134,10 @@ class TestPermanentFailures:
             FailingLLM([PermanentLLMError("bad request")] * 3, ledger),
             make_policy(5, []),
         )
-        with pytest.raises(PermanentLLMError):
+        with ledger.capture() as spent, pytest.raises(PermanentLLMError):
             client.complete("prompt")
         assert client.unwrap().calls == 1
-        assert ledger.events == []
+        assert spent.events == []
 
     def test_value_error_is_permanent(self):
         client = ResilientLLMClient(

@@ -10,7 +10,7 @@ from repro.metrics import (
     RunEconomics,
     analyse_claims,
     analyse_query,
-    economics_since,
+    economics_from_totals,
     percentage,
     score_claims,
 )
@@ -80,12 +80,13 @@ def test_f1_is_harmonic_mean(tp, fp, fn, tn):
 
 
 class TestEconomics:
-    def test_economics_since(self):
+    def test_economics_of_a_capture(self):
         ledger = CostLedger()
         ledger.record("m", 100, 50, 1.0, 10.0)
-        mark = ledger.checkpoint()
-        ledger.record("m", 100, 50, 2.0, 20.0)
-        economics = economics_since(ledger, mark, claims=4)
+        with ledger.capture() as spent:
+            ledger.record("m", 100, 50, 2.0, 20.0)
+        ledger.absorb(spent)
+        economics = economics_from_totals(spent.totals(), claims=4)
         assert economics.cost == pytest.approx(2.0)
         assert economics.cost_per_claim == pytest.approx(0.5)
         assert economics.claims_per_hour == pytest.approx(4 * 3600 / 20.0)

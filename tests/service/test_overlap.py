@@ -18,11 +18,12 @@ import time
 
 import pytest
 
-from repro.core import ScheduleEntry, VerifierConfig
+from repro.core import ScheduleEntry, VerifierConfig, mask_claim
 from repro.datasets import build_aggchecker
 from repro.experiments import build_cedar
 from repro.llm import CostLedger, RetryPolicy
 from repro.llm.base import DelegatingLLMClient
+from repro.obs.tracer import current_tracer
 from repro.service import (
     JobDone,
     JobStarted,
@@ -35,15 +36,15 @@ WORKERS = 3
 
 
 class Probe:
-    """Counts the model calls in flight, and which documents make them."""
+    """Counts the model calls in flight, and which jobs make them."""
 
     def __init__(self):
         self.lock = threading.Lock()
         self.in_flight = 0
         self.peak = 0
         self.calls = 0
-        self.documents: dict[str, int] = {}
-        self.peak_documents = 0
+        self.jobs: dict[str, int] = {}
+        self.peak_jobs = 0
         self.threads = set()
 
 
@@ -59,15 +60,14 @@ class RecordingClient(DelegatingLLMClient):
 
     def complete(self, prompt, temperature=0.0):
         probe = self.probe
-        document = next(tag for tag in self.ledger.current_tags()
-                        if tag.startswith("doc:"))
+        # Each job runs under its own tracer, whose trace id is the job id.
+        job = current_tracer().trace_id
         with probe.lock:
             probe.in_flight += 1
             probe.calls += 1
             probe.peak = max(probe.peak, probe.in_flight)
-            probe.documents[document] = probe.documents.get(document, 0) + 1
-            probe.peak_documents = max(probe.peak_documents,
-                                       len(probe.documents))
+            probe.jobs[job] = probe.jobs.get(job, 0) + 1
+            probe.peak_jobs = max(probe.peak_jobs, len(probe.jobs))
             probe.threads.add(threading.current_thread().name)
         try:
             if self.delay:
@@ -76,9 +76,9 @@ class RecordingClient(DelegatingLLMClient):
         finally:
             with probe.lock:
                 probe.in_flight -= 1
-                probe.documents[document] -= 1
-                if not probe.documents[document]:
-                    del probe.documents[document]
+                probe.jobs[job] -= 1
+                if not probe.jobs[job]:
+                    del probe.jobs[job]
 
 
 def make_service(bundle, probe, delay=0.005, blocking=True, **config):
@@ -157,7 +157,7 @@ def test_overlapping_jobs_stay_under_the_bound_and_equal_their_solo_runs(
         service.shutdown(drain=True)
 
     assert 0 < probe.peak <= WORKERS
-    assert probe.peak_documents >= 2          # jobs really overlapped
+    assert probe.peak_jobs >= 2               # jobs really overlapped
     assert all(name.startswith("cedar-claim") for name in probe.threads)
     for index, handle in enumerate(handles):
         assert outcome(handle) == solo(bundle, index), handle.job_id
@@ -275,13 +275,13 @@ def test_a_failed_overlapping_job_keeps_its_spend(bundle):
     # first (harvest) attempt has made its calls.
     poisoned = schedule[0].method
     real_translate = poisoned.translate
-    ledger = service.ledger
-    victim = f"claim:bad/{bundle.documents[0].claims[-1].claim_id}"
+    victim = mask_claim(bundle.documents[0].claims[-1])
 
-    def translate(*args, **kwargs):
-        if victim in ledger.current_tags():
+    def translate(masked, *args, **kwargs):
+        if current_tracer().trace_id == handles[0].job_id \
+                and masked == victim:
             raise RuntimeError("poisoned claim")
-        return real_translate(*args, **kwargs)
+        return real_translate(masked, *args, **kwargs)
 
     poisoned.translate = translate
     handles = [

@@ -22,6 +22,7 @@ from repro.core import ScheduleEntry, VerifierConfig
 from repro.experiments import build_cedar
 from repro.llm import CostLedger, LatencySimulatingClient
 from repro.llm.base import DelegatingLLMClient
+from repro.obs.tracer import current_tracer
 from repro.service import (
     JobDone,
     ServiceConfig,
@@ -144,18 +145,18 @@ def test_concurrent_copies_of_one_document_equal_its_solo_run():
     # The two copies share every client and run at once: each copy's
     # first model call waits at a barrier until the other's arrives.
     barrier = threading.Barrier(2, timeout=5)
-    documents_seen = set()
+    jobs_seen = set()
     lock = threading.Lock()
 
     class Rendezvous(DelegatingLLMClient):
         blocking = True
 
         def complete(self, prompt, temperature=0.0):
-            document = next(tag for tag in self.ledger.current_tags()
-                            if tag.startswith("doc:"))
+            # A job's tracer carries the job id as its trace id.
+            job = current_tracer().trace_id
             with lock:
-                first = document not in documents_seen
-                documents_seen.add(document)
+                first = job not in jobs_seen
+                jobs_seen.add(job)
             if first:
                 barrier.wait()
             return self.inner.complete(prompt, temperature)
@@ -171,5 +172,5 @@ def test_concurrent_copies_of_one_document_equal_its_solo_run():
             assert handle.state == "completed", handle.error
     finally:
         service.shutdown(drain=True)
-    assert len(documents_seen) == 2
+    assert len(jobs_seen) == 2
     assert [outcome(handle) for handle in handles] == [solo(2)] * 2

@@ -29,6 +29,7 @@ from repro.core import ScheduleEntry, VerifierConfig, verify
 from repro.datasets import build_aggchecker
 from repro.experiments import build_cedar
 from repro.llm import CostLedger, LatencySimulatingClient
+from repro.obs.tracer import current_tracer
 from repro.service import (
     AdmissionError,
     ClaimVerdict,
@@ -413,14 +414,13 @@ class TestBatching:
         bundle = make_bundle()
         expected = baseline_verdicts(bundle)
         service, schedule = make_service(bundle)
-        # The first stage raises for the claims of the bad/ clone only;
-        # it sees which claim it translates through the ledger's tags.
+        # The first stage raises for the claims of the bad/ clone's job
+        # only; a job's tracer carries its job id as the trace id.
         poisoned = schedule[0].method
         real_translate = poisoned.translate
-        ledger = service.ledger
 
         def translate(*args, **kwargs):
-            if "claim:bad/" in " ".join(ledger.current_tags()):
+            if current_tracer().trace_id == bad.job_id:
                 raise RuntimeError("poisoned claim")
             return real_translate(*args, **kwargs)
 

@@ -325,17 +325,6 @@ class TestResultHelpers:
         ).first_cell()
         assert value == "Aeroflot"
 
-    def test_text_table_rendering(self, engine):
-        text = engine.execute("SELECT airline FROM airlines").to_text_table()
-        assert "airline" in text
-        assert "KLM" in text
-
-    def test_text_table_truncation(self, engine):
-        text = engine.execute(
-            "SELECT airline FROM airlines"
-        ).to_text_table(limit=2)
-        assert "more rows" in text
-
 
 class TestNullSemantics:
     @pytest.fixture()

@@ -13,10 +13,7 @@ from repro.sqlengine import (
     schema_text,
 )
 from repro.sqlengine.errors import ExecutionError
-from repro.sqlengine.formatting import (
-    insert_statements_text,
-    select_sample_text,
-)
+from repro.sqlengine.formatting import select_sample_text
 from repro.sqlengine.functions import aggregate, call_scalar
 
 
@@ -137,8 +134,3 @@ class TestFormatting:
         assert text.splitlines()[0] == "| country | wine |"
         assert "| France | 370 |" in text
         assert len(text.splitlines()) == 4  # header + sep + 2 rows
-
-    def test_insert_statements(self, db):
-        text = insert_statements_text(db.table("drinks"), limit=1)
-        assert text.startswith('INSERT INTO "drinks"')
-        assert "'France'" in text
